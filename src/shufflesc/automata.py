@@ -8,8 +8,9 @@ share across threads.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 Letter = Hashable
@@ -238,44 +239,83 @@ def _accessible(d: Dfa) -> list[int]:
     return order
 
 
+def _no_successors(codes):
+    return ()
+
+
+def successor_rows(successors) -> list:
+    """Rows for `moore_refine`, one per state.
+
+    `successors` yields, for each state in turn, the tuple of its successor
+    indices, one per letter.  Row s is an `itemgetter` over that tuple, so
+    the codes of all successors come from one C-level call; in CPython the
+    getter holds the tuple itself rather than a copy.  With no letters every
+    row returns ().
+    """
+    return [itemgetter(*succ) if succ else _no_successors for succ in successors]
+
+
+def moore_refine(rows, codes) -> list:
+    """Moore refinement: split classes by successor classes until stable.
+
+    `codes[s]` is the initial class code of state s and `rows[s](codes)` the
+    codes of its successors (see `successor_rows`).  A round gives a
+    signature only to the states of classes with more than one member, since
+    a singleton class can never split; it stops once a round splits nothing,
+    every state has a class of its own, or there is only one class.  Returns
+    a class code per state: equal codes mean equivalent states, the values
+    themselves carry nothing.
+    """
+    codes = list(codes)
+    fresh = max(codes, default=0) + 1
+    sizes = Counter(codes)
+    # a lone class is stable too: all successors of its states share it
+    active = [s for s, c in enumerate(codes) if sizes[c] > 1] if len(sizes) > 1 else []
+    groups = sum(1 for k in sizes.values() if k > 1)
+    while active:
+        sigs: dict = {}
+        new = codes[:]
+        for s in active:
+            new[s] = sigs.setdefault((codes[s], rows[s](codes)), fresh + len(sigs))
+        if len(sigs) == groups:
+            break
+        fresh += len(sigs)
+        codes = new
+        sizes = Counter(map(new.__getitem__, active))
+        active = [s for s in active if sizes[new[s]] > 1]
+        groups = sum(1 for k in sizes.values() if k > 1)
+    return codes
+
+
 def minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA of the same language.
 
-    Moore partition refinement on the accessible part: states start split by
-    finality and are repeatedly split by the classes of their successors.
-    The classes of the result are renumbered in breadth-first order from the
-    initial class, so equal inputs give identical outputs.
+    Moore partition refinement (`moore_refine`) on the accessible part:
+    states start split by finality and are repeatedly split by the classes
+    of their successors.  The classes of the result are renumbered in
+    breadth-first order from the initial class, so equal inputs give
+    identical outputs.
     """
     order = _accessible(d)
-    codes = {q: int(q in d.finals) for q in order}
-    count = len(set(codes.values()))
-    while True:
-        sigs = {}
-        new = {}
-        for q in order:
-            sig = (codes[q],) + tuple(codes[d.delta[(q, a)]] for a in d.alphabet)
-            new[q] = sigs.setdefault(sig, len(sigs))
-        codes = new
-        if len(sigs) == count:
-            break
-        count = len(sigs)
+    pos = {q: i for i, q in enumerate(order)}
+    succ = [tuple(pos[d.delta[(q, a)]] for a in d.alphabet) for q in order]
+    codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
 
-    renum = {codes[d.initial]: 0}
-    queue = deque([d.initial])
-    reps = {codes[d.initial]: d.initial}
+    # position 0 is the initial state
+    renum = {codes[0]: 0}
+    reps = [0]
+    queue = deque([0])
     while queue:
-        q = queue.popleft()
-        for a in d.alphabet:
-            c = codes[d.delta[(q, a)]]
-            if c not in renum:
-                renum[c] = len(renum)
-                reps[c] = d.delta[(q, a)]
-                queue.append(d.delta[(q, a)])
+        for i in succ[queue.popleft()]:
+            if codes[i] not in renum:
+                renum[codes[i]] = len(renum)
+                reps.append(i)
+                queue.append(i)
     delta = {}
-    for c, rep in reps.items():
-        for a in d.alphabet:
-            delta[(renum[c], a)] = renum[codes[d.delta[(rep, a)]]]
-    finals = {renum[codes[q]] for q in order if q in d.finals}
+    for c, rep in enumerate(reps):
+        for a, i in zip(d.alphabet, succ[rep]):
+            delta[(c, a)] = renum[codes[i]]
+    finals = {renum[codes[pos[q]]] for q in order if q in d.finals}
     return Dfa(len(renum), d.alphabet, 0, finals, delta)
 
 

@@ -85,6 +85,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _count(text: str) -> int:
+    """argparse type of an integer that may be 0 but not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="shufflesc", description=__doc__)
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
@@ -106,7 +114,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reach", help="reachable tableaux with minimal depths")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--depth-limit", type=int, dest="depth_limit")
+    p.add_argument("--depth-limit", type=_count, dest="depth_limit")
 
     p = sub.add_parser("sc", help="exact shuffle state complexity with maximizing finals")
     p.add_argument("m", type=int)
@@ -123,7 +131,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sequence", help="totals r_total(n, k) for k = 0..kmax")
     p.add_argument("n", type=int)
-    p.add_argument("kmax", type=int)
+    p.add_argument("kmax", type=_count)
 
     p = sub.add_parser("coeffs", help="closed-form rational coefficients for the totals")
     p.add_argument("n", type=int)
@@ -141,7 +149,7 @@ def _build_parser() -> _Parser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--dense", action="store_true", help="check the dense restriction instead")
-    p.add_argument("--depth-limit", type=int, dest="depth_limit")
+    p.add_argument("--depth-limit", type=_count, dest="depth_limit")
 
     p = sub.add_parser("witness", help="explicit witness constructions")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
@@ -173,8 +181,11 @@ def _frac(x: Fraction) -> str:
 
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {cfg.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

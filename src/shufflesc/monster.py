@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .automata import Dfa, Transformation
+from .automata import Dfa, Transformation, moore_refine, successor_rows
 from .errors import SizeGuardError
 
 
@@ -283,74 +284,50 @@ class ScResult:
         return self.maximizers[0]
 
 
-def _transition_columns(masks, index, m, n, letters=None):
-    """Successor-index columns of the reachable set, one per letter action.
+def _transition_rows(masks, m, n, letters=None):
+    """Refinement rows (`successor_rows`) of the sorted reachable masks.
 
-    Letters acting identically on every reachable state are collapsed; the
-    returned columns are what partition refinement needs.
+    With `letters` None the alphabet is every pair (f, g) of whole-grid
+    maps.  A letter's successor mask is its row variant under f merged with
+    its column variant under g; each variant is computed once per distinct
+    f and g, and each state's successors are then gathered at C level.
     """
     full_n = (1 << n) - 1
-    S = len(masks)
+    col0 = sum(1 << (i * n) for i in range(m))
+    index = {mask: i for i, mask in enumerate(masks)}
+    # each state's occupied rows (columns), its cells moved to row (column) 0
+    row_lines = [
+        [(i, s) for i in range(m) if (s := (mask >> (i * n)) & full_n)] for mask in masks
+    ]
+    col_lines = [[(j, s) for j in range(n) if (s := (mask >> j) & col0)] for mask in masks]
 
-    def rowvar(f):
-        out = [0] * S
-        for si, mask in enumerate(masks):
+    def variants(lines, shift):
+        out = []
+        for occupied in lines:
             acc = 0
-            for i in range(m):
-                s = (mask >> (i * n)) & full_n
-                if s:
-                    acc |= s << (f[i] * n)
-            out[si] = acc
-        return out
-
-    def colvar(g):
-        out = [0] * S
-        for si, mask in enumerate(masks):
-            acc = 0
-            mm = mask
-            while mm:
-                low = mm & -mm
-                pos = low.bit_length() - 1
-                i, j = divmod(pos, n)
-                acc |= 1 << (i * n + g[j])
-                mm ^= low
-            out[si] = acc
+            for k, s in occupied:
+                acc |= s << shift[k]
+            out.append(acc)
         return out
 
     if letters is None:
-        fs = list(product(range(m), repeat=m))
-        gs = list(product(range(n), repeat=n))
-        rvs = {f: rowvar(f) for f in fs}
-        cvs = {g: colvar(g) for g in gs}
-        pairs = ((f, g) for f in fs for g in gs)
+        maps = [(f, g) for f in product(range(m), repeat=m) for g in product(range(n), repeat=n)]
     else:
-        pairs = [(tuple(l.left.images), tuple(l.right.images)) for l in letters]
-        rvs = {f: rowvar(f) for f, _ in pairs}
-        cvs = {g: colvar(g) for _, g in pairs}
-    columns = {}
-    for f, g in pairs:
-        rv, cv = rvs[f], cvs[g]
-        col = tuple(index[rv[s] | cv[s]] for s in range(S))
-        columns[col] = None
-    return list(columns)
-
-
-def _refine(columns, initial_codes):
-    """Moore refinement: split classes by successor classes until stable.
-    Returns the final class code of every state."""
-    codes = initial_codes
-    count = len(set(codes))
-    S = len(codes)
-    while True:
-        sigs: dict = {}
-        new = [0] * S
-        for s in range(S):
-            sig = (codes[s],) + tuple(codes[c[s]] for c in columns)
-            new[s] = sigs.setdefault(sig, len(sigs))
-        codes = new
-        if len(sigs) == count:
-            return codes
-        count = len(sigs)
+        maps = [(l.left.images, l.right.images) for l in letters]
+    if not maps:  # the zips below would yield no rows at all
+        return successor_rows([()] * len(masks))
+    # fs and gs number the distinct maps; fi and gi name each letter's pair
+    fs: dict = {}
+    gs: dict = {}
+    fi = [fs.setdefault(f, len(fs)) for f, _ in maps]
+    gi = [gs.setdefault(g, len(gs)) for _, g in maps]
+    # per state: its row variant under each f and column variant under each g
+    rvs = zip(*(variants(row_lines, [t * n for t in f]) for f in fs))
+    cvs = zip(*(variants(col_lines, g) for g in gs))
+    return successor_rows(
+        tuple(map(index.__getitem__, map(or_, map(rv.__getitem__, fi), map(cv.__getitem__, gi))))
+        for rv, cv in zip(rvs, cvs)
+    )
 
 
 def count_distinguishable(
@@ -363,7 +340,11 @@ def count_distinguishable(
     """Like state_complexity_shuffle but refining with a fixed letter set.
 
     Reachability is still computed over all letters; only the separating
-    words are restricted to the given alphabet.
+    words are restricted to the given alphabet, which may be empty (then
+    only finality separates).  Every pair of nonempty final sets is refined
+    on its own, with no orbit reduction or warm start: those rest on the
+    full alphabet.  The maximizers are listed in the same order as for
+    state_complexity_shuffle.
     """
     return _max_over_finals(m, n, list(letters), reach, max_cells)
 
@@ -375,14 +356,21 @@ def state_complexity_shuffle(
 
     Computes the reachable tableaux once (finality plays no role there), then
     for every pair of final sets (F1, F2) counts the classes of Moore
-    refinement where a tableau is accepting iff it meets F1 x F2.  The value
-    is the maximum class count; all maximizing pairs are reported.  Pairs
-    with an empty side make every state equivalent and are skipped.
+    refinement (`moore_refine`) over the full alphabet, where a tableau is
+    accepting iff it meets F1 x F2.  The value is the maximum class count;
+    all maximizing pairs are reported, ordered by the bitmasks of F1 then F2
+    (bit i set when state i is final).  Pairs with an empty side make every
+    state equivalent and are skipped.  Only one pair per orbit under
+    relabelling the non-initial states is refined (25 of 49 pairs at 3x3),
+    and for m, n >= 2 the refinement starts from the stable partition of the
+    three distinguishing letters; `_final_pair_classes` proves both exact.
     """
     return _max_over_finals(m, n, None, reach, max_cells)
 
 
 def _max_over_finals(m, n, letters, reach, max_cells):
+    """Largest class count of `_final_pair_classes` and every pair that
+    reaches it, in bitmask order."""
     if m * n > max_cells:
         raise SizeGuardError(
             f"state-complexity search on a {m}x{n} grid exceeds the "
@@ -390,31 +378,70 @@ def _max_over_finals(m, n, letters, reach, max_cells):
         )
     if reach is None:
         reach = reachable_tableaux(m, n, max_cells=max_cells)
-    masks = sorted(t.mask for t in reach.depths)
-    index = {mask: i for i, mask in enumerate(masks)}
-    columns = _transition_columns(masks, index, m, n, letters)
-
     best = 0
     arg: list[tuple[frozenset, frozenset]] = []
+    for pair, classes in _final_pair_classes(m, n, letters, reach):
+        if classes > best:
+            best, arg = classes, [pair]
+        elif classes == best:
+            arg.append(pair)
+    return ScResult(m, n, best, tuple(arg), reach.count)
+
+
+def _final_pair_classes(m, n, letters, reach):
+    """Yield ((F1, F2), class count) for every pair of nonempty final sets,
+    ordered by the bitmask of F1 then of F2.
+
+    With the full alphabet (`letters` None) two shortcuts apply, both exact:
+
+    - Orbits.  For permutations s of {0..m-1} and t of {0..n-1} that fix 0,
+      the map E -> (s x t)(E) on tableaux fixes the initial tableau
+      {(0, 0)}, sends the image of E under a letter (f, g) to the image of
+      (s x t)(E) under (s f s^-1, t g t^-1), and E meets F1 x F2 iff
+      (s x t)(E) meets s(F1) x t(F2).  Conjugation permutes the full
+      alphabet, so the automata with finals (F1, F2) and (s(F1), t(F2)) are
+      isomorphic and have the same number of classes.  That number is then
+      a function of the orbit, which is fixed by whether 0 lies in F1 and in
+      F2 and by the sizes of F1 and F2: one pair per orbit is refined.
+    - Warm start.  For m, n >= 2 the three distinguishing letters belong to
+      the full alphabet, so their stable partition P3 lies between the
+      finality partition and the Nerode equivalence: states that no word
+      separates are not separated by the three-letter words, and P3 refines
+      finality.  A Moore round keeps Nerode-equivalent states together, so
+      refinement from P3 never splits a Nerode class; when it stops, the
+      partition refines finality and is closed under every letter, so each
+      of its classes lies in a Nerode class.  It thus ends at the Nerode
+      equivalence, as refinement from the finality partition does.
+    """
+    masks = sorted(t.mask for t in reach.depths)
+    warm = None
+    if letters is None and m >= 2 and n >= 2:
+        warm = _transition_rows(masks, m, n, distinguishing_letters(m, n))
+    rows = _transition_rows(masks, m, n, letters)
+    known: dict = {}
     for f1_bits in range(1, 1 << m):
         for f2_bits in range(1, 1 << n):
-            fmask = 0
-            for i in range(m):
-                if f1_bits >> i & 1:
-                    for j in range(n):
-                        if f2_bits >> j & 1:
-                            fmask |= 1 << (i * n + j)
-            codes = _refine(columns, [int(bool(mk & fmask)) for mk in masks])
-            classes = len(set(codes))
+            if letters is None:
+                key = (f1_bits & 1, f1_bits.bit_count(), f2_bits & 1, f2_bits.bit_count())
+            else:
+                key = (f1_bits, f2_bits)
+            classes = known.get(key)
+            if classes is None:
+                fmask = 0
+                for i in range(m):
+                    if f1_bits >> i & 1:
+                        for j in range(n):
+                            if f2_bits >> j & 1:
+                                fmask |= 1 << (i * n + j)
+                codes = [int(bool(mk & fmask)) for mk in masks]
+                if warm is not None:
+                    codes = moore_refine(warm, codes)
+                classes = known[key] = len(set(moore_refine(rows, codes)))
             pair = (
                 frozenset(i for i in range(m) if f1_bits >> i & 1),
                 frozenset(j for j in range(n) if f2_bits >> j & 1),
             )
-            if classes > best:
-                best, arg = classes, [pair]
-            elif classes == best:
-                arg.append(pair)
-    return ScResult(m, n, best, tuple(arg), reach.count)
+            yield pair, classes
 
 
 def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLetter], side: str) -> Dfa:

@@ -17,6 +17,7 @@ from shufflesc import (
     nfa_to_json,
     shuffle_nfa,
 )
+from shufflesc.automata import moore_refine, successor_rows
 
 
 def single_word_dfa(word, alphabet):
@@ -193,6 +194,27 @@ def nerode_class_count(d, max_len=6):
     return len({signature(q) for q in reachable})
 
 
+class TestMooreRefine:
+    def test_splits_until_stable(self):
+        # a path 0 -> 1 -> 2 -> 3 -> 3 with only 3 final: every state is
+        # its own class, found one split per round
+        rows = successor_rows([(1,), (2,), (3,), (3,)])
+        codes = moore_refine(rows, [0, 0, 0, 1])
+        assert len(set(codes)) == 4
+
+    def test_keeps_equivalent_states_together(self):
+        # 0 and 1 swap into each other, 2 and 3 are final sinks
+        rows = successor_rows([(1, 2), (0, 3), (2, 2), (3, 3)])
+        codes = moore_refine(rows, [0, 0, 1, 1])
+        assert codes[0] == codes[1] != codes[2] == codes[3]
+
+    def test_lone_class_and_no_letters(self):
+        assert len(set(moore_refine(successor_rows([(1,), (0,)]), [5, 5]))) == 1
+        rows = successor_rows([(), (), ()])
+        assert len(set(moore_refine(rows, [0, 1, 1]))) == 2
+        assert moore_refine([], []) == []
+
+
 class TestMinimize:
     def test_parity_language(self):
         # two different 3-state machines for "even number of a's"
@@ -207,6 +229,12 @@ class TestMinimize:
         m = minimize(d)
         assert m.state_count == d.state_count  # already minimal
         assert language(m, 4) == language(d, 4)
+
+    def test_empty_alphabet(self):
+        # no letters: only the initial state is accessible
+        d = Dfa(3, (), 1, {1, 2}, {})
+        m = minimize(d)
+        assert (m.state_count, m.alphabet, m.finals) == (1, (), frozenset({0}))
 
     @settings(max_examples=60, deadline=None)
     @given(small_dfas())

@@ -146,6 +146,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
 
+    def test_negative_kmax(self, capsys):
+        code, out, err = run_cli(capsys, "sequence", "2", "-1")
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_negative_depth_limit(self, capsys):
+        code, out, err = run_cli(capsys, "reach", "2", "2", "--depth-limit", "-1")
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_guard_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "sc", "4", "4")
         assert code == 2 and "guard" in err
@@ -159,6 +167,12 @@ class TestOutputFile:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["f"] == 400
+
+    def test_unwritable_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, "--output", str(target), "bound", "2", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_threads_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "--threads", "4", "bound", "2", "2")

@@ -15,11 +15,54 @@ from shufflesc import (
     state_complexity_shuffle,
     tableau_step,
 )
-from shufflesc.monster import all_valid_tableaux, monster_dfa
+from shufflesc.monster import _final_pair_classes, all_valid_tableaux, monster_dfa
 
 
 def T(m, n, cells):
     return Tableau(m, n, cells)
+
+
+def all_letters(m, n):
+    return [
+        MonsterLetter(Transformation(f), Transformation(g))
+        for f in product(range(m), repeat=m)
+        for g in product(range(n), repeat=n)
+    ]
+
+
+def naive_final_pair_classes(m, n):
+    """Class counts straight from the definition: the tableaux reachable
+    from {(0, 0)} under every whole-grid letter, by tableau_step, then plain
+    Moore refinement (every state, every letter, every round) for each pair
+    of nonempty final sets, in bitmask order.  Also returns the reachable
+    count."""
+    letters = all_letters(m, n)
+    states = [T(m, n, {(0, 0)})]
+    seen = set(states)
+    succ = {}
+    for t in states:  # the list grows while it is walked
+        succ[t] = [tableau_step(t, a) for a in letters]
+        for u in succ[t]:
+            if u not in seen:
+                seen.add(u)
+                states.append(u)
+    out = []
+    for b1 in range(1, 1 << m):
+        for b2 in range(1, 1 << n):
+            f1 = frozenset(i for i in range(m) if b1 >> i & 1)
+            f2 = frozenset(j for j in range(n) if b2 >> j & 1)
+            cls = {t: any(i in f1 and j in f2 for i, j in t.cells) for t in states}
+            while True:
+                ids = {}
+                new = {
+                    t: ids.setdefault((cls[t],) + tuple(cls[u] for u in succ[t]), len(ids))
+                    for t in states
+                }
+                if len(ids) == len(set(cls.values())):
+                    break
+                cls = new
+            out.append(((f1, f2), len(set(cls.values()))))
+    return out, len(states)
 
 
 class TestTableau:
@@ -239,6 +282,33 @@ class TestStateComplexity:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             state_complexity_shuffle(4, 4)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_matches_naive_refinement(self, m, n):
+        # orbits, the warm start and the singleton skip change nothing: the
+        # same class count for every final pair, hence the same value and
+        # the same maximizers in the same order
+        naive, reachable = naive_final_pair_classes(m, n)
+        best = max(classes for _, classes in naive)
+        res = state_complexity_shuffle(m, n)
+        assert res.value == best and res.reachable_count == reachable
+        assert res.maximizers == tuple(pair for pair, classes in naive if classes == best)
+        assert list(_final_pair_classes(m, n, None, reachable_tableaux(m, n))) == naive
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+    def test_explicit_full_alphabet_agrees(self, m, n):
+        # the fixed-letter path takes no shortcut
+        letters = all_letters(m, n)
+        assert count_distinguishable(m, n, letters) == state_complexity_shuffle(m, n)
+        reach = reachable_tableaux(m, n)
+        assert list(_final_pair_classes(m, n, letters, reach)) == list(
+            _final_pair_classes(m, n, None, reach)
+        )
+
+    def test_empty_letter_set(self):
+        # no letters: only finality separates, into at most two classes
+        res = count_distinguishable(2, 2, [])
+        assert res.value == 2 and res.reachable_count == 10
 
 
 class TestMonsterDfa:
