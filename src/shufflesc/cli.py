@@ -2,6 +2,7 @@
 
 Every subcommand is a pure function of its arguments: no timestamps, no
 randomness, stable orderings, so outputs are reproducible byte for byte.
+Only reach, sequence and matrix have a CSV rendering.
 
 Exit codes: 0 success, 1 bad input, 2 size guard exceeded, 3 a conjecture
 check did not come out clean (failed or incomplete).
@@ -12,9 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 from .automata import Transformation
 from .conjecture import check_conjecture1, check_conjecture2
@@ -38,40 +36,12 @@ EXIT_BAD_INPUT = 1
 EXIT_GUARD = 2
 EXIT_CHECK_FAILED = 3
 
-# Guard defaults, widened only through --force.
-GUARD_REACH_CELLS = 16
-GUARD_SC_CELLS = 12
-GUARD_GRADED_COUNT = 2_000_000
-GUARD_SERIES_BLOCKS = 64
-GUARD_ORACLE_MAPS = 2_000_000
-GUARD_PERMUTATION_SIZE = 6
+# Limits that --force passes in place of the library's guard defaults.
 FORCED_CELLS = 64
 FORCED_COUNT = 10**9
 
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; built from parsed arguments."""
-
-    command: str
-    m: Optional[int] = None
-    n: Optional[int] = None
-    k: Optional[int] = None
-    kmax: Optional[int] = None
-    l: Optional[int] = None
-    delta: Optional[int] = None
-    d: Optional[int] = None
-    power: Optional[int] = None
-    sigma: Optional[str] = None
-    witness_kind: Optional[str] = None
-    fmt: str = "text"
-    output: Optional[str] = None
-    force: bool = False
-    oracle: bool = False
-    dense: bool = False
-    count_only: bool = False
-    depth_limit: Optional[int] = None
-    threads: int = 1
+# The only commands with a CSV rendering; --format csv is refused elsewhere.
+_CSV_COMMANDS = ("reach", "sequence", "matrix")
 
 
 class CliError(Exception):
@@ -98,13 +68,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--output", help="write the result to this path instead of stdout")
     parser.add_argument("--force", action="store_true", help="widen the size guards")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on internal parallelism (the current implementation is serial,"
-        " so any cap is honored trivially)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="valid-tableau count f(m, n)")
@@ -166,26 +129,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for name in vars(cfg):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    return cfg
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
+def _emit(args, text: str) -> None:
+    if args.output:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
-            raise CliError(f"cannot write {cfg.output}: {exc.strerror}") from exc
+            raise CliError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -198,197 +148,195 @@ def _csv_rows(rows) -> str:
     return "\n".join(",".join(str(x) for x in row) for row in rows)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configuration and emit its artifact; returns an exit code."""
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
-        raise CliError(f"unknown command {cfg.command!r}")
-    return handler(cfg)
+def _forced(args, **limits) -> dict:
+    """The widened guard under --force; otherwise nothing, so the library default holds."""
+    return limits if args.force else {}
 
 
-def _cmd_bound(cfg):
-    value = f_bound(cfg.m, cfg.n)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dumps({"m": cfg.m, "n": cfg.n, "f": value}))
+def _cmd_bound(args):
+    value = f_bound(args.m, args.n)
+    if args.fmt == "json":
+        _emit(args, _json_dumps({"m": args.m, "n": args.n, "f": value}))
     else:
-        _emit(cfg, str(value))
+        _emit(args, str(value))
     return EXIT_OK
 
 
-def _cmd_reach(cfg):
-    max_cells = FORCED_CELLS if cfg.force else GUARD_REACH_CELLS
-    reach = reachable_tableaux(cfg.m, cfg.n, depth_limit=cfg.depth_limit, max_cells=max_cells)
+def _cmd_reach(args):
+    reach = reachable_tableaux(
+        args.m, args.n, depth_limit=args.depth_limit, **_forced(args, max_cells=FORCED_CELLS)
+    )
     listing = reach.tableaux()
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
-            "m": cfg.m,
-            "n": cfg.n,
+            "m": args.m,
+            "n": args.n,
             "count": reach.count,
             "complete": reach.complete,
             "tableaux": [t.to_json(depth=reach.depths[t]) for t in listing],
         }
-        _emit(cfg, _json_dumps(payload))
-    elif cfg.fmt == "csv":
+        _emit(args, _json_dumps(payload))
+    elif args.fmt == "csv":
         rows = [["depth", "cells"]] + [
             [reach.depths[t], ";".join(f"{i}.{j}" for i, j in sorted(t.cells))]
             for t in listing
         ]
-        _emit(cfg, _csv_rows(rows))
+        _emit(args, _csv_rows(rows))
     else:
         blocks = [f"{reach.count} reachable tableaux (complete={reach.complete})"]
         for t in listing:
             blocks.append(f"depth {reach.depths[t]}\n{t.render()}")
-        _emit(cfg, "\n\n".join(blocks))
+        _emit(args, "\n\n".join(blocks))
     return EXIT_OK
 
 
-def _cmd_sc(cfg):
-    max_cells = FORCED_CELLS if cfg.force else GUARD_SC_CELLS
-    res = state_complexity_shuffle(cfg.m, cfg.n, max_cells=max_cells)
+def _cmd_sc(args):
+    res = state_complexity_shuffle(args.m, args.n, **_forced(args, max_cells=FORCED_CELLS))
     maximizers = [[sorted(f1), sorted(f2)] for f1, f2 in res.maximizers]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
-            "m": cfg.m,
-            "n": cfg.n,
+            "m": args.m,
+            "n": args.n,
             "state_complexity": res.value,
             "reachable": res.reachable_count,
-            "f_bound": f_bound(cfg.m, cfg.n),
+            "f_bound": f_bound(args.m, args.n),
             "maximizers": maximizers,
         }
-        _emit(cfg, _json_dumps(payload))
+        _emit(args, _json_dumps(payload))
     else:
         f1, f2 = maximizers[0]
         _emit(
-            cfg,
-            f"sc({cfg.m},{cfg.n}) = {res.value} of f = {f_bound(cfg.m, cfg.n)}; "
+            args,
+            f"sc({args.m},{args.n}) = {res.value} of f = {f_bound(args.m, args.n)}; "
             f"{len(maximizers)} maximizing final pairs, e.g. F1={f1} F2={f2}",
         )
     return EXIT_OK
 
 
-def _cmd_graded(cfg):
-    max_count = FORCED_COUNT if cfg.force else GUARD_GRADED_COUNT
-    vectors = generate_graded(cfg.n, cfg.k, max_count=max_count)
-    if cfg.count_only:
-        _emit(cfg, str(len(vectors)))
-    elif cfg.fmt == "json":
+def _cmd_graded(args):
+    vectors = generate_graded(args.n, args.k, **_forced(args, max_count=FORCED_COUNT))
+    if args.count_only:
+        _emit(args, str(len(vectors)))
+    elif args.fmt == "json":
         _emit(
-            cfg,
+            args,
             _json_dumps(
-                {"n": cfg.n, "k": cfg.k, "count": len(vectors),
+                {"n": args.n, "k": args.k, "count": len(vectors),
                  "vectors": [v.to_lists() for v in vectors]}
             ),
         )
     else:
-        _emit(cfg, "\n".join(str(v) for v in vectors))
+        _emit(args, "\n".join(str(v) for v in vectors))
     return EXIT_OK
 
 
-def _cmd_matrix(cfg):
-    mat = matrix_power(matrix_S(cfg.n), cfg.power)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dumps({"n": cfg.n, "power": cfg.power, "rows": mat.to_lists()}))
+def _cmd_matrix(args):
+    mat = matrix_power(matrix_S(args.n), args.power)
+    if args.fmt == "json":
+        _emit(args, _json_dumps({"n": args.n, "power": args.power, "rows": mat.to_lists()}))
     else:
-        _emit(cfg, _csv_rows(mat.rows))
+        _emit(args, _csv_rows(mat.rows))
     return EXIT_OK
 
 
-def _cmd_sequence(cfg):
-    values = [r_total(cfg.n, k) for k in range(cfg.kmax + 1)]
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dumps({"n": cfg.n, "values": values}))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv_rows([["k", "count"]] + [[k, v] for k, v in enumerate(values)]))
+def _cmd_sequence(args):
+    values = [r_total(args.n, k) for k in range(args.kmax + 1)]
+    if args.fmt == "json":
+        _emit(args, _json_dumps({"n": args.n, "values": values}))
+    elif args.fmt == "csv":
+        _emit(args, _csv_rows([["k", "count"]] + [[k, v] for k, v in enumerate(values)]))
     else:
-        _emit(cfg, ",".join(map(str, values)))
+        _emit(args, ",".join(map(str, values)))
     return EXIT_OK
 
 
-def _cmd_coeffs(cfg):
-    coeffs = closed_form_coeffs(cfg.n)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dumps({"n": cfg.n, "coefficients": [_frac(c) for c in coeffs]}))
+def _cmd_coeffs(args):
+    coeffs = closed_form_coeffs(args.n)
+    if args.fmt == "json":
+        _emit(args, _json_dumps({"n": args.n, "coefficients": list(map(str, coeffs))}))
     else:
-        _emit(cfg, ",".join(_frac(c) for c in coeffs))
+        _emit(args, ",".join(map(str, coeffs)))
     return EXIT_OK
 
 
-def _cmd_series(cfg):
-    guard = FORCED_COUNT if cfg.force else GUARD_SERIES_BLOCKS
-    direct = series_direct(cfg.d, max_blocks_guard=guard)
-    closed = series_closed(cfg.d, max_blocks_guard=guard)
+def _cmd_series(args):
+    guard = _forced(args, max_blocks_guard=FORCED_COUNT)
+    direct = series_direct(args.d, **guard)
+    closed = series_closed(args.d, **guard)
     agree = direct == closed
-    blocks = [[_frac(c) for c in direct.y_block(i)] for i in range(cfg.d + 1)]
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dumps({"d": cfg.d, "constructions_agree": agree, "y_blocks": blocks}))
+    blocks = [list(map(str, direct.y_block(i))) for i in range(args.d + 1)]
+    if args.fmt == "json":
+        _emit(args, _json_dumps({"d": args.d, "constructions_agree": agree, "y_blocks": blocks}))
     else:
         lines = [f"constructions agree: {agree}"]
         lines += [f"y^{i}: " + ",".join(b) for i, b in enumerate(blocks)]
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
-def _cmd_succ(cfg):
-    value = succ_count(cfg.n, cfg.l, cfg.delta)
-    payload = {"n": cfg.n, "l": cfg.l, "delta": cfg.delta, "count": value}
-    if cfg.oracle:
-        max_maps = FORCED_COUNT if cfg.force else GUARD_ORACLE_MAPS
-        payload["oracle"] = succ_count_oracle(cfg.n, cfg.l, cfg.delta, max_maps=max_maps)
+def _cmd_succ(args):
+    value = succ_count(args.n, args.l, args.delta)
+    payload = {"n": args.n, "l": args.l, "delta": args.delta, "count": value}
+    if args.oracle:
+        payload["oracle"] = succ_count_oracle(
+            args.n, args.l, args.delta, **_forced(args, max_maps=FORCED_COUNT)
+        )
         payload["agree"] = payload["oracle"] == value
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dumps(payload))
-    elif cfg.oracle:
-        _emit(cfg, f"{value} (oracle {payload['oracle']}, agree={payload['agree']})")
+    if args.fmt == "json":
+        _emit(args, _json_dumps(payload))
+    elif args.oracle:
+        _emit(args, f"{value} (oracle {payload['oracle']}, agree={payload['agree']})")
     else:
-        _emit(cfg, str(value))
+        _emit(args, str(value))
     return EXIT_OK if payload.get("agree", True) else EXIT_CHECK_FAILED
 
 
-def _cmd_conjecture(cfg):
-    max_cells = FORCED_CELLS if cfg.force else GUARD_SC_CELLS
-    check = check_conjecture2 if cfg.dense else check_conjecture1
-    report = check(cfg.m, cfg.n, max_cells=max_cells, depth_limit=cfg.depth_limit)
-    if cfg.fmt == "json":
-        _emit(cfg, report.json_dumps())
+def _cmd_conjecture(args):
+    check = check_conjecture2 if args.dense else check_conjecture1
+    report = check(
+        args.m, args.n, depth_limit=args.depth_limit, **_forced(args, max_cells=FORCED_CELLS)
+    )
+    if args.fmt == "json":
+        _emit(args, report.json_dumps())
     else:
-        which = "dense reachability" if cfg.dense else "valid reachability"
+        which = "dense reachability" if args.dense else "valid reachability"
         _emit(
-            cfg,
-            f"{which} ({cfg.m},{cfg.n}): {report.status}, "
+            args,
+            f"{which} ({args.m},{args.n}): {report.status}, "
             f"{report.reachable_count}/{report.valid_count} valid tableaux reached, "
             f"saturation depth {report.saturation_depth}",
         )
     return EXIT_OK if report.holds() else EXIT_CHECK_FAILED
 
 
-def _cmd_witness(cfg):
-    if cfg.witness_kind == "perm":
-        images = [int(x) for x in cfg.sigma.split(",")]
-        if len(images) != cfg.n:
-            raise CliError(f"expected {cfg.n} images, got {len(images)}")
+def _cmd_witness(args):
+    if args.witness_kind == "perm":
+        images = [int(x) for x in args.sigma.split(",")]
+        if len(images) != args.n:
+            raise CliError(f"expected {args.n} images, got {len(images)}")
         pair = witness_permutation(Transformation(images))
     else:
-        pair = witness_full(cfg.m, cfg.n)
+        pair = witness_full(args.m, args.n)
     tableau = s_projection(pair)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = pair.to_json()
         payload["tableau"] = tableau.to_json()
-        _emit(cfg, _json_dumps(payload))
+        _emit(args, _json_dumps(payload))
     else:
         _emit(
-            cfg,
+            args,
             f"grade {pair.grade}\nleft  = {pair.left}\nright = {pair.right}\n"
             f"{tableau.render()}",
         )
     return EXIT_OK
 
 
-def _cmd_lower_bound(cfg):
-    value = lower_bound_ie(cfg.m, cfg.n)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_dumps({"m": cfg.m, "n": cfg.n, "lower_bound": value}))
+def _cmd_lower_bound(args):
+    value = lower_bound_ie(args.m, args.n)
+    if args.fmt == "json":
+        _emit(args, _json_dumps({"m": args.m, "n": args.n, "lower_bound": value}))
     else:
-        _emit(cfg, str(value))
+        _emit(args, str(value))
     return EXIT_OK
 
 
@@ -410,8 +358,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = _config_from_args(argv)
-        return run(cfg)
+        args = _build_parser().parse_args(argv)
+        if args.fmt == "csv" and args.command not in _CSV_COMMANDS:
+            raise CliError(f"--format csv is not supported by {args.command}")
+        return _HANDLERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -119,13 +119,18 @@ def f_bound(m: int, n: int) -> int:
     )
 
 
-def all_valid_tableaux(m: int, n: int, max_cells: int = 20) -> Iterator[Tableau]:
-    """All valid tableaux, in increasing mask order.  Enumerates 2^(mn) masks."""
+def scan_guard(m: int, n: int, max_cells: int) -> None:
+    """Refuse a scan over all 2^(mn) masks of an m x n grid beyond max_cells."""
     if m * n > max_cells:
         raise SizeGuardError(
             f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}; "
             "raise max_cells to override"
         )
+
+
+def all_valid_tableaux(m: int, n: int, max_cells: int = 20) -> Iterator[Tableau]:
+    """All valid tableaux, in increasing mask order.  Enumerates 2^(mn) masks."""
+    scan_guard(m, n, max_cells)
     row0 = (1 << n) - 1
     col0 = 0
     for i in range(m):

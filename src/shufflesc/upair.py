@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata import Transformation
 from .errors import SizeGuardError
-from .monster import MonsterLetter, Tableau
+from .monster import MonsterLetter, Tableau, scan_guard
 
 
 class SetVector:
@@ -381,7 +381,7 @@ def witness_permutation(sigma: Transformation, n: Optional[int] = None) -> UPair
     that grade the first entries of both sides must share an element, which
     all-singleton partitions cannot achieve), and ceil(log2(n)) otherwise.
     Free slots are filled deterministically in increasing index order;
-    correctness is asserted through the projection, not the fill.
+    correctness is checked through the projection, not the fill.
     """
     if not sigma.is_permutation():
         raise ValueError(f"{sigma!r} is not a permutation")
@@ -418,7 +418,8 @@ def witness_permutation(sigma: Transformation, n: Optional[int] = None) -> UPair
 
     pair = UPair(lam, rho)
     target = Tableau(n, n, {(i, sigma(i)) for i in range(n)})
-    assert s_projection(pair) == target
+    if s_projection(pair) != target:
+        raise RuntimeError(f"witness for {sigma!r} projects off its permutation tableau")
     return pair
 
 
@@ -501,11 +502,7 @@ def is_dense(e: Tableau) -> bool:
 
 def enumerate_dense(m: int, n: int, max_cells: int = 20) -> list[Tableau]:
     """All dense m x n tableaux in increasing mask order (2^(mn) scan)."""
-    if m * n > max_cells:
-        raise SizeGuardError(
-            f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}; "
-            "raise max_cells to override"
-        )
+    scan_guard(m, n, max_cells)
     out = []
     for mask in range(1, 1 << (m * n)):
         t = Tableau.from_mask(m, n, mask)

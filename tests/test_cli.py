@@ -1,6 +1,9 @@
 import json
 
-from shufflesc.cli import main
+import pytest
+
+from shufflesc import cli
+from shufflesc.cli import FORCED_CELLS, FORCED_COUNT, main
 
 
 def run_cli(capsys, *args):
@@ -158,6 +161,70 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sc", "4", "4")
         assert code == 2 and "guard" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "2", "2"],
+            ["sc", "2", "2"],
+            ["graded", "2", "2"],
+            ["coeffs", "2"],
+            ["series", "2"],
+            ["succ", "5", "3", "1"],
+            ["conjecture", "2", "2"],
+            ["witness", "full", "2", "2"],
+            ["lower-bound", "2", "2"],
+        ],
+    )
+    def test_csv_refused_without_a_csv_rendering(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--format", "csv", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: --format csv is not supported by {argv[0]}\n"
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reach", "4", "5"], "4x5 grid exceeds the 16-cell guard"),
+            (["sc", "4", "4"], "exceeds the 12-cell guard"),
+            (["conjecture", "4", "4"], "4x4 grid exceeds the 12-cell guard"),
+            (["series", "65"], "d = 65 exceeds the guard of 64"),
+            (["succ", "8", "7", "1", "--oracle"], "8^7 maps exceed the guard of 2000000"),
+        ],
+    )
+    def test_library_default_applies(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("size guard: ") and message in err
+
+    # CLI name of each guarded call -> (a cheap command, its limit keyword, the --force value)
+    GUARDED = {
+        "reachable_tableaux": (["reach", "2", "2"], "max_cells", FORCED_CELLS),
+        "state_complexity_shuffle": (["sc", "2", "2"], "max_cells", FORCED_CELLS),
+        "check_conjecture1": (["conjecture", "2", "2"], "max_cells", FORCED_CELLS),
+        "check_conjecture2": (["conjecture", "2", "2", "--dense"], "max_cells", FORCED_CELLS),
+        "generate_graded": (["graded", "2", "2"], "max_count", FORCED_COUNT),
+        "series_direct": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
+        "series_closed": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
+        "succ_count_oracle": (["succ", "4", "2", "1", "--oracle"], "max_maps", FORCED_COUNT),
+    }
+
+    def test_force_widens_each_guard(self, capsys, monkeypatch):
+        calls = {}
+        for name in self.GUARDED:
+            real = getattr(cli, name)
+
+            def recorder(*args, _name=name, _real=real, **kwargs):
+                calls[_name] = kwargs
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, recorder)
+        for name, (argv, keyword, limit) in self.GUARDED.items():
+            assert run_cli(capsys, "--force", *argv)[0] == 0
+            assert calls.pop(name)[keyword] == limit
+            assert run_cli(capsys, *argv)[0] == 0
+            assert keyword not in calls.pop(name)
+
 
 class TestOutputFile:
     def test_write_to_path(self, capsys, tmp_path):
@@ -174,6 +241,7 @@ class TestOutputFile:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, "--threads", "4", "bound", "2", "2")
-        assert code == 0 and out.strip() == "10"
+    def test_threads_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "--threads", "4", "bound", "2", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err

@@ -121,6 +121,10 @@ class TestValidity:
         for m, n in ((1, 1), (2, 2), (2, 3), (3, 3), (2, 4)):
             assert sum(1 for _ in all_valid_tableaux(m, n)) == f_bound(m, n)
 
+    def test_valid_enumeration_guard(self):
+        with pytest.raises(SizeGuardError, match=r"guard of 2\^20"):
+            next(all_valid_tableaux(5, 5))
+
 
 class TestFBound:
     def test_known_values(self):

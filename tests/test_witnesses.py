@@ -4,6 +4,7 @@ import pytest
 
 from shufflesc import (
     SetVector,
+    SizeGuardError,
     Tableau,
     Transformation,
     enumerate_dense,
@@ -69,6 +70,17 @@ class TestPermutationWitness:
             witness_permutation(Transformation([0, 0]))
         with pytest.raises(ValueError):
             witness_permutation(Transformation([1, 0]), n=3)
+
+    def test_self_check_is_not_an_assert(self, monkeypatch):
+        # The check must hold under `python -O` and must not read as bad input.
+        from shufflesc import upair
+        from shufflesc.cli import main
+
+        monkeypatch.setattr(upair, "s_projection", lambda pair: perm_tableau((0, 1)))
+        with pytest.raises(RuntimeError):
+            witness_permutation(Transformation([1, 0]))
+        with pytest.raises(RuntimeError):
+            main(["witness", "perm", "2", "1,0"])
 
     def test_grade_matches_bfs_depth(self):
         for n in (2, 3):
@@ -191,3 +203,8 @@ class TestDense:
         for t in doubles:
             assert all(len(t.row_support(i)) == 2 for i in range(3))
             assert all(len(t.col_support(j)) == 2 for j in range(3))
+
+    def test_scan_guard(self):
+        with pytest.raises(SizeGuardError, match=r"guard of 2\^20"):
+            enumerate_dense(5, 5)
+        assert enumerate_dense(3, 3, max_cells=9) == enumerate_dense(3, 3)
