@@ -55,12 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _at_least(text: str, low: int, noun: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {noun} of at least {low}, got {value}")
+    return value
+
+
 def _count(text: str) -> int:
     """argparse type of an integer that may be 0 but not negative."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {value}")
-    return value
+    return _at_least(text, 0, "a count")
+
+
+def _size(text: str) -> int:
+    """argparse type of a grid side m or n, at least 1."""
+    return _at_least(text, 1, "a grid size")
 
 
 def _build_parser() -> _Parser:
@@ -71,17 +80,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="valid-tableau count f(m, n)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_size)
+    p.add_argument("n", type=_size)
 
     p = sub.add_parser("reach", help="reachable tableaux with minimal depths")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_size)
+    p.add_argument("n", type=_size)
     p.add_argument("--depth-limit", type=_count, dest="depth_limit")
 
     p = sub.add_parser("sc", help="exact shuffle state complexity with maximizing finals")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_size)
+    p.add_argument("n", type=_size)
 
     p = sub.add_parser("graded", help="grade-k valid vectors of length n")
     p.add_argument("n", type=int)
@@ -109,8 +118,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--oracle", action="store_true", help="also run the brute-force check")
 
     p = sub.add_parser("conjecture", help="reachability check at (m, n)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_size)
+    p.add_argument("n", type=_size)
     p.add_argument("--dense", action="store_true", help="check the dense restriction instead")
     p.add_argument("--depth-limit", type=_count, dest="depth_limit")
 
@@ -120,12 +129,12 @@ def _build_parser() -> _Parser:
     wp.add_argument("n", type=int)
     wp.add_argument("sigma", help="comma-separated images, e.g. 1,2,0")
     wf = wsub.add_parser("full", help="pair hitting the full m x n tableau")
-    wf.add_argument("m", type=int)
-    wf.add_argument("n", type=int)
+    wf.add_argument("m", type=_size)
+    wf.add_argument("n", type=_size)
 
     p = sub.add_parser("lower-bound", help="inclusion-exclusion reachability lower bound")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_size)
+    p.add_argument("n", type=_size)
     return parser
 
 
@@ -166,26 +175,25 @@ def _cmd_reach(args):
     reach = reachable_tableaux(
         args.m, args.n, depth_limit=args.depth_limit, **_forced(args, max_cells=FORCED_CELLS)
     )
-    listing = reach.tableaux()
+    listing = reach.listing()
     if args.fmt == "json":
         payload = {
             "m": args.m,
             "n": args.n,
             "count": reach.count,
             "complete": reach.complete,
-            "tableaux": [t.to_json(depth=reach.depths[t]) for t in listing],
+            "tableaux": [t.to_json(depth=d) for t, d in listing],
         }
         _emit(args, _json_dumps(payload))
     elif args.fmt == "csv":
         rows = [["depth", "cells"]] + [
-            [reach.depths[t], ";".join(f"{i}.{j}" for i, j in sorted(t.cells))]
-            for t in listing
+            [d, ";".join(f"{i}.{j}" for i, j in sorted(t.cells))] for t, d in listing
         ]
         _emit(args, _csv_rows(rows))
     else:
         blocks = [f"{reach.count} reachable tableaux (complete={reach.complete})"]
-        for t in listing:
-            blocks.append(f"depth {reach.depths[t]}\n{t.render()}")
+        for t, d in listing:
+            blocks.append(f"depth {d}\n{t.render()}")
         _emit(args, "\n\n".join(blocks))
     return EXIT_OK
 

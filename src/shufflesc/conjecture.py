@@ -24,13 +24,13 @@ from .errors import SizeGuardError
 from .monster import (
     ReachResult,
     Tableau,
-    all_valid_tableaux,
     f_bound,
     reachable_tableaux,
+    valid_masks,
 )
 from .upair import (
     SetVector,
-    enumerate_dense,
+    dense_masks,
     generate_graded,
     is_lvalid,
     s_projection,
@@ -83,12 +83,12 @@ class ConjectureReport:
 
 def _survey(m, n, conjecture, max_cells, depth_limit) -> ConjectureReport:
     reach = reachable_tableaux(m, n, depth_limit=depth_limit, max_cells=max_cells)
-    reached = set(reach.depths)
+    reached = reach.mask_depths
     missing = tuple(
-        t for t in all_valid_tableaux(m, n, max_cells=max_cells) if t not in reached
+        Tableau.from_mask(m, n, mask) for mask in valid_masks(m, n) if mask not in reached
     )
     dense_unreached = tuple(
-        t for t in enumerate_dense(m, n, max_cells=max_cells) if t not in reached
+        Tableau.from_mask(m, n, mask) for mask in dense_masks(m, n) if mask not in reached
     )
     relevant = missing if conjecture == 1 else dense_unreached
     if not reach.complete:

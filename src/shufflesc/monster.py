@@ -12,6 +12,7 @@ pairwise-distinguishable reachable states over all choices of final sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -51,13 +52,21 @@ class Tableau:
 
     @classmethod
     def from_mask(cls, m: int, n: int, mask: int) -> "Tableau":
-        cells = set()
+        """Inverse of `mask`.  The cells come out valid by construction, so
+        `__post_init__` is skipped: this is how every tableau the search
+        finds is built for output."""
+        if mask < 0 or mask >> (m * n):
+            raise ValueError(f"mask {mask} out of {m}x{n} range")
+        cells = []
         while mask:
             low = mask & -mask
-            pos = low.bit_length() - 1
-            cells.add(divmod(pos, n))
+            cells.append(divmod(low.bit_length() - 1, n))
             mask ^= low
-        return cls(m, n, cells)
+        t = object.__new__(cls)
+        object.__setattr__(t, "m", m)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "cells", frozenset(cells))
+        return t
 
     def occupied_rows(self) -> tuple:
         return tuple(sorted({i for i, _ in self.cells}))
@@ -128,47 +137,61 @@ def scan_guard(m: int, n: int, max_cells: int) -> None:
         )
 
 
+def valid_masks(m: int, n: int) -> Iterator[int]:
+    """Masks of the valid m x n tableaux, increasing.  Scans 2^(mn) masks
+    with no guard; `all_valid_tableaux` is the guarded Tableau view."""
+    row0 = (1 << n) - 1
+    col0 = sum(1 << (i * n) for i in range(m))
+    return (mask for mask in range(1, 1 << (m * n)) if mask & row0 and mask & col0)
+
+
 def all_valid_tableaux(m: int, n: int, max_cells: int = 20) -> Iterator[Tableau]:
     """All valid tableaux, in increasing mask order.  Enumerates 2^(mn) masks."""
     scan_guard(m, n, max_cells)
-    row0 = (1 << n) - 1
-    col0 = 0
-    for i in range(m):
-        col0 |= 1 << (i * n)
-    for mask in range(1, 1 << (m * n)):
-        if mask & row0 and mask & col0:
-            yield Tableau.from_mask(m, n, mask)
+    for mask in valid_masks(m, n):
+        yield Tableau.from_mask(m, n, mask)
 
 
 @dataclass(frozen=True)
 class ReachResult:
     """Reachable tableaux of the m x n shuffle state space with the minimal
-    number of steps needed to reach each of them from {(0, 0)}."""
+    number of steps needed to reach each of them from {(0, 0)}.
+
+    `mask_depths` maps each reached mask (`Tableau.mask`) to its depth, in
+    the order the search found them; `depths` is the same map keyed by
+    `Tableau`, built on first use.
+    """
 
     m: int
     n: int
-    depths: Mapping[Tableau, int]
+    mask_depths: Mapping[int, int]
     complete: bool
+
+    @cached_property
+    def depths(self) -> Mapping[Tableau, int]:
+        m, n = self.m, self.n
+        return {Tableau.from_mask(m, n, mask): d for mask, d in self.mask_depths.items()}
 
     @property
     def count(self) -> int:
-        return len(self.depths)
+        return len(self.mask_depths)
 
-    def tableaux(self) -> list[Tableau]:
-        """Sorted by (depth, mask); a canonical listing order."""
-        return sorted(self.depths, key=lambda t: (self.depths[t], t.mask))
+    def listing(self) -> list[tuple[Tableau, int]]:
+        """(tableau, depth) sorted by (depth, mask); a canonical listing order."""
+        order = sorted((d, mask) for mask, d in self.mask_depths.items())
+        return [(Tableau.from_mask(self.m, self.n, mask), d) for d, mask in order]
 
     def depth_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
-        for d in self.depths.values():
+        for d in self.mask_depths.values():
             hist[d] = hist.get(d, 0) + 1
         return dict(sorted(hist.items()))
 
     def saturation_depth(self) -> int:
-        return max(self.depths.values(), default=0)
+        return max(self.mask_depths.values(), default=0)
 
     def __contains__(self, t: Tableau) -> bool:
-        return t in self.depths
+        return (t.m, t.n) == (self.m, self.n) and t.mask in self.mask_depths
 
 
 def _expand_mask(mask: int, m: int, n: int) -> tuple[list[int], list[int]]:
@@ -212,9 +235,15 @@ def reachable_tableaux(
 ) -> ReachResult:
     """Breadth-first closure of {(0, 0)} under all letters.
 
-    Stops after `depth_limit` levels if given; the result is then flagged
-    incomplete when unexplored frontier remained.  The default guard refuses
-    grids beyond 16 cells (the 6 x 6 case alone has 2^36 tableaux).
+    Every letter keeps a tableau valid, so the reachable tableaux are among
+    the f(m, n) valid ones (`f_bound`); the search stops as soon as it holds
+    that many, since no later step can add one.  Each tableau gets its depth
+    when first found, which BFS makes minimal, so stopping early changes no
+    depth.  `complete` is True when every valid tableau was reached or the
+    closure ran out of new tableaux; it is False only when `depth_limit`
+    levels were expanded with frontier left over and fewer than f(m, n)
+    tableaux found.  The default guard refuses grids beyond 16 cells (the
+    6 x 6 case alone has 2^36 tableaux).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -223,11 +252,12 @@ def reachable_tableaux(
             f"{m}x{n} grid exceeds the {max_cells}-cell guard; "
             "raise max_cells to override"
         )
+    bound = f_bound(m, n)
     depths = {1: 0}  # mask of {(0, 0)} is 1
     frontier = [1]
     depth = 0
     complete = True
-    while frontier:
+    while frontier and len(depths) < bound:
         if depth_limit is not None and depth >= depth_limit:
             complete = False
             break
@@ -241,13 +271,10 @@ def reachable_tableaux(
                     if s not in depths:
                         depths[s] = depth
                         nxt.append(s)
+            if len(depths) == bound:
+                break
         frontier = sorted(nxt)
-    return ReachResult(
-        m,
-        n,
-        {Tableau.from_mask(m, n, mask): d for mask, d in depths.items()},
-        complete,
-    )
+    return ReachResult(m, n, depths, complete)
 
 
 def distinguishing_letters(m: int, n: int) -> list[MonsterLetter]:
@@ -418,7 +445,7 @@ def _final_pair_classes(m, n, letters, reach):
       of its classes lies in a Nerode class.  It thus ends at the Nerode
       equivalence, as refinement from the finality partition does.
     """
-    masks = sorted(t.mask for t in reach.depths)
+    masks = sorted(reach.mask_depths)
     warm = None
     if letters is None and m >= 2 and n >= 2:
         warm = _transition_rows(masks, m, n, distinguishing_letters(m, n))

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import permutations, product
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automata import Transformation
 from .errors import SizeGuardError
@@ -478,34 +478,39 @@ def erase_cell_letter(e: Tableau, i1: int, j1: int, i2: int, j2: int) -> Monster
     )
 
 
-def is_dense(e: Tableau) -> bool:
+def is_dense_mask(m: int, n: int, mask: int) -> bool:
     """Dense tableaux: row-support containment forces row equality and
     column-support containment forces column equality.
 
-    The empty tableau is excluded: it is unreachable and every containment
-    over it is degenerate.
+    The tableau is given by its mask (`Tableau.mask`).  Each row's cells,
+    shifted to row 0, and each column's cells, shifted to column 0, are its
+    support as a mask, so support a lies in support b iff a & ~b == 0.  The
+    empty tableau is excluded: it is unreachable and every containment over
+    it is degenerate.
     """
-    if not e.cells:
+    if not mask:
         return False
-    rows = [e.row_support(i) for i in range(e.m)]
-    for a in range(e.m):
-        for b in range(e.m):
-            if a != b and rows[a] <= rows[b]:
-                return False
-    cols = [e.col_support(j) for j in range(e.n)]
-    for a in range(e.n):
-        for b in range(e.n):
-            if a != b and cols[a] <= cols[b]:
-                return False
-    return True
+    full_n = (1 << n) - 1
+    rows = [(mask >> (i * n)) & full_n for i in range(m)]
+    if not all(a & ~b for a, b in permutations(rows, 2)):
+        return False
+    col0 = sum(1 << (i * n) for i in range(m))
+    cols = [(mask >> j) & col0 for j in range(n)]
+    return all(a & ~b for a, b in permutations(cols, 2))
+
+
+def is_dense(e: Tableau) -> bool:
+    """`is_dense_mask` of a Tableau."""
+    return is_dense_mask(e.m, e.n, e.mask)
+
+
+def dense_masks(m: int, n: int) -> Iterator[int]:
+    """Masks of the dense m x n tableaux, increasing.  Scans 2^(mn) masks
+    with no guard; `enumerate_dense` is the guarded Tableau view."""
+    return (mask for mask in range(1, 1 << (m * n)) if is_dense_mask(m, n, mask))
 
 
 def enumerate_dense(m: int, n: int, max_cells: int = 20) -> list[Tableau]:
     """All dense m x n tableaux in increasing mask order (2^(mn) scan)."""
     scan_guard(m, n, max_cells)
-    out = []
-    for mask in range(1, 1 << (m * n)):
-        t = Tableau.from_mask(m, n, mask)
-        if is_dense(t):
-            out.append(t)
-    return out
+    return [Tableau.from_mask(m, n, mask) for mask in dense_masks(m, n)]

@@ -102,6 +102,16 @@ class TestReachCommand:
         code, out, _ = run_cli(capsys, "--format", "csv", "reach", "1", "1")
         assert out.splitlines() == ["depth,cells", "0,0.0"]
 
+    def test_depth_limit_reaching_bound_is_complete(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "reach", "2", "2", "--depth-limit", "2")
+        payload = json.loads(out)
+        assert code == 0 and payload["count"] == 10 and payload["complete"] is True
+
+    def test_depth_limit_zero_on_1x1_is_complete(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "reach", "1", "1", "--depth-limit", "0")
+        payload = json.loads(out)
+        assert code == 0 and payload["count"] == 1 and payload["complete"] is True
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "reach", "2", "2")
         _, out2, _ = run_cli(capsys, "--format", "json", "reach", "2", "2")
@@ -156,6 +166,23 @@ class TestExitCodes:
     def test_negative_depth_limit(self, capsys):
         code, out, err = run_cli(capsys, "reach", "2", "2", "--depth-limit", "-1")
         assert code == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["bound", "0", "2"], "m"),
+            (["reach", "0", "3"], "m"),
+            (["sc", "2", "0"], "n"),
+            (["conjecture", "-1", "2"], "m"),
+            (["lower-bound", "2", "0"], "n"),
+            (["witness", "full", "0", "2"], "m"),
+        ],
+    )
+    def test_grid_size_checked_by_parser(self, capsys, argv, bad):
+        value = argv[-2] if bad == "m" else argv[-1]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: argument {bad}: expected a grid size of at least 1, got {value}\n"
 
     def test_guard_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "sc", "4", "4")

@@ -15,6 +15,7 @@ from shufflesc import (
     state_complexity_shuffle,
     tableau_step,
 )
+from shufflesc import monster
 from shufflesc.monster import _final_pair_classes, all_valid_tableaux, monster_dfa
 
 
@@ -73,6 +74,16 @@ class TestTableau:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             T(2, 2, {(2, 0)})
+
+    def test_from_mask_matches_constructor(self):
+        for mask in range(1 << 6):
+            cells = {(p // 3, p % 3) for p in range(6) if mask >> p & 1}
+            t = Tableau.from_mask(2, 3, mask)
+            assert t == T(2, 3, cells) and hash(t) == hash(T(2, 3, cells))
+            assert t.mask == mask
+        for mask in (-1, 1 << 6):
+            with pytest.raises(ValueError, match="out of 2x3 range"):
+                Tableau.from_mask(2, 3, mask)
 
     def test_render(self):
         t = T(2, 2, {(0, 0), (1, 1)})
@@ -212,6 +223,47 @@ class TestReachability:
         assert not reach.complete
         assert reach.count < 400
         assert max(reach.depths.values()) == 1
+
+    def test_depth_limit_complete_at_bound(self):
+        # every valid tableau is reached, so no later level could add one
+        reach = reachable_tableaux(2, 2, depth_limit=2)
+        assert reach.complete and reach.count == f_bound(2, 2) == 10
+        reach = reachable_tableaux(1, 1, depth_limit=0)
+        assert reach.complete and reach.count == f_bound(1, 1) == 1
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9] + [(3, 4)],
+    )
+    def test_bound_stop_matches_full_closure(self, monkeypatch, m, n):
+        stopped = reachable_tableaux(m, n)
+        # an unreachable bound: the closure runs until the frontier is empty
+        monkeypatch.setattr(monster, "f_bound", lambda m, n: f_bound(m, n) + 1)
+        full = reachable_tableaux(m, n)
+        assert stopped.complete and full.complete
+        assert stopped.depths == full.depths
+        assert stopped.count == f_bound(m, n)
+
+    def test_level_sizes(self):
+        assert list(reachable_tableaux(3, 4).depth_histogram().values()) == [
+            1, 11, 398, 2684, 298
+        ]
+        assert reachable_tableaux(2, 6).depth_histogram() == {
+            0: 1, 1: 11, 2: 350, 3: 2358, 4: 320
+        }
+
+    def test_4x4_reaches_every_valid_tableau(self):
+        reach = reachable_tableaux(4, 4)
+        assert reach.complete and reach.count == f_bound(4, 4) == 57856
+
+    def test_listing_and_views(self):
+        reach = reachable_tableaux(2, 3)
+        listing = reach.listing()
+        assert [d for _, d in listing] == sorted(d for _, d in listing)
+        assert dict(listing) == reach.depths
+        assert {t.mask: d for t, d in listing} == reach.mask_depths
+        assert all(t in reach for t, _ in listing)
+        assert T(3, 2, {(0, 0)}) not in reach  # same mask, other grid
 
     def test_guard(self):
         with pytest.raises(SizeGuardError):

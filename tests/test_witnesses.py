@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations, product
 
 import pytest
@@ -18,6 +19,7 @@ from shufflesc import (
     witness_full,
     witness_permutation,
 )
+from shufflesc.upair import is_dense_mask
 
 
 def perm_tableau(images):
@@ -203,6 +205,27 @@ class TestDense:
         for t in doubles:
             assert all(len(t.row_support(i)) == 2 for i in range(3))
             assert all(len(t.col_support(j)) == 2 for j in range(3))
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (3, 3)])
+    def test_mask_density_matches_definition(self, m, n):
+        def dense_by_definition(t):
+            rows = [t.row_support(i) for i in range(m)]
+            cols = [t.col_support(j) for j in range(n)]
+            return bool(t.cells) and all(
+                not a <= b for sup in (rows, cols) for a, b in permutations(sup, 2)
+            )
+
+        for mask in range(1 << (m * n)):
+            t = Tableau.from_mask(m, n, mask)
+            assert is_dense_mask(m, n, mask) == is_dense(t) == dense_by_definition(t)
+
+    def test_enumerate_dense_pinned(self):
+        # Sperner: four columns cannot be pairwise incomparable subsets of 3 rows
+        assert enumerate_dense(3, 4) == [] == enumerate_dense(4, 3)
+        dense = [t.mask for t in enumerate_dense(4, 4)]
+        assert len(dense) == 312 and dense == sorted(dense)
+        digest = hashlib.sha256(",".join(map(str, dense)).encode()).hexdigest()
+        assert digest == "f5e5832153764ddc8202a02d3bbd4dffc1e31f3f78402df2b07d26e50dabd8e9"
 
     def test_scan_guard(self):
         with pytest.raises(SizeGuardError, match=r"guard of 2\^20"):
