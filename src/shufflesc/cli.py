@@ -72,6 +72,11 @@ def _size(text: str) -> int:
     return _at_least(text, 1, "a grid size")
 
 
+def _positive(text: str) -> int:
+    """argparse type of a length or degree, at least 1."""
+    return _at_least(text, 1, "an integer")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="shufflesc", description=__doc__)
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
@@ -93,28 +98,28 @@ def _build_parser() -> _Parser:
     p.add_argument("n", type=_size)
 
     p = sub.add_parser("graded", help="grade-k valid vectors of length n")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n", type=_positive)
+    p.add_argument("k", type=_count)
     p.add_argument("--count", action="store_true", dest="count_only", help="print only the count")
 
     p = sub.add_parser("matrix", help="successor-count matrix S_n (optionally a power)")
-    p.add_argument("n", type=int)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("n", type=_positive)
+    p.add_argument("--power", type=_count, default=1)
 
     p = sub.add_parser("sequence", help="totals r_total(n, k) for k = 0..kmax")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive)
     p.add_argument("kmax", type=_count)
 
     p = sub.add_parser("coeffs", help="closed-form rational coefficients for the totals")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive)
 
     p = sub.add_parser("series", help="generating series blocks 0..d, both constructions")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=_positive)
 
     p = sub.add_parser("succ", help="successor count s(n; l -> l+delta)")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive)
     p.add_argument("l", type=int)
-    p.add_argument("delta", type=int)
+    p.add_argument("delta", type=_count)
     p.add_argument("--oracle", action="store_true", help="also run the brute-force check")
 
     p = sub.add_parser("conjecture", help="reachability check at (m, n)")
@@ -126,7 +131,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness", help="explicit witness constructions")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
     wp = wsub.add_parser("perm", help="pair hitting the permutation tableau")
-    wp.add_argument("n", type=int)
+    wp.add_argument("n", type=_positive)
     wp.add_argument("sigma", help="comma-separated images, e.g. 1,2,0")
     wf = wsub.add_parser("full", help="pair hitting the full m x n tableau")
     wf.add_argument("m", type=_size)
@@ -283,6 +288,8 @@ def _cmd_series(args):
 
 
 def _cmd_succ(args):
+    if not 1 <= args.l <= args.n:
+        raise CliError(f"expected l in 1..{args.n}, got {args.l}")
     value = succ_count(args.n, args.l, args.delta)
     payload = {"n": args.n, "l": args.l, "delta": args.delta, "count": value}
     if args.oracle:
@@ -319,9 +326,14 @@ def _cmd_conjecture(args):
 
 def _cmd_witness(args):
     if args.witness_kind == "perm":
-        images = [int(x) for x in args.sigma.split(",")]
-        if len(images) != args.n:
-            raise CliError(f"expected {args.n} images, got {len(images)}")
+        try:
+            images = [int(x) for x in args.sigma.split(",")]
+        except ValueError:
+            images = []
+        if sorted(images) != list(range(args.n)):
+            raise CliError(
+                f"expected a comma list of 0..{args.n - 1} in some order, got {args.sigma!r}"
+            )
         pair = witness_permutation(Transformation(images))
     else:
         pair = witness_full(args.m, args.n)
@@ -376,9 +388,6 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

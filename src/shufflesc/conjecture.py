@@ -238,7 +238,7 @@ def verify_witnesses(
         if not check_depths:
             depth = None
         elif reach is not None:
-            depth = reach.depths.get(target)
+            depth = reach.mask_depths[target.mask] if target in reach else None
         else:
             depth = permutation_min_grade(sigma, expected + 1)
         cases.append(

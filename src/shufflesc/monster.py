@@ -11,8 +11,9 @@ pairwise-distinguishable reachable states over all choices of final sets.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -137,11 +138,38 @@ def scan_guard(m: int, n: int, max_cells: int) -> None:
         )
 
 
+MaskLines = namedtuple("MaskLines", "row_shifts col0 rows cols")
+
+
+@cache
+def mask_lines(m: int, n: int) -> MaskLines:
+    """The layout of m x n masks (`Tableau.mask`) as lines, built once per grid.
+
+    Row i starts at bit `row_shifts[i]`; column 0 is `col0`.  A row (column)
+    line is its cells shifted to row (column) 0, its support as a mask, and
+    `rows(mask)` (`cols(mask)`) lists the (index, line) pairs of the occupied
+    rows (columns) in index order.  A letter (f, g) moves row line i to row
+    f(i) and column line j to column g(j).
+    """
+    width = (1 << n) - 1
+    row_shifts = tuple(i * n for i in range(m))
+    col0 = sum(1 << t for t in row_shifts)
+    numbered_rows = tuple(enumerate(row_shifts))
+
+    def rows(mask):
+        return [(i, s) for i, t in numbered_rows if (s := mask >> t & width)]
+
+    def cols(mask):
+        return [(j, s) for j in range(n) if (s := mask >> j & col0)]
+
+    return MaskLines(row_shifts, col0, rows, cols)
+
+
 def valid_masks(m: int, n: int) -> Iterator[int]:
     """Masks of the valid m x n tableaux, increasing.  Scans 2^(mn) masks
     with no guard; `all_valid_tableaux` is the guarded Tableau view."""
     row0 = (1 << n) - 1
-    col0 = sum(1 << (i * n) for i in range(m))
+    col0 = mask_lines(m, n).col0
     return (mask for mask in range(1, 1 << (m * n)) if mask & row0 and mask & col0)
 
 
@@ -194,37 +222,21 @@ class ReachResult:
         return (t.m, t.n) == (self.m, self.n) and t.mask in self.mask_depths
 
 
-def _expand_mask(mask: int, m: int, n: int) -> tuple[list[int], list[int]]:
-    """Distinct row-image masks and column-image masks of one tableau.
-
-    Only maps on the occupied rows (resp. columns) matter, and maps with the
-    same image mask coincide, so the choices are folded one occupied line at
-    a time with deduplication: never worse than enumerating the maps, and
-    exponentially better on grids with many occupied lines mapping to few
-    distinct patterns.
-    """
-    full_n = (1 << n) - 1
-    row_slices = [(mask >> (i * n)) & full_n for i in range(m)]
-    row_slices = [s for s in row_slices if s]
-    # each occupied column's cells, held as a mask at column position 0
-    col_slices: dict[int, int] = {}
-    mm = mask
-    while mm:
-        low = mm & -mm
-        pos = low.bit_length() - 1
-        i, j = divmod(pos, n)
-        col_slices[j] = col_slices.get(j, 0) | (1 << (i * n))
-        mm ^= low
-
-    row_variants = {0}
-    for s in row_slices:
-        placements = {s << (t * n) for t in range(m)}
-        row_variants = {acc | p for acc in row_variants for p in placements}
-    col_variants = {0}
-    for s in col_slices.values():
-        placements = {s << t for t in range(n)}
-        col_variants = {acc | p for acc in col_variants for p in placements}
-    return sorted(row_variants), sorted(col_variants)
+def _expand_mask(mask: int, m: int, n: int) -> list[list[int]]:
+    """Distinct images of one tableau's rows under every f and of its columns
+    under every g, sorted.  Each axis folds one line at a time, deduplicating
+    as maps placing the lines alike coincide, in the order of the lines'
+    first cells in the mask (columns by top cell), the fastest measured."""
+    lines = mask_lines(m, n)
+    cols = sorted(lines.cols(mask), key=lambda line: line[1] & -line[1])
+    images = []
+    for occupied, shifts in ((lines.rows(mask), lines.row_shifts), (cols, range(n))):
+        acc = {0}
+        for _, s in occupied:
+            placements = {s << t for t in shifts}
+            acc = {a | p for a in acc for p in placements}
+        images.append(sorted(acc))
+    return images
 
 
 def reachable_tableaux(
@@ -324,18 +336,14 @@ def _transition_rows(masks, m, n, letters=None):
     its column variant under g; each variant is computed once per distinct
     f and g, and each state's successors are then gathered at C level.
     """
-    full_n = (1 << n) - 1
-    col0 = sum(1 << (i * n) for i in range(m))
+    lines = mask_lines(m, n)
     index = {mask: i for i, mask in enumerate(masks)}
-    # each state's occupied rows (columns), its cells moved to row (column) 0
-    row_lines = [
-        [(i, s) for i in range(m) if (s := (mask >> (i * n)) & full_n)] for mask in masks
-    ]
-    col_lines = [[(j, s) for j in range(n) if (s := (mask >> j) & col0)] for mask in masks]
+    row_lines = list(map(lines.rows, masks))
+    col_lines = list(map(lines.cols, masks))
 
-    def variants(lines, shift):
+    def variants(state_lines, shift):
         out = []
-        for occupied in lines:
+        for occupied in state_lines:
             acc = 0
             for k, s in occupied:
                 acc |= s << shift[k]
@@ -354,7 +362,7 @@ def _transition_rows(masks, m, n, letters=None):
     fi = [fs.setdefault(f, len(fs)) for f, _ in maps]
     gi = [gs.setdefault(g, len(gs)) for _, g in maps]
     # per state: its row variant under each f and column variant under each g
-    rvs = zip(*(variants(row_lines, [t * n for t in f]) for f in fs))
+    rvs = zip(*(variants(row_lines, [lines.row_shifts[t] for t in f]) for f in fs))
     cvs = zip(*(variants(col_lines, g) for g in gs))
     return successor_rows(
         tuple(map(index.__getitem__, map(or_, map(rv.__getitem__, fi), map(cv.__getitem__, gi))))
@@ -378,7 +386,11 @@ def count_distinguishable(
     full alphabet.  The maximizers are listed in the same order as for
     state_complexity_shuffle.
     """
-    return _max_over_finals(m, n, list(letters), reach, max_cells)
+    letters = list(letters)
+    for f, g in letters:
+        if f.size != m or g.size != n:
+            raise ValueError(f"letter sizes ({f.size}, {g.size}) do not match tableau ({m}, {n})")
+    return _max_over_finals(m, n, letters, reach, max_cells)
 
 
 def state_complexity_shuffle(
@@ -459,12 +471,7 @@ def _final_pair_classes(m, n, letters, reach):
                 key = (f1_bits, f2_bits)
             classes = known.get(key)
             if classes is None:
-                fmask = 0
-                for i in range(m):
-                    if f1_bits >> i & 1:
-                        for j in range(n):
-                            if f2_bits >> j & 1:
-                                fmask |= 1 << (i * n + j)
+                fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
                 codes = [int(bool(mk & fmask)) for mk in masks]
                 if warm is not None:
                     codes = moore_refine(warm, codes)

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automata import Transformation
 from .errors import SizeGuardError
-from .monster import MonsterLetter, Tableau, scan_guard
+from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
 
 
 class SetVector:
@@ -482,21 +482,17 @@ def is_dense_mask(m: int, n: int, mask: int) -> bool:
     """Dense tableaux: row-support containment forces row equality and
     column-support containment forces column equality.
 
-    The tableau is given by its mask (`Tableau.mask`).  Each row's cells,
-    shifted to row 0, and each column's cells, shifted to column 0, are its
-    support as a mask, so support a lies in support b iff a & ~b == 0.  The
-    empty tableau is excluded: it is unreachable and every containment over
-    it is degenerate.
+    The row and column lines of the mask (`mask_lines`) are the supports,
+    so support a lies in support b iff a & ~b == 0.  An empty line lies in
+    every other one, so a dense tableau, the empty one excluded, occupies
+    every row and every column.
     """
-    if not mask:
+    lines = mask_lines(m, n)
+    rows = lines.rows(mask)
+    if len(rows) < m or not all(a & ~b for (_, a), (_, b) in permutations(rows, 2)):
         return False
-    full_n = (1 << n) - 1
-    rows = [(mask >> (i * n)) & full_n for i in range(m)]
-    if not all(a & ~b for a, b in permutations(rows, 2)):
-        return False
-    col0 = sum(1 << (i * n) for i in range(m))
-    cols = [(mask >> j) & col0 for j in range(n)]
-    return all(a & ~b for a, b in permutations(cols, 2))
+    cols = lines.cols(mask)
+    return len(cols) == n and all(a & ~b for (_, a), (_, b) in permutations(cols, 2))
 
 
 def is_dense(e: Tableau) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -184,6 +185,40 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: argument {bad}: expected a grid size of at least 1, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graded", "0", "1"],
+            ["graded", "2", "-1"],
+            ["matrix", "0"],
+            ["matrix", "2", "--power", "-1"],
+            ["sequence", "0", "3"],
+            ["coeffs", "0"],
+            ["series", "0"],
+            ["succ", "0", "1", "1"],
+            ["succ", "3", "1", "-1"],
+            ["succ", "3", "0", "1"],
+            ["succ", "3", "4", "0"],
+            ["witness", "perm", "0", ""],
+            ["witness", "perm", "3", "0,0,1"],
+            ["witness", "perm", "3", "a,b,c"],
+            ["witness", "perm", "3", "5,0,1"],
+            ["witness", "perm", "3", "1,0,"],
+        ],
+    )
+    def test_argument_checked(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_internal_value_error_is_not_bad_input(self, monkeypatch):
+        def broken(m, n):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "f_bound", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["bound", "2", "2"])
+
     def test_guard_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "sc", "4", "4")
         assert code == 2 and "guard" in err
@@ -272,3 +307,30 @@ class TestOutputFile:
         code, out, err = run_cli(capsys, "--threads", "4", "bound", "2", "2")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestPinnedOutputs:
+    """sha256 of whole CLI outputs, recorded before the mask-line kernel
+    refactor, so that the reach, sc and conjecture outputs stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--format", "json", "reach", "3", "3"],
+             "b965787df2c92e5c7ed39b57da3d2d1ebe82ce884356fba247de35e09e054eb6"),
+            (["--format", "csv", "reach", "2", "4"],
+             "fcd860fd6bfc7707f6cfcec6e993a78e40ef532a3f548cc7a7adf2ab284a1755"),
+            (["--format", "json", "sc", "2", "3"],
+             "8d7583df56e2403503cb18fa9f2dccc02f6f230e9bcab47babce3c7aaadcddb9"),
+            (["sc", "3", "2"],
+             "e2d948595728be852e7ca3c49ac8a8494b2b1800e8b2e6e38992305229cddfd4"),
+            (["--format", "json", "conjecture", "3", "3"],
+             "de1aa012ce4549d23b1c10cdfe55d26d06b6583b982aca433a4d62e00ada1338"),
+            (["conjecture", "2", "4", "--dense"],
+             "7294e9b9ee781de894701f6f0a5cbf228e6940ba6d4447bcc91568631846a273"),
+        ],
+    )
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

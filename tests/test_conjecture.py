@@ -110,6 +110,14 @@ class TestWitnessVerification:
             depths_grade = {c.detail: c.depth for c in rep_grade.cases if c.kind == "permutation"}
             assert depths_bfs == depths_grade
 
+    def test_reach_of_another_grid_gives_no_depth(self):
+        # a 3x2 reach holds masks of the 2x2 permutation tableaux' cells,
+        # but those are other tableaux, so no depth may be read from it
+        rep = verify_witnesses(3, 2, reach=reachable_tableaux(3, 2))
+        perms = [c for c in rep.cases if c.kind == "permutation"]
+        assert len(perms) == 2 and all(c.depth is None for c in perms)
+        assert rep.ok()
+
     def test_size_four_exercises_grade_search(self):
         # n = 4 has fixed-zero permutations whose minimal depth exceeds
         # log2(n); the depth check must scan and reject the lower grade

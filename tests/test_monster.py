@@ -16,7 +16,15 @@ from shufflesc import (
     tableau_step,
 )
 from shufflesc import monster
-from shufflesc.monster import _final_pair_classes, all_valid_tableaux, monster_dfa
+from shufflesc.monster import (
+    _expand_mask,
+    _final_pair_classes,
+    _transition_rows,
+    all_valid_tableaux,
+    mask_lines,
+    monster_dfa,
+    valid_masks,
+)
 
 
 def T(m, n, cells):
@@ -365,6 +373,58 @@ class TestStateComplexity:
         # no letters: only finality separates, into at most two classes
         res = count_distinguishable(2, 2, [])
         assert res.value == 2 and res.reachable_count == 10
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [([1, 0, 2], [0, 0]), ([0, 0], [0, 1, 2]), ([0], [0, 0]), ([0, 0, 0], [1, 1, 1])],
+    )
+    def test_letter_size_mismatch(self, left, right):
+        letter = MonsterLetter(Transformation(left), Transformation(right))
+        with pytest.raises(ValueError, match=rf"letter sizes \({len(left)}, {len(right)}\) "
+                           r"do not match tableau \(2, 2\)"):
+            count_distinguishable(2, 2, [distinguishing_letters(2, 2)[0], letter])
+
+
+KERNEL_SIZES = [(1, 3), (2, 2), (2, 3), (3, 2)]
+
+
+class TestMaskKernel:
+    """The mask-line kernel against the cell-level `tableau_step`."""
+
+    @pytest.mark.parametrize("m, n", KERNEL_SIZES)
+    def test_lines_are_supports(self, m, n):
+        lines = mask_lines(m, n)
+        for mask in range(1 << (m * n)):
+            t = Tableau.from_mask(m, n, mask)
+            assert lines.rows(mask) == [
+                (i, sum(1 << j for j in t.row_support(i))) for i in t.occupied_rows()
+            ]
+            assert lines.cols(mask) == [
+                (j, sum(1 << (i * n) for i in t.col_support(j))) for j in t.occupied_cols()
+            ]
+        assert lines.col0 == sum(1 << (i * n) for i in range(m))
+
+    @pytest.mark.parametrize("m, n", KERNEL_SIZES)
+    def test_expand_mask_is_the_full_alphabet_image(self, m, n):
+        letters = all_letters(m, n)
+        for mask in valid_masks(m, n):
+            t = Tableau.from_mask(m, n, mask)
+            row_variants, col_variants = _expand_mask(mask, m, n)
+            assert {rv | cv for rv in row_variants for cv in col_variants} == {
+                tableau_step(t, letter).mask for letter in letters
+            }
+
+    @pytest.mark.parametrize("m, n", KERNEL_SIZES)
+    def test_transition_rows_follow_each_letter(self, m, n):
+        letters = all_letters(m, n)
+        masks = sorted(valid_masks(m, n))
+        expected = [
+            tuple(tableau_step(Tableau.from_mask(m, n, mask), letter).mask for letter in letters)
+            for mask in masks
+        ]
+        for alphabet in (letters, None):  # explicit letters, and the built-in full alphabet
+            rows = _transition_rows(masks, m, n, alphabet)
+            assert [row(masks) for row in rows] == expected
 
 
 class TestMonsterDfa:
