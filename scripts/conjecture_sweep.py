@@ -7,7 +7,7 @@ f(m, n), whether every valid tableau was reached, the saturation depth, and
 of final sets.
 
 Example:
-    python scripts/conjecture_sweep.py --max-cells 12 --sc-cells 9
+    python scripts/conjecture_sweep.py --max-cells 12 --sc-cells 12
 """
 
 import argparse
@@ -21,8 +21,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-cells", type=int, default=12,
                         help="largest m*n to survey (default 12)")
-    parser.add_argument("--sc-cells", type=int, default=9,
-                        help="largest m*n for the full state-complexity search")
+    parser.add_argument("--sc-cells", type=int, default=12,
+                        help="largest m*n for the exact state-complexity search (default 12)")
     args = parser.parse_args()
 
     header = f"{'m':>2} {'n':>2} {'reachable':>10} {'f(m,n)':>10} {'status':>8} {'depth':>6} {'sc':>10}  finals"

@@ -82,14 +82,21 @@ class ConjectureReport:
 
 
 def _survey(m, n, conjecture, max_cells, depth_limit) -> ConjectureReport:
+    """Diff the reached tableaux against the 2^(mn) scans of the valid and
+    the dense masks.  When the search reached f(m, n) tableaux, both scans
+    are skipped: every letter keeps a tableau valid, so reached is a subset
+    of valid, and with f(m, n) members it is all of valid; dense tableaux
+    are valid, so none is unreached either."""
     reach = reachable_tableaux(m, n, depth_limit=depth_limit, max_cells=max_cells)
     reached = reach.mask_depths
-    missing = tuple(
-        Tableau.from_mask(m, n, mask) for mask in valid_masks(m, n) if mask not in reached
-    )
-    dense_unreached = tuple(
-        Tableau.from_mask(m, n, mask) for mask in dense_masks(m, n) if mask not in reached
-    )
+    missing = dense_unreached = ()
+    if reach.count < f_bound(m, n):
+        missing = tuple(
+            Tableau.from_mask(m, n, mask) for mask in valid_masks(m, n) if mask not in reached
+        )
+        dense_unreached = tuple(
+            Tableau.from_mask(m, n, mask) for mask in dense_masks(m, n) if mask not in reached
+        )
     relevant = missing if conjecture == 1 else dense_unreached
     if not reach.complete:
         status = "holds" if not relevant else "incomplete"

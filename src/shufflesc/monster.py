@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -382,9 +382,10 @@ def count_distinguishable(
     Reachability is still computed over all letters; only the separating
     words are restricted to the given alphabet, which may be empty (then
     only finality separates).  Every pair of nonempty final sets is refined
-    on its own, with no orbit reduction or warm start: those rest on the
-    full alphabet.  The maximizers are listed in the same order as for
-    state_complexity_shuffle.
+    from finality on its own.  None of the routes of state_complexity_shuffle
+    applies: the orbit reduction, the support quotient and the certificate
+    all rest on the full alphabet.  The maximizers are listed in the same
+    order as for state_complexity_shuffle.
     """
     letters = list(letters)
     for f, g in letters:
@@ -399,15 +400,22 @@ def state_complexity_shuffle(
     """Exact state complexity of the shuffle at (m, n).
 
     Computes the reachable tableaux once (finality plays no role there), then
-    for every pair of final sets (F1, F2) counts the classes of Moore
-    refinement (`moore_refine`) over the full alphabet, where a tableau is
-    accepting iff it meets F1 x F2.  The value is the maximum class count;
-    all maximizing pairs are reported, ordered by the bitmasks of F1 then F2
-    (bit i set when state i is final).  Pairs with an empty side make every
-    state equivalent and are skipped.  Only one pair per orbit under
-    relabelling the non-initial states is refined (25 of 49 pairs at 3x3),
-    and for m, n >= 2 the refinement starts from the stable partition of the
-    three distinguishing letters; `_final_pair_classes` proves both exact.
+    for every pair of final sets (F1, F2) counts the classes of the Nerode
+    equivalence over the full alphabet, where a tableau is accepting iff it
+    meets F1 x F2.  The value is the maximum class count; all maximizing
+    pairs are reported, ordered by the bitmasks of F1 then F2 (bit i set
+    when state i is final).  Pairs with an empty side make every state
+    equivalent and are skipped.  The full alphabet (m^m n^n letters) is
+    never refined over unless needed: one pair per orbit under relabelling
+    the non-initial states is counted (25 of 49 pairs at 3x3), by the first
+    of three routes that applies, each proved in `_final_pair_classes`.  A
+    pair with F1 = Q1 or F2 = Q2 is counted on the supports of the reached
+    tableaux (every pair at 1 x n and n x 1).  Any other pair is refined
+    under the (4+m)(4+n) or fewer certificate letters, and if that leaves
+    every reached tableau in a class of its own, the count is the
+    reachable count.  Only otherwise does the refinement go on over the
+    full alphabet, from the certificate's partition; no size up to 4 x 4
+    takes that route.
     """
     return _max_over_finals(m, n, None, reach, max_cells)
 
@@ -432,11 +440,35 @@ def _max_over_finals(m, n, letters, reach, max_cells):
     return ScResult(m, n, best, tuple(arg), reach.count)
 
 
+def _certificate_letters(m, n):
+    """G: the letters (f, g) with f and g each the identity, the full cycle,
+    the transposition (0 1), the merge 1 -> 0 or a constant, each map once;
+    at most (4 + m)(4 + n) letters, 49 at 3 x 3."""
+
+    def maps(k):
+        ident = tuple(range(k))
+        moves = [(1, 0) + ident[2:], (0, 0) + ident[2:]] if k >= 2 else []
+        return dict.fromkeys([ident, ident[1:] + ident[:1], *moves, *((c,) * k for c in ident)])
+
+    return [MonsterLetter(Transformation(f), Transformation(g)) for f in maps(m) for g in maps(n)]
+
+
+def _support_classes(supports, final):
+    """Class count of the support quotient (see `_final_pair_classes`): each
+    support that misses `final` is a class of its own, and the supports
+    that meet it make one more class, if there are any."""
+    missing = sum(1 for s in supports if not s & final)
+    return missing + (missing < len(supports))
+
+
 def _final_pair_classes(m, n, letters, reach):
     """Yield ((F1, F2), class count) for every pair of nonempty final sets,
     ordered by the bitmask of F1 then of F2.
 
-    With the full alphabet (`letters` None) two shortcuts apply, both exact:
+    With a fixed letter set every pair is refined from finality under those
+    letters.  With the full alphabet (`letters` None) the count is that of
+    the Nerode equivalence, found without refining over the full alphabet
+    where a proof allows; Q1 and Q2 are the whole state sets:
 
     - Orbits.  For permutations s of {0..m-1} and t of {0..n-1} that fix 0,
       the map E -> (s x t)(E) on tableaux fixes the initial tableau
@@ -446,22 +478,46 @@ def _final_pair_classes(m, n, letters, reach):
       alphabet, so the automata with finals (F1, F2) and (s(F1), t(F2)) are
       isomorphic and have the same number of classes.  That number is then
       a function of the orbit, which is fixed by whether 0 lies in F1 and in
-      F2 and by the sizes of F1 and F2: one pair per orbit is refined.
-    - Warm start.  For m, n >= 2 the three distinguishing letters belong to
-      the full alphabet, so their stable partition P3 lies between the
-      finality partition and the Nerode equivalence: states that no word
-      separates are not separated by the three-letter words, and P3 refines
-      finality.  A Moore round keeps Nerode-equivalent states together, so
-      refinement from P3 never splits a Nerode class; when it stops, the
-      partition refines finality and is closed under every letter, so each
-      of its classes lies in a Nerode class.  It thus ends at the Nerode
-      equivalence, as refinement from the finality partition does.
+      F2 and by the sizes of F1 and F2: one pair per orbit is counted, by
+      the first of the three routes below that applies.
+    - Quotient, when F1 = Q1.  Then E meets F1 x F2 iff its column support
+      C meets F2, and a letter (f, g) sends C to C | g(C), whatever f is.
+      So two tableaux are equivalent iff their column supports are
+      equivalent in this support automaton, whose states are the column
+      supports of the reached tableaux (closed under every letter, as the
+      reached tableaux are).  Supports only grow, so every support meeting
+      F2 accepts every word: they form one class.  Two distinct supports C
+      and C' that miss F2 are separated by one letter: take j in C but not
+      in C' (or swap them), and let g send j into F2 and every other column
+      to a column of C'; then C | g(C) meets F2 and C' | g(C') = C' does
+      not.  The count is thus the number of supports missing F2, plus one
+      if some support meets F2 (`_support_classes`).  F2 = Q2 is the same
+      on row supports, with f acting.
+    - Certified.  Otherwise refine under G (`_certificate_letters`).  G is a
+      subset of the full alphabet, so tableaux that G separates are
+      separated by the full alphabet too.  If G leaves every reached
+      tableau in a class of its own, so does the full alphabet, and the
+      count is the reachable count.
+    - Fallback.  Otherwise the refinement goes on over the full alphabet,
+      from the stable partition P of G; the full-alphabet rows are built
+      once, on first use.  P lies between finality and the Nerode
+      equivalence: it refines finality, and it never separates states that
+      no word separates, since words over G are words.  A Moore round keeps
+      Nerode-equivalent states together, so refinement from P never splits
+      a Nerode class; when it stops, the partition refines finality and is
+      closed under every letter, so each of its classes lies in a Nerode
+      class.  It thus ends at the Nerode equivalence, as refinement from the
+      finality partition does.
     """
     masks = sorted(reach.mask_depths)
-    warm = None
-    if letters is None and m >= 2 and n >= 2:
-        warm = _transition_rows(masks, m, n, distinguishing_letters(m, n))
-    rows = _transition_rows(masks, m, n, letters)
+    q1, q2 = (1 << m) - 1, (1 << n) - 1  # the bits of Q1 and Q2
+    alphabet = _certificate_letters(m, n) if letters is None else letters
+    rows = cache(lambda: _transition_rows(masks, m, n, alphabet))
+    full_rows = cache(lambda: _transition_rows(masks, m, n, None))
+    if letters is None:
+        occupied = [mask_lines(m, n).rows(mask) for mask in masks]
+        row_supports = {sum(1 << i for i, _ in lines) for lines in occupied}
+        col_supports = {reduce(or_, (s for _, s in lines)) for lines in occupied}
     known: dict = {}
     for f1_bits in range(1, 1 << m):
         for f2_bits in range(1, 1 << n):
@@ -469,18 +525,23 @@ def _final_pair_classes(m, n, letters, reach):
                 key = (f1_bits & 1, f1_bits.bit_count(), f2_bits & 1, f2_bits.bit_count())
             else:
                 key = (f1_bits, f2_bits)
-            classes = known.get(key)
-            if classes is None:
-                fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
-                codes = [int(bool(mk & fmask)) for mk in masks]
-                if warm is not None:
-                    codes = moore_refine(warm, codes)
-                classes = known[key] = len(set(moore_refine(rows, codes)))
+            if key not in known:
+                if letters is None and f1_bits == q1:
+                    classes = _support_classes(col_supports, f2_bits)
+                elif letters is None and f2_bits == q2:
+                    classes = _support_classes(row_supports, f1_bits)
+                else:
+                    fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
+                    codes = moore_refine(rows(), [int(bool(mk & fmask)) for mk in masks])
+                    classes = len(set(codes))
+                    if letters is None and classes < len(masks):
+                        classes = len(set(moore_refine(full_rows(), codes)))
+                known[key] = classes
             pair = (
                 frozenset(i for i in range(m) if f1_bits >> i & 1),
                 frozenset(j for j in range(n) if f2_bits >> j & 1),
             )
-            yield pair, classes
+            yield pair, known[key]
 
 
 def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLetter], side: str) -> Dfa:

@@ -214,11 +214,26 @@ def generate_graded(
     Generated by iterating the one-step successor over every map on the
     occupied parts, starting from the base vector; maps that agree on the
     occupied parts give the same successor, so only those are enumerated.
+    `max_count` bounds the maps tried in each grade, the sum of
+    n^(occupied parts) over the vectors of the grade before.  That sum is
+    taken from the exact counts of vectors by occupied parts
+    (`enumeration.graded_count`) before any map is tried, so a run beyond
+    the guard is refused at once.  It is at least the number of vectors
+    the grade yields.
     """
+    from .enumeration import graded_count  # enumeration imports this module
+
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    for grade in range(k):
+        tries = sum(graded_count(n, grade, l) * n**l for l in range(1, n + 1))
+        if tries > max_count:
+            raise SizeGuardError(
+                f"grade {grade + 1} of length-{n} vectors tries {tries} maps, "
+                f"beyond the guard of {max_count}; raise max_count to override"
+            )
     level = {SetVector.base(n)}
     for _ in range(k):
         nxt = set()
@@ -229,11 +244,6 @@ def generate_graded(
                 for i, target in zip(occupied, images):
                     g[i] = target
                 nxt.add(succ_right(p, Transformation(g)))
-                if len(nxt) > max_count:
-                    raise SizeGuardError(
-                        f"grade-{k} family of length-{n} vectors exceeds "
-                        f"{max_count} elements; raise max_count to override"
-                    )
         level = nxt
     if side == "left":
         level = {mirror(v, k) for v in level}

@@ -252,6 +252,7 @@ class TestGuards:
             (["conjecture", "4", "4"], "4x4 grid exceeds the 12-cell guard"),
             (["series", "65"], "d = 65 exceeds the guard of 64"),
             (["succ", "8", "7", "1", "--oracle"], "8^7 maps exceed the guard of 2000000"),
+            (["graded", "6", "4", "--count"], "grade 4 of length-6 vectors tries 1309084746 maps"),
         ],
     )
     def test_library_default_applies(self, capsys, argv, message):

@@ -10,7 +10,10 @@ from shufflesc import (
     reachable_tableaux,
     verify_witnesses,
 )
+from shufflesc import conjecture
 from shufflesc.conjecture import expected_permutation_grade, permutation_min_grade
+from shufflesc.monster import all_valid_tableaux
+from shufflesc.upair import enumerate_dense
 
 
 class TestConjecture1:
@@ -37,6 +40,28 @@ class TestConjecture1:
         assert rep.status == "incomplete"
         assert rep.missing  # plenty unreached after one step
         assert not rep.holds()
+
+    def test_scans_skipped_at_the_bound(self, monkeypatch):
+        # f(m, n) tableaux reached leaves nothing valid or dense unreached
+        def refuse(m, n):
+            raise AssertionError("2^(mn) scan run")
+
+        monkeypatch.setattr(conjecture, "valid_masks", refuse)
+        monkeypatch.setattr(conjecture, "dense_masks", refuse)
+        for check in (check_conjecture1, check_conjecture2):
+            rep = check(3, 3)
+            assert rep.status == "holds"
+            assert rep.missing == rep.dense_unreached == ()
+            assert rep.reachable_count == rep.valid_count == 400
+
+    def test_depth_limited_lists_the_missing(self):
+        reach = reachable_tableaux(3, 3, depth_limit=2)
+        rep = check_conjecture1(3, 3, depth_limit=2)
+        valid = [t for t in all_valid_tableaux(3, 3) if t not in reach]
+        dense = [t for t in enumerate_dense(3, 3) if t not in reach]
+        assert rep.status == "incomplete" and reach.count < 400
+        assert list(rep.missing) == valid and len(valid) == 400 - reach.count
+        assert list(rep.dense_unreached) == dense and dense
 
     def test_json_deterministic(self):
         a = check_conjecture1(2, 2).json_dumps()

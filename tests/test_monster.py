@@ -16,6 +16,7 @@ from shufflesc import (
     tableau_step,
 )
 from shufflesc import monster
+from shufflesc.automata import moore_refine, successor_rows
 from shufflesc.monster import (
     _expand_mask,
     _final_pair_classes,
@@ -47,30 +48,33 @@ def naive_final_pair_classes(m, n):
     count."""
     letters = all_letters(m, n)
     states = [T(m, n, {(0, 0)})]
-    seen = set(states)
-    succ = {}
+    index = {states[0]: 0}
+    succ = []
     for t in states:  # the list grows while it is walked
-        succ[t] = [tableau_step(t, a) for a in letters]
-        for u in succ[t]:
-            if u not in seen:
-                seen.add(u)
+        row = []
+        for a in letters:
+            u = tableau_step(t, a)
+            if u not in index:
+                index[u] = len(states)
                 states.append(u)
+            row.append(index[u])
+        succ.append(row)
     out = []
     for b1 in range(1, 1 << m):
         for b2 in range(1, 1 << n):
             f1 = frozenset(i for i in range(m) if b1 >> i & 1)
             f2 = frozenset(j for j in range(n) if b2 >> j & 1)
-            cls = {t: any(i in f1 and j in f2 for i, j in t.cells) for t in states}
+            cls = [any(i in f1 and j in f2 for i, j in t.cells) for t in states]
             while True:
                 ids = {}
-                new = {
-                    t: ids.setdefault((cls[t],) + tuple(cls[u] for u in succ[t]), len(ids))
-                    for t in states
-                }
-                if len(ids) == len(set(cls.values())):
+                new = [
+                    ids.setdefault((c,) + tuple(map(cls.__getitem__, row)), len(ids))
+                    for c, row in zip(cls, succ)
+                ]
+                if len(ids) == len(set(cls)):
                     break
                 cls = new
-            out.append(((f1, f2), len(set(cls.values()))))
+            out.append(((f1, f2), len(set(cls))))
     return out, len(states)
 
 
@@ -347,17 +351,86 @@ class TestStateComplexity:
         with pytest.raises(SizeGuardError):
             state_complexity_shuffle(4, 4)
 
-    @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_naive_refinement(self, m, n):
-        # orbits, the warm start and the singleton skip change nothing: the
-        # same class count for every final pair, hence the same value and
-        # the same maximizers in the same order
+        # orbits, the support quotient, the certificate and the singleton
+        # skip change nothing: the same class count for every final pair,
+        # hence the same value and the same maximizers in the same order
         naive, reachable = naive_final_pair_classes(m, n)
         best = max(classes for _, classes in naive)
         res = state_complexity_shuffle(m, n)
         assert res.value == best and res.reachable_count == reachable
         assert res.maximizers == tuple(pair for pair, classes in naive if classes == best)
         assert list(_final_pair_classes(m, n, None, reachable_tableaux(m, n))) == naive
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
+    def test_forced_fallback_agrees(self, monkeypatch, m, n):
+        # with no certificate letters no pair is certified, so every pair
+        # that the support quotient does not count is refined over the full
+        # alphabet
+        reach = reachable_tableaux(m, n)
+        unforced = list(_final_pair_classes(m, n, None, reach))
+        built = []
+        transition_rows = monster._transition_rows
+
+        def spy(masks, m, n, letters=None):
+            built.append(letters)
+            return transition_rows(masks, m, n, letters)
+
+        monkeypatch.setattr(monster, "_certificate_letters", lambda m, n: [])
+        monkeypatch.setattr(monster, "_transition_rows", spy)
+        forced = list(_final_pair_classes(m, n, None, reach))
+        assert forced == unforced
+        assert (None in built) == (m > 1 and n > 1)  # 1 x n is all quotient
+        if m * n <= 6:
+            assert forced == naive_final_pair_classes(m, n)[0]
+
+    def test_full_alphabet_rows_never_built(self, monkeypatch):
+        transition_rows = monster._transition_rows
+
+        def refuse_full(masks, m, n, letters=None):
+            assert letters is not None, "full-alphabet rows built"
+            return transition_rows(masks, m, n, letters)
+
+        monkeypatch.setattr(monster, "_transition_rows", refuse_full)
+        res = state_complexity_shuffle(3, 3)
+        assert res.value == 400 and len(res.maximizers) == 36
+
+    def test_3x4(self):
+        # every pair with both final sets proper and nonempty is a maximizer
+        res = state_complexity_shuffle(3, 4)
+        assert res.value == res.reachable_count == f_bound(3, 4) == 3392
+        assert res.maximizers == tuple(
+            (frozenset(i for i in range(3) if b1 >> i & 1), frozenset(j for j in range(4) if b2 >> j & 1))
+            for b1 in range(1, 7)
+            for b2 in range(1, 15)
+        )
+        assert len(res.maximizers) == (2**3 - 2) * (2**4 - 2) == 84
+
+    @pytest.mark.parametrize(
+        "m, n, size", [(1, 3, 7), (2, 2, 16), (2, 5, 36), (3, 3, 49), (3, 4, 56), (4, 4, 64)]
+    )
+    def test_certificate_letters(self, m, n, size):
+        letters = monster._certificate_letters(m, n)
+        assert len(letters) == len(set(letters)) == size
+        for f, g in letters:
+            assert (f.size, g.size) == (m, n)
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (2, 3), (2, 4), (3, 3)])
+    def test_support_quotient_is_its_moore_count(self, m, n):
+        # the closed count of the support automaton against its Moore
+        # refinement over every map g, for F1 = Q1 and each F2
+        reach = reachable_tableaux(m, n)
+        supports = sorted({sum(1 << j for j in t.occupied_cols()) for t in reach.depths})
+        index = {c: i for i, c in enumerate(supports)}
+        maps = list(product(range(n), repeat=n))
+        rows = successor_rows(
+            tuple(index[c | sum(1 << t for t in {g[j] for j in range(n) if c >> j & 1})] for g in maps)
+            for c in supports
+        )
+        for final in range(1, 1 << n):
+            codes = moore_refine(rows, [int(bool(c & final)) for c in supports])
+            assert monster._support_classes(supports, final) == len(set(codes))
 
     @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
     def test_explicit_full_alphabet_agrees(self, m, n):

@@ -214,6 +214,15 @@ class TestGenerateGraded:
         with pytest.raises(SizeGuardError):
             generate_graded(3, 3, max_count=100)
 
+    def test_guard_bounds_the_maps_tried(self):
+        # grade k tries n^(occupied parts) maps per vector of grade k - 1:
+        # 3, 21 and 363 maps at n = 3, counted here from the vectors
+        tries = [sum(3 ** v.nonempty_count() for v in generate_graded(3, k)) for k in range(3)]
+        assert tries == [3, 21, 363]
+        assert len(generate_graded(3, 3, max_count=363)) == 363
+        with pytest.raises(SizeGuardError, match="grade 3 of length-3 vectors tries 363 maps"):
+            generate_graded(3, 3, max_count=362)
+
 
 class TestPOfPath:
     def test_empty_path(self):
