@@ -10,6 +10,7 @@ Example:
 """
 
 import argparse
+import sys
 
 from shufflesc import (
     closed_form_coeffs,
@@ -34,7 +35,8 @@ def main():
 
     for n in range(2, args.max_n + 1):
         s = matrix_S(n)
-        assert hadamard(matrix_B(n), matrix_A(n)) == s
+        if hadamard(matrix_B(n), matrix_A(n)) != s:
+            sys.exit(f"factorization check failed: S_{n} != B (x) A_{n} entrywise")
         print(f"S_{n} (= B (x) A_{n} entrywise):")
         print(fmt_matrix(s.rows))
         totals = [r_total(n, k) for k in range(args.kmax + 1)]

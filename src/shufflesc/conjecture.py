@@ -156,7 +156,7 @@ def permutation_min_grade(sigma: Transformation, k_max: int) -> Optional[int]:
         if (1 << k) < n:
             continue  # fewer stamps than nonempty parts needed
         for rho in _graded_all_parts_nonempty(n, k):
-            left = SetVector([rho[sigma(i)] for i in range(n)])
+            left = SetVector.of_masks([rho[j] for j in sigma.images])
             if is_lvalid(left, k):
                 return k
     return None

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial
 from typing import Iterable, Mapping, Optional
 
-from .automata import Transformation
 from .errors import SizeGuardError
-from .upair import SetVector, succ_right
+from .upair import SetVector, successors
 
 
 @lru_cache(maxsize=None)
@@ -81,12 +79,9 @@ def canonical_vector(l: int, n: Optional[int] = None) -> SetVector:
         n = l
     if n < l:
         raise ValueError("n must be at least l")
-    if l == 1:
-        parts: list = [{1}]
-    else:
-        parts = [{i} for i in range(1, l)]
-        parts.append(set(range(l, (1 << (l - 1)) + 1)))
-    return SetVector(parts + [set()] * (n - l))
+    singles = (1 << (l - 1)) - 1  # {1..l-1}
+    rest = ((1 << (1 << (l - 1))) - 1) & ~singles
+    return SetVector.of_masks([1 << i for i in range(l - 1)] + [rest] + [0] * (n - l))
 
 
 def successor_vectors(
@@ -102,14 +97,8 @@ def successor_vectors(
         raise SizeGuardError(
             f"{n}^{l} maps exceed the guard of {max_maps}; raise max_maps to override"
         )
-    p = canonical_vector(l, n)
-    results = set()
-    for images in product(range(n), repeat=l):
-        g = list(range(n))
-        g[:l] = images
-        results.add(succ_right(p, Transformation(g)))
     buckets: dict[int, list[SetVector]] = {}
-    for v in results:
+    for v in set(successors(canonical_vector(l, n))):
         buckets.setdefault(v.nonempty_count(), []).append(v)
     return {key: sorted(vs, key=SetVector.key) for key, vs in sorted(buckets.items())}
 

@@ -22,6 +22,14 @@ from .automata import Dfa, Transformation, moore_refine, successor_rows
 from .errors import SizeGuardError
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, increasing."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class MonsterLetter(NamedTuple):
     """One letter of the common alphabet: a transformation for each side."""
 
@@ -58,15 +66,10 @@ class Tableau:
         finds is built for output."""
         if mask < 0 or mask >> (m * n):
             raise ValueError(f"mask {mask} out of {m}x{n} range")
-        cells = []
-        while mask:
-            low = mask & -mask
-            cells.append(divmod(low.bit_length() - 1, n))
-            mask ^= low
         t = object.__new__(cls)
         object.__setattr__(t, "m", m)
         object.__setattr__(t, "n", n)
-        object.__setattr__(t, "cells", frozenset(cells))
+        object.__setattr__(t, "cells", frozenset(divmod(b, n) for b in bits(mask)))
         return t
 
     def occupied_rows(self) -> tuple:
@@ -537,11 +540,7 @@ def _final_pair_classes(m, n, letters, reach):
                     if letters is None and classes < len(masks):
                         classes = len(set(moore_refine(full_rows(), codes)))
                 known[key] = classes
-            pair = (
-                frozenset(i for i in range(m) if f1_bits >> i & 1),
-                frozenset(j for j in range(n) if f2_bits >> j & 1),
-            )
-            yield pair, known[key]
+            yield (frozenset(bits(f1_bits)), frozenset(bits(f2_bits))), known[key]
 
 
 def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLetter], side: str) -> Dfa:

@@ -19,65 +19,71 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations, product
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automata import Transformation
 from .errors import SizeGuardError
-from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
+from .monster import MonsterLetter, Tableau, bits, mask_lines, scan_guard
 
 
 class SetVector:
-    """An ordered vector of pairwise-disjoint finite sets of positive integers."""
+    """An ordered vector of pairwise-disjoint finite sets of positive integers,
+    each part held as a mask with bit x - 1 for element x: `v[i]` and
+    iteration yield masks, `support`, `key`, `to_lists` and `str` elements."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[Iterable[int]]):
-        parts = tuple(frozenset(int(x) for x in p) for p in parts)
-        total = 0
-        seen: set = set()
+        masks = []
         for p in parts:
-            if any(x < 1 for x in p):
+            elements = {int(x) for x in p}
+            if any(x < 1 for x in elements):
                 raise ValueError("set-vector elements must be positive integers")
-            total += len(p)
-            seen |= p
-        if total != len(seen):
-            raise ValueError(f"parts are not pairwise disjoint: {self._fmt(parts)}")
-        self.parts = parts
+            masks.append(sum(1 << (x - 1) for x in elements))
+        self.parts = SetVector.of_masks(masks).parts
+
+    @classmethod
+    def of_masks(cls, masks: Iterable[int]) -> "SetVector":
+        """The vector whose part i is masks[i]."""
+        v = object.__new__(cls)
+        v.parts = tuple(masks)
+        if v.parts and min(v.parts) < 0:
+            raise ValueError("set-vector elements must be positive integers")
+        if sum(map(int.bit_count, v.parts)) != v._union().bit_count():
+            raise ValueError(f"parts are not pairwise disjoint: {v}")
+        return v
+
+    def _union(self) -> int:
+        return reduce(or_, self.parts, 0)
 
     @classmethod
     def base(cls, length: int) -> "SetVector":
         """[{1}, {}, ..., {}], the grade-0 vector every path starts from."""
         if length < 1:
             raise ValueError("length must be at least 1")
-        return cls([{1}] + [set()] * (length - 1))
+        return cls.of_masks([1] + [0] * (length - 1))
 
     @property
     def support(self) -> frozenset:
-        return frozenset().union(*self.parts) if self.parts else frozenset()
-
-    @property
-    def max_element(self) -> int:
-        return max(self.support, default=0)
+        return frozenset(b + 1 for b in bits(self._union()))
 
     def nonempty_count(self) -> int:
         return sum(1 for p in self.parts if p)
 
     def grade(self) -> int:
         """k such that the union of the parts is exactly {1..2^k}."""
-        sup = self.support
-        k = max(len(sup).bit_length() - 1, 0)
-        if sup != frozenset(range(1, (1 << k) + 1)):
-            raise ValueError(f"support {sorted(sup)} is not of the form {{1..2^k}}")
+        sup = self._union()
+        k = max(sup.bit_count().bit_length() - 1, 0)
+        if sup != (1 << (1 << k)) - 1:
+            raise ValueError(f"support {sorted(self.support)} is not of the form {{1..2^k}}")
         return k
 
     def key(self) -> tuple:
         """Canonical hashable form: elements sorted inside each part."""
-        return tuple(tuple(sorted(p)) for p in self.parts)
-
-    @staticmethod
-    def _fmt(parts) -> str:
-        return "[" + ",".join("{" + ",".join(map(str, sorted(p))) + "}" for p in parts) + "]"
+        return tuple(tuple(b + 1 for b in bits(p)) for p in self.parts)
 
     @classmethod
     def parse(cls, text: str) -> "SetVector":
@@ -92,7 +98,7 @@ class SetVector:
         return cls([[int(x) for x in p.split(",") if x.strip()] for p in parts])
 
     def to_lists(self) -> list[list[int]]:
-        return [sorted(p) for p in self.parts]
+        return [list(p) for p in self.key()]
 
     def __len__(self):
         return len(self.parts)
@@ -107,10 +113,10 @@ class SetVector:
         return isinstance(other, SetVector) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.parts)
 
     def __repr__(self):
-        return self._fmt(self.parts)
+        return "[" + ",".join("{" + ",".join(map(str, p)) + "}" for p in self.key()) + "]"
 
 
 def act(v: SetVector, h: Transformation) -> SetVector:
@@ -118,26 +124,25 @@ def act(v: SetVector, h: Transformation) -> SetVector:
     parts whose index maps to j."""
     if h.size != len(v):
         raise ValueError(f"transformation size {h.size} != vector length {len(v)}")
-    out = [set() for _ in range(len(v))]
-    for q, part in enumerate(v):
-        if part:
-            out[h(q)] |= part
-    return SetVector(out)
+    out = [0] * len(v)
+    for part, target in zip(v.parts, h.images):
+        out[target] |= part
+    return SetVector.of_masks(out)
 
 
 def shift_up(v: SetVector) -> SetVector:
     """Add r = max element to every element."""
-    r = v.max_element
+    r = v._union().bit_length()
     if r == 0:
         raise ValueError("cannot shift an all-empty vector")
-    return SetVector([{x + r for x in p} for p in v])
+    return SetVector.of_masks(p << r for p in v.parts)
 
 
 def union_vec(v1: SetVector, v2: SetVector) -> SetVector:
     """Entrywise union; the operands must not share elements across parts."""
     if len(v1) != len(v2):
         raise ValueError(f"length mismatch: {len(v1)} != {len(v2)}")
-    return SetVector([a | b for a, b in zip(v1, v2)])
+    return SetVector.of_masks(a | b for a, b in zip(v1.parts, v2.parts))
 
 
 def succ_right(p: SetVector, g: Transformation) -> SetVector:
@@ -160,17 +165,30 @@ def succ_elem(v: SetVector, t: Transformation, side: str = "right") -> SetVector
     raise ValueError("side must be 'left' or 'right'")
 
 
+def successors(p: SetVector) -> Iterator[SetVector]:
+    """succ_right(p, g) for every map g on the occupied parts of p, the
+    others fixed; distinct such maps give distinct successors."""
+    n = len(p)
+    occupied = [i for i, part in enumerate(p.parts) if part]
+    g = list(range(n))
+    for images in product(range(n), repeat=len(occupied)):
+        for i, target in zip(occupied, images):
+            g[i] = target
+        yield succ_right(p, Transformation(g))
+
+
 def mirror(v: SetVector, k: Optional[int] = None) -> SetVector:
-    """Replace every element x of a grade-k vector by 2^k + 1 - x.
+    """Replace every element x of a grade-k vector by 2^k + 1 - x, that is,
+    reverse the low 2^k bits of every part.
 
     An involution exchanging the left-valid and right-valid families.
     """
     if k is None:
         k = v.grade()
-    top = (1 << k) + 1
-    if v.support and max(v.support) > top - 1:
+    width = 1 << k
+    if v._union() >> width:
         raise ValueError(f"vector is not of grade {k}")
-    return SetVector([{top - x for x in p} for p in v])
+    return SetVector.of_masks(int(f"{p:0{width}b}"[::-1], 2) for p in v.parts)
 
 
 def is_rvalid(v: SetVector, k: int) -> bool:
@@ -178,32 +196,24 @@ def is_rvalid(v: SetVector, k: int) -> bool:
 
     The parts must partition {1..2^k}, 1 must lie in the first part, and for
     every k' < k: elements of {1..2^k'} sharing a part must still share a
-    part after adding 2^k'.  The condition is hereditary because each step
-    appends a shifted copy of the moved previous vector on the right.
+    part after adding 2^k'.  On masks: each part's low 2^k' bits, shifted up
+    by 2^k', lie inside one part.  The condition is hereditary because each
+    step appends a shifted copy of the moved previous vector on the right.
     """
-    sup = v.support
-    if sup != frozenset(range(1, (1 << k) + 1)):
+    if v._union() != (1 << (1 << k)) - 1 or not v.parts[0] & 1:
         return False
-    if 1 not in v[0]:
-        return False
-    part_of = {x: i for i, p in enumerate(v) for x in p}
     for kp in range(k):
         h = 1 << kp
-        for p in v:
-            low = [x for x in p if x <= h]
-            if len(low) >= 2:
-                targets = {part_of[x + h] for x in low}
-                if len(targets) > 1:
-                    return False
+        for p in v.parts:
+            moved = (p & ((1 << h) - 1)) << h
+            if not any((moved & q) == moved for q in v.parts):
+                return False
     return True
 
 
 def is_lvalid(v: SetVector, k: int) -> bool:
     """Left validity at grade k: the mirror image must be right-valid."""
-    sup = v.support
-    if sup != frozenset(range(1, (1 << k) + 1)):
-        return False
-    return is_rvalid(mirror(v, k), k)
+    return not v._union() >> (1 << k) and is_rvalid(mirror(v, k), k)
 
 
 def generate_graded(
@@ -211,15 +221,12 @@ def generate_graded(
 ) -> list[SetVector]:
     """The full grade-k family of valid vectors of length n, sorted canonically.
 
-    Generated by iterating the one-step successor over every map on the
-    occupied parts, starting from the base vector; maps that agree on the
-    occupied parts give the same successor, so only those are enumerated.
-    `max_count` bounds the maps tried in each grade, the sum of
-    n^(occupied parts) over the vectors of the grade before.  That sum is
-    taken from the exact counts of vectors by occupied parts
-    (`enumeration.graded_count`) before any map is tried, so a run beyond
-    the guard is refused at once.  It is at least the number of vectors
-    the grade yields.
+    Generated by iterating `successors` from the base vector.  `max_count`
+    bounds the maps tried in each grade, the sum of n^(occupied parts) over
+    the vectors of the grade before.  That sum is taken from the exact
+    counts of vectors by occupied parts (`enumeration.graded_count`) before
+    any map is tried, so a run beyond the guard is refused at once.  It is
+    at least the number of vectors the grade yields.
     """
     from .enumeration import graded_count  # enumeration imports this module
 
@@ -236,15 +243,7 @@ def generate_graded(
             )
     level = {SetVector.base(n)}
     for _ in range(k):
-        nxt = set()
-        for p in level:
-            occupied = [i for i, part in enumerate(p) if part]
-            for images in product(range(n), repeat=len(occupied)):
-                g = list(range(n))
-                for i, target in zip(occupied, images):
-                    g[i] = target
-                nxt.add(succ_right(p, Transformation(g)))
-        level = nxt
+        level = {s for p in level for s in successors(p)}
     if side == "left":
         level = {mirror(v, k) for v in level}
     return sorted(level, key=SetVector.key)
@@ -284,7 +283,11 @@ class UPair:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "UPair":
-        return cls(SetVector(obj["left"]), SetVector(obj["right"]))
+        """Inverse of `to_json`; a "k" field, when present, must be the grade."""
+        pair = cls(SetVector(obj["left"]), SetVector(obj["right"]))
+        if "k" in obj and obj["k"] != pair.grade:
+            raise ValueError(f"\"k\" is {obj['k']!r} but the pair has grade {pair.grade}")
+        return pair
 
     def __repr__(self):
         return f"UPair({self.left}, {self.right})"
@@ -323,18 +326,13 @@ def pair_of_settableau(
     cells: Mapping[tuple[int, int], Iterable[int]], m: int, n: int
 ) -> UPair:
     """Pair of vectors of a tableau whose cells carry disjoint sets covering
-    {1..2^k}: row i unions to left[i], column j unions to right[j]."""
-    lam = [set() for _ in range(m)]
-    rho = [set() for _ in range(n)]
-    total = 0
-    for (i, j), content in cells.items():
-        content = set(content)
-        total += len(content)
+    {1..2^k}: row i unions to left[i], column j unions to right[j].  The
+    cell contents, read as one vector, must be pairwise disjoint."""
+    lam, rho = [0] * m, [0] * n
+    for (i, j), content in zip(cells, SetVector(cells.values())):
         lam[i] |= content
         rho[j] |= content
-    if total != len(set().union(*lam)):
-        raise ValueError("cell contents are not pairwise disjoint")
-    return UPair(SetVector(lam), SetVector(rho))
+    return UPair(SetVector.of_masks(lam), SetVector.of_masks(rho))
 
 
 def settableau_of_pair(u: UPair) -> dict[tuple[int, int], frozenset]:
@@ -344,7 +342,7 @@ def settableau_of_pair(u: UPair) -> dict[tuple[int, int], frozenset]:
         for j, rj in enumerate(u.right):
             common = li & rj
             if common:
-                out[(i, j)] = common
+                out[(i, j)] = frozenset(b + 1 for b in bits(common))
     return out
 
 

@@ -311,8 +311,9 @@ class TestOutputFile:
 
 
 class TestPinnedOutputs:
-    """sha256 of whole CLI outputs, recorded before the mask-line kernel
-    refactor, so that the reach, sc and conjecture outputs stay byte-identical."""
+    """sha256 of whole CLI outputs, recorded before the refactors they guard:
+    the reach, sc and conjecture outputs before the mask-line kernel, and the
+    graded, witness and succ outputs before set-vector parts became masks."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -329,6 +330,16 @@ class TestPinnedOutputs:
              "de1aa012ce4549d23b1c10cdfe55d26d06b6583b982aca433a4d62e00ada1338"),
             (["conjecture", "2", "4", "--dense"],
              "7294e9b9ee781de894701f6f0a5cbf228e6940ba6d4447bcc91568631846a273"),
+            (["--format", "json", "graded", "4", "2"],
+             "0a467bf38afb9fb0337b44fb9a6fa074e7bc54f986cf8c848bf7268dcb8388b3"),
+            (["graded", "3", "3"],
+             "443fce34beb5b46fdaf16d872738af2b38a253382dab981c520e755babae5dab"),
+            (["--format", "json", "witness", "perm", "5", "2,0,1,4,3"],
+             "368081c7acf56f51cfe59f0ea69fcd4584d571fbcc6c50960f85d0d49cb264cc"),
+            (["witness", "full", "3", "5"],
+             "b99e1de613c596b44f0222be75a8f43674a1bab5df91111d4cf550f840c171dd"),
+            (["--format", "json", "succ", "5", "3", "1", "--oracle"],
+             "f33e0012bfe0b0c73d9106c29e7dd510be8650d17e609cc447a26404b4bf7b6f"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):

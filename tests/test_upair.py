@@ -45,10 +45,23 @@ class TestSetVector:
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
             sv({1, 2}, {2, 3})
+        with pytest.raises(ValueError, match=r"not pairwise disjoint: \[\{1,2\},\{2\}\]"):
+            SetVector.of_masks([0b11, 0b10])
 
     def test_positive_elements(self):
         with pytest.raises(ValueError):
             sv({0, 1})
+        with pytest.raises(ValueError, match="positive"):
+            SetVector.of_masks([-1])
+
+    def test_parts_are_masks(self):
+        v = sv({1, 4}, set(), {2, 3})
+        assert v.parts == (0b1001, 0, 0b0110)
+        assert list(v) == [0b1001, 0, 0b0110] and v[2] == 0b0110
+        assert SetVector.of_masks([0b1001, 0, 0b0110]) == v
+        assert v.support == frozenset({1, 2, 3, 4})
+        assert v.key() == ((1, 4), (), (2, 3))
+        assert v.to_lists() == [[1, 4], [], [2, 3]]
 
     def test_text_form_and_parse(self):
         v = sv({1, 4}, {2, 7}, {3, 5, 6, 8})
@@ -114,6 +127,11 @@ class TestOperations:
         )
         with pytest.raises(ValueError):
             union_vec(sv({1}), sv({2}, set()))
+        # operands sharing an element, across parts
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            union_vec(sv({1}, set()), sv(set(), {1}))
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            union_vec(sv({1, 2}, {3}), sv({4}, {2}))
 
     def test_succ_examples(self):
         assert succ_right(sv({1}, set(), set()), Transformation.from_map(3, {0: 1})) == sv(
@@ -156,6 +174,93 @@ class TestValidity:
         assert is_lvalid(lam, 3)
         assert is_rvalid(mirror(lam, 3), 3)
         assert not is_lvalid(sv({3, 4}, {2}, {1}), 2)  # top pair forces 1, 2 together
+
+
+# A frozenset reference for the mask calculus, written from the docstrings.
+
+
+def ref_act(parts, h):
+    out = [set() for _ in parts]
+    for q, part in enumerate(parts):
+        out[h(q)] |= part
+    return [frozenset(p) for p in out]
+
+
+def ref_shift_up(parts):
+    r = max(frozenset().union(*parts))
+    return [frozenset(x + r for x in p) for p in parts]
+
+
+def ref_union(parts1, parts2):
+    return [a | b for a, b in zip(parts1, parts2)]
+
+
+def ref_mirror(parts, k):
+    return [frozenset((1 << k) + 1 - x for x in p) for p in parts]
+
+
+def ref_rvalid(parts, k):
+    if frozenset().union(*parts) != frozenset(range(1, (1 << k) + 1)) or 1 not in parts[0]:
+        return False
+    part_of = {x: i for i, p in enumerate(parts) for x in p}
+    for kp in range(k):
+        h = 1 << kp
+        for p in parts:
+            if len({part_of[x + h] for x in p if x <= h}) > 1:
+                return False
+    return True
+
+
+def ref_lvalid(parts, k):
+    if frozenset().union(*parts) != frozenset(range(1, (1 << k) + 1)):
+        return False
+    return ref_rvalid(ref_mirror(parts, k), k)
+
+
+def all_assignments(max_n=3, max_k=3):
+    """Every assignment of {1..2^k} to n slots, n <= max_n and k <= max_k."""
+    for n in range(1, max_n + 1):
+        for k in range(max_k + 1):
+            ground = range(1, (1 << k) + 1)
+            for slots in product(range(n), repeat=1 << k):
+                parts = [
+                    frozenset(x for x, i in zip(ground, slots) if i == j) for j in range(n)
+                ]
+                yield n, k, parts
+
+
+class TestMaskCalculus:
+    """The mask calculus against the frozenset reference above, exhaustively
+    on every assignment of {1..2^k} to n <= 3 slots with k <= 3."""
+
+    def test_validity_verdicts(self):
+        for n, k, parts in all_assignments():
+            v = SetVector(parts)
+            assert v.key() == tuple(tuple(sorted(p)) for p in parts)
+            for kk in range(max(k - 1, 0), k + 2):
+                assert is_rvalid(v, kk) == ref_rvalid(parts, kk), (parts, kk)
+                assert is_lvalid(v, kk) == ref_lvalid(parts, kk), (parts, kk)
+
+    def test_mirror_shift_and_union(self):
+        for n, k, parts in all_assignments():
+            v = SetVector(parts)
+            assert mirror(v, k) == SetVector(ref_mirror(parts, k))
+            assert mirror(v) == mirror(v, k)
+            if k:
+                with pytest.raises(ValueError):
+                    mirror(v, k - 1)
+            assert shift_up(v) == SetVector(ref_shift_up(parts))
+            odd = [frozenset(x for x in p if x % 2) for p in parts]
+            even = [frozenset(x for x in p if not x % 2) for p in parts]
+            assert union_vec(SetVector(odd), SetVector(even)) == v
+            assert union_vec(v, shift_up(v)) == SetVector(ref_union(parts, ref_shift_up(parts)))
+
+    def test_act_every_map(self):
+        for n, k, parts in all_assignments():
+            v = SetVector(parts)
+            for images in product(range(n), repeat=n):
+                h = Transformation(images)
+                assert act(v, h) == SetVector(ref_act(parts, h))
 
 
 GRADE2_RIGHT_FAMILY = [
@@ -276,6 +381,11 @@ class TestUPair:
         obj = pair.to_json()
         assert obj["k"] == 3
         assert UPair.from_json(obj) == pair
+
+    def test_json_grade_must_match_k(self):
+        with pytest.raises(ValueError, match="grade 0"):
+            UPair.from_json({"k": 7, "left": [[1]], "right": [[1]]})
+        assert UPair.from_json({"left": [[1]], "right": [[1]]}).grade == 0
 
 
 class TestProjection:
