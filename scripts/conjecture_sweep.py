@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from shufflesc import check_conjecture1, f_bound, state_complexity_shuffle
+from shufflesc import check_conjecture1, f_bound, reachable_tableaux, state_complexity_shuffle
 
 
 def main():
@@ -34,11 +34,12 @@ def main():
             if m * n > args.max_cells:
                 continue
             t0 = time.time()
-            rep = check_conjecture1(m, n, max_cells=args.max_cells)
+            reach = reachable_tableaux(m, n, max_cells=args.max_cells)
+            rep = check_conjecture1(m, n, max_cells=args.max_cells, reach=reach)
             if rep.status != "holds":
                 exit_code = 3
             if m * n <= args.sc_cells:
-                sc = state_complexity_shuffle(m, n, max_cells=args.sc_cells)
+                sc = state_complexity_shuffle(m, n, reach=reach, max_cells=args.sc_cells)
                 f1, f2 = sc.witness()
                 sc_text, finals = str(sc.value), f"F1={sorted(f1)} F2={sorted(f2)}"
             else:

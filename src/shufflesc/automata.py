@@ -8,12 +8,21 @@ share across threads.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Hashable, Iterable, Mapping
+from functools import cached_property
+from operator import itemgetter, or_
+from typing import Hashable, Iterable, Iterator, Mapping
 
 Letter = Hashable
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, increasing."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Transformation:
@@ -82,39 +91,90 @@ class Transformation:
         return f"Transformation({list(self.images)})"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, init=False)
 class Dfa:
-    """Complete deterministic automaton: delta is total on states x alphabet."""
+    """Complete deterministic automaton: delta is total on states x alphabet.
+
+    `table[q][i]` is the successor of state q under `alphabet[i]`, one tuple
+    per state in alphabet order; the constructions of this module read and
+    build tables.  `delta` is the same function keyed by (state, letter),
+    kept as given to the constructor or built on first use; `step`, `run`
+    and `accepts` read it.
+    """
 
     state_count: int
     alphabet: tuple
     initial: int
     finals: frozenset
-    delta: Mapping[tuple[int, Letter], int]
+    table: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "delta", dict(self.delta))
-        if not 0 <= self.initial < self.state_count:
-            raise ValueError(f"initial state {self.initial} out of range")
-        if any(not 0 <= q < self.state_count for q in self.finals):
+    def __init__(
+        self, state_count, alphabet, initial, finals, delta: Mapping[tuple[int, Letter], int]
+    ):
+        """Check that `delta` is defined exactly on range(state_count) x
+        alphabet and within range, and read it into the table."""
+        alphabet = tuple(alphabet)
+        delta = dict(delta)
+        table = []
+        for q in range(state_count):
+            row = tuple(delta.get((q, a)) for a in alphabet)
+            if None in row:
+                raise ValueError(f"delta undefined at ({q}, {alphabet[row.index(None)]!r})")
+            table.append(row)
+        # every key of range(state_count) x alphabet is present, so any
+        # further key lies outside it
+        if len(delta) > state_count * len(set(alphabet)):
+            keys = {(q, a) for q in range(state_count) for a in alphabet}
+            stray = next(key for key in delta if key not in keys)
+            raise ValueError(f"delta key {stray!r} outside range({state_count}) x alphabet")
+        self._init(state_count, alphabet, initial, finals, tuple(table))
+        self.__dict__["delta"] = delta
+
+    @classmethod
+    def of_table(cls, state_count, alphabet, initial, finals, table) -> "Dfa":
+        """The DFA whose successor of state q under alphabet[i] is table[q][i];
+        a letter repeated in the alphabet must have equal columns."""
+        d = object.__new__(cls)
+        d._init(state_count, tuple(alphabet), initial, finals, tuple(map(tuple, table)))
+        return d
+
+    def _init(self, state_count, alphabet, initial, finals, table):
+        self.__dict__.update(
+            state_count=state_count,
+            alphabet=alphabet,
+            initial=initial,
+            finals=frozenset(finals),
+            table=table,
+        )
+        if not 0 <= initial < state_count:
+            raise ValueError(f"initial state {initial} out of range")
+        if any(not 0 <= q < state_count for q in self.finals):
             raise ValueError("final state out of range")
-        for q in range(self.state_count):
-            for a in self.alphabet:
-                dst = self.delta.get((q, a))
-                if dst is None:
-                    raise ValueError(f"delta undefined at ({q}, {a!r})")
-                if not 0 <= dst < self.state_count:
-                    raise ValueError(f"delta({q}, {a!r}) = {dst} out of range")
+        if len(table) != state_count or any(len(row) != len(alphabet) for row in table):
+            raise ValueError(f"table is not {state_count} rows of {len(alphabet)} successors")
+        if alphabet and table and not 0 <= min(map(min, table)) <= max(map(max, table)) < state_count:
+            q, i = next(
+                (q, i)
+                for q, row in enumerate(table)
+                for i, dst in enumerate(row)
+                if not 0 <= dst < state_count
+            )
+            raise ValueError(f"delta({q}, {alphabet[i]!r}) = {table[q][i]} out of range")
+
+    @cached_property
+    def delta(self) -> Mapping[tuple[int, Letter], int]:
+        return {
+            (q, a): dst for q, row in enumerate(self.table) for a, dst in zip(self.alphabet, row)
+        }
 
     def step(self, state: int, letter: Letter) -> int:
         return self.delta[(state, letter)]
 
     def run(self, word: Iterable[Letter]) -> int:
+        delta = self.delta
         state = self.initial
         for a in word:
-            state = self.delta[(state, a)]
+            state = delta[(state, a)]
         return state
 
     def accepts(self, word: Iterable[Letter]) -> bool:
@@ -147,9 +207,12 @@ class Nfa:
         for q in self.initials | self.finals:
             if not 0 <= q < self.state_count:
                 raise ValueError(f"state {q} out of range")
-        for (q, _), dsts in self.delta.items():
+        letters = set(self.alphabet)
+        for (q, a), dsts in self.delta.items():
             if not 0 <= q < self.state_count:
                 raise ValueError(f"state {q} out of range")
+            if a not in letters:
+                raise ValueError(f"delta key {(q, a)!r}: letter {a!r} not in the alphabet")
             if any(not 0 <= d < self.state_count for d in dsts):
                 raise ValueError(f"successor set {set(dsts)} out of range")
 
@@ -182,13 +245,11 @@ def shuffle_nfa(k: Dfa, l: Dfa) -> Nfa:
         raise ValueError("shuffle requires a common alphabet")
     width = l.state_count
     delta = {}
-    for p in range(k.state_count):
-        for q in range(l.state_count):
+    for p, krow in enumerate(k.table):
+        for q, lrow in enumerate(l.table):
             src = p * width + q
-            for a in k.alphabet:
-                delta[(src, a)] = frozenset(
-                    {k.delta[(p, a)] * width + q, p * width + l.delta[(q, a)]}
-                )
+            for a, kp, lq in zip(k.alphabet, krow, lrow):
+                delta[(src, a)] = frozenset({kp * width + q, p * width + lq})
     return Nfa(
         state_count=k.state_count * width,
         alphabet=k.alphabet,
@@ -198,44 +259,51 @@ def shuffle_nfa(k: Dfa, l: Dfa) -> Nfa:
     )
 
 
+def _mask(states: Iterable[int]) -> int:
+    return sum(1 << q for q in states)
+
+
 def determinize(n: Nfa) -> Dfa:
     """Subset construction restricted to reachable subsets.
 
+    Subsets are masks, bit d for state d.  The successors of a subset under
+    every letter are the element-wise OR of its states' successor masks.
     Subsets are numbered in breadth-first discovery order (letters taken in
     alphabet order), so the result is reproducible; state 0 is the initial
     subset.
     """
-    start = frozenset(n.initials)
-    index = {start: 0}
-    order = [start]
-    delta = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        for a in n.alphabet:
-            dst = n.step_set(subset, a)
+    # succ[q][i]: the successor mask of state q under alphabet[i]
+    succ = [
+        tuple(_mask(n.delta.get((q, a), ())) for a in n.alphabet) for q in range(n.state_count)
+    ]
+    index = {_mask(n.initials): 0}
+    order = list(index)
+    table = []
+    for subset in order:
+        row = (0,) * len(n.alphabet)
+        for q in bits(subset):
+            row = map(or_, row, succ[q])
+        row = tuple(row)
+        for dst in dict.fromkeys(row):
             if dst not in index:
                 index[dst] = len(order)
                 order.append(dst)
-                queue.append(dst)
-            delta[(src, a)] = index[dst]
-    finals = {index[s] for s in order if s & n.finals}
-    return Dfa(len(order), n.alphabet, 0, finals, delta)
+        table.append(tuple(map(index.__getitem__, row)))
+    finals = _mask(n.finals)
+    return Dfa.of_table(
+        len(order), n.alphabet, 0, [i for i, s in enumerate(order) if s & finals], table
+    )
 
 
 def _accessible(d: Dfa) -> list[int]:
+    """Accessible states in breadth-first order from the initial state."""
     seen = {d.initial}
     order = [d.initial]
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for a in d.alphabet:
-            dst = d.delta[(q, a)]
+    for q in order:
+        for dst in dict.fromkeys(d.table[q]):
             if dst not in seen:
                 seen.add(dst)
                 order.append(dst)
-                queue.append(dst)
     return order
 
 
@@ -297,26 +365,24 @@ def minimize(d: Dfa) -> Dfa:
     identical outputs.
     """
     order = _accessible(d)
-    pos = {q: i for i, q in enumerate(order)}
-    succ = [tuple(pos[d.delta[(q, a)]] for a in d.alphabet) for q in order]
+    pos = dict(zip(order, range(len(order))))
+    succ = [tuple(map(pos.__getitem__, d.table[q])) for q in order]
     codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
 
-    # position 0 is the initial state
+    # the partition is stable, so any member stands for its class; position
+    # 0 is the initial state
+    rep = dict(zip(codes, range(len(codes))))
     renum = {codes[0]: 0}
-    reps = [0]
-    queue = deque([0])
-    while queue:
-        for i in succ[queue.popleft()]:
-            if codes[i] not in renum:
-                renum[codes[i]] = len(renum)
-                reps.append(i)
-                queue.append(i)
-    delta = {}
-    for c, rep in enumerate(reps):
-        for a, i in zip(d.alphabet, succ[rep]):
-            delta[(c, a)] = renum[codes[i]]
-    finals = {renum[codes[pos[q]]] for q in order if q in d.finals}
-    return Dfa(len(renum), d.alphabet, 0, finals, delta)
+    classes = [codes[0]]
+    for c in classes:
+        for dst in dict.fromkeys(map(codes.__getitem__, succ[rep[c]])):
+            if dst not in renum:
+                renum[dst] = len(classes)
+                classes.append(dst)
+    new = [renum[c] for c in codes]
+    table = [tuple(map(new.__getitem__, succ[rep[c]])) for c in classes]
+    finals = [new[i] for i, q in enumerate(order) if q in d.finals]
+    return Dfa.of_table(len(classes), d.alphabet, 0, finals, table)
 
 
 # --- JSON forms -------------------------------------------------------------
@@ -350,9 +416,9 @@ def dfa_to_json(d: Dfa) -> dict:
         "initial": d.initial,
         "finals": sorted(d.finals),
         "delta": [
-            [q, _thaw(a), d.delta[(q, a)]]
-            for q in range(d.state_count)
-            for a in d.alphabet
+            [q, _thaw(a), dst]
+            for q, row in enumerate(d.table)
+            for a, dst in zip(d.alphabet, row)
         ],
     }
 

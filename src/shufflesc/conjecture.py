@@ -26,6 +26,7 @@ from .monster import (
     Tableau,
     f_bound,
     reachable_tableaux,
+    scan_guard,
     valid_masks,
 )
 from .upair import (
@@ -81,13 +82,21 @@ class ConjectureReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _survey(m, n, conjecture, max_cells, depth_limit) -> ConjectureReport:
+def _survey(m, n, conjecture, max_cells, depth_limit, reach) -> ConjectureReport:
     """Diff the reached tableaux against the 2^(mn) scans of the valid and
     the dense masks.  When the search reached f(m, n) tableaux, both scans
     are skipped: every letter keeps a tableau valid, so reached is a subset
     of valid, and with f(m, n) members it is all of valid; dense tableaux
-    are valid, so none is unreached either."""
-    reach = reachable_tableaux(m, n, depth_limit=depth_limit, max_cells=max_cells)
+    are valid, so none is unreached either.  A given `reach` of the same
+    grid stands in for the search, and then `depth_limit` must be None."""
+    if reach is None:
+        reach = reachable_tableaux(m, n, depth_limit=depth_limit, max_cells=max_cells)
+    elif (reach.m, reach.n) != (m, n):
+        raise ValueError(f"reach is of a {reach.m}x{reach.n} grid, not {m}x{n}")
+    elif depth_limit is not None:
+        raise ValueError("depth_limit applies to a new search; pass it or reach, not both")
+    else:
+        scan_guard(m, n, max_cells)
     reached = reach.mask_depths
     missing = dense_unreached = ()
     if reach.count < f_bound(m, n):
@@ -117,17 +126,27 @@ def _survey(m, n, conjecture, max_cells, depth_limit) -> ConjectureReport:
 
 
 def check_conjecture1(
-    m: int, n: int, max_cells: int = 12, depth_limit: Optional[int] = None
+    m: int,
+    n: int,
+    max_cells: int = 12,
+    depth_limit: Optional[int] = None,
+    reach: Optional[ReachResult] = None,
 ) -> ConjectureReport:
-    """Reachable set versus all valid tableaux; holds iff nothing is missing."""
-    return _survey(m, n, 1, max_cells, depth_limit)
+    """Reachable set versus all valid tableaux; holds iff nothing is missing.
+    A precomputed `reach` of the same grid saves the search."""
+    return _survey(m, n, 1, max_cells, depth_limit, reach)
 
 
 def check_conjecture2(
-    m: int, n: int, max_cells: int = 12, depth_limit: Optional[int] = None
+    m: int,
+    n: int,
+    max_cells: int = 12,
+    depth_limit: Optional[int] = None,
+    reach: Optional[ReachResult] = None,
 ) -> ConjectureReport:
-    """Reachable set versus the dense tableaux only."""
-    return _survey(m, n, 2, max_cells, depth_limit)
+    """Reachable set versus the dense tableaux only.  A precomputed `reach`
+    of the same grid saves the search."""
+    return _survey(m, n, 2, max_cells, depth_limit, reach)
 
 
 # --- witness verification ----------------------------------------------------

@@ -18,16 +18,8 @@ from itertools import product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .automata import Dfa, Transformation, moore_refine, successor_rows
+from .automata import Dfa, Transformation, bits, moore_refine, successor_rows
 from .errors import SizeGuardError
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative mask, increasing."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class MonsterLetter(NamedTuple):
@@ -548,12 +540,10 @@ def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLette
     given letters.  `side` selects which component of each letter acts."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    letters = list(letters)
-    delta = {}
-    for q in range(size):
-        for letter in letters:
-            t = letter.left if side == "left" else letter.right
-            if t.size != size:
-                raise ValueError(f"letter {letter} does not act on {size} states")
-            delta[(q, letter)] = t(q)
-    return Dfa(size, tuple(letters), 0, frozenset(finals), delta)
+    letters = tuple(letters)
+    maps = [getattr(letter, side) for letter in letters]
+    for letter, t in zip(letters, maps):
+        if t.size != size:
+            raise ValueError(f"letter {letter} does not act on {size} states")
+    table = list(zip(*(t.images for t in maps))) if maps else [()] * size
+    return Dfa.of_table(size, letters, 0, finals, table)

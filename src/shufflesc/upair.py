@@ -24,15 +24,17 @@ from itertools import permutations, product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .automata import Transformation
+from .automata import Transformation, bits
 from .errors import SizeGuardError
-from .monster import MonsterLetter, Tableau, bits, mask_lines, scan_guard
+from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
 
 
 class SetVector:
     """An ordered vector of pairwise-disjoint finite sets of positive integers,
     each part held as a mask with bit x - 1 for element x: `v[i]` and
-    iteration yield masks, `support`, `key`, `to_lists` and `str` elements."""
+    iteration yield masks, `support`, `key`, `to_lists` and `str` elements.
+    A vector's memory therefore grows with its largest element, not with
+    its number of elements."""
 
     __slots__ = ("parts",)
 
@@ -283,8 +285,20 @@ class UPair:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "UPair":
-        """Inverse of `to_json`; a "k" field, when present, must be the grade."""
-        pair = cls(SetVector(obj["left"]), SetVector(obj["right"]))
+        """Inverse of `to_json`; a "k" field, when present, must be the grade.
+
+        A side's support is {1..2^k}, so none of its elements exceeds the
+        count of elements it lists; a larger one is refused before any mask
+        is built, which keeps the memory of a refusal small.
+        """
+        sides = []
+        for name in ("left", "right"):
+            parts = [[int(x) for x in p] for p in obj[name]]
+            listed = sum(map(len, parts))
+            if any(x > listed for p in parts for x in p):
+                raise ValueError(f"{name} side lists {listed} elements, none can exceed {listed}")
+            sides.append(SetVector(parts))
+        pair = cls(*sides)
         if "k" in obj and obj["k"] != pair.grade:
             raise ValueError(f"\"k\" is {obj['k']!r} but the pair has grade {pair.grade}")
         return pair

@@ -1,12 +1,15 @@
+import hashlib
 import json
+from collections import deque
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflesc import (
     Dfa,
+    MonsterLetter,
     Nfa,
     Transformation,
     determinize,
@@ -18,6 +21,7 @@ from shufflesc import (
     shuffle_nfa,
 )
 from shufflesc.automata import moore_refine, successor_rows
+from shufflesc.monster import monster_dfa
 
 
 def single_word_dfa(word, alphabet):
@@ -192,6 +196,197 @@ def nerode_class_count(d, max_len=6):
         return tuple(out)
 
     return len({signature(q) for q in reachable})
+
+
+def reference_determinize(n):
+    """Subset construction on frozensets and (state, letter) keys, the
+    reference the mask route of `determinize` must agree with."""
+    start = frozenset(n.initials)
+    index = {start: 0}
+    order = [start]
+    delta = {}
+    queue = deque([start])
+    while queue:
+        subset = queue.popleft()
+        src = index[subset]
+        for a in n.alphabet:
+            dst = n.step_set(subset, a)
+            if dst not in index:
+                index[dst] = len(order)
+                order.append(dst)
+                queue.append(dst)
+            delta[(src, a)] = index[dst]
+    finals = {index[s] for s in order if s & n.finals}
+    return Dfa(len(order), n.alphabet, 0, finals, delta)
+
+
+def reference_minimize(d):
+    """Moore refinement read through `d.delta`, classes renumbered in
+    breadth-first order from the initial class by a queue of
+    representatives: the reference of the table route of `minimize`."""
+    seen = {d.initial}
+    order = [d.initial]
+    queue = deque(order)
+    while queue:
+        q = queue.popleft()
+        for a in d.alphabet:
+            dst = d.delta[(q, a)]
+            if dst not in seen:
+                seen.add(dst)
+                order.append(dst)
+                queue.append(dst)
+    pos = {q: i for i, q in enumerate(order)}
+    succ = [tuple(pos[d.delta[(q, a)]] for a in d.alphabet) for q in order]
+    codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
+    renum = {codes[0]: 0}
+    reps = [0]
+    queue = deque([0])
+    while queue:
+        for i in succ[queue.popleft()]:
+            if codes[i] not in renum:
+                renum[codes[i]] = len(renum)
+                reps.append(i)
+                queue.append(i)
+    delta = {}
+    for c, rep in enumerate(reps):
+        for a, i in zip(d.alphabet, succ[rep]):
+            delta[(c, a)] = renum[codes[i]]
+    finals = {renum[codes[pos[q]]] for q in order if q in d.finals}
+    return Dfa(len(renum), d.alphabet, 0, finals, delta)
+
+
+def assert_same_dfa(got, want):
+    assert (got.state_count, got.alphabet, got.initial, got.finals) == (
+        want.state_count,
+        want.alphabet,
+        want.initial,
+        want.finals,
+    )
+    assert got.delta == want.delta
+    assert got == want
+
+
+# alphabets may be empty or repeat a letter
+alphabets = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
+
+
+@st.composite
+def drawn_nfas(draw):
+    """NFAs with possibly empty initial sets and successor sets, missing
+    (state, letter) entries and unreachable states."""
+    n = draw(st.integers(1, 5))
+    alphabet = draw(alphabets)
+    states = st.frozensets(st.integers(0, n - 1), max_size=n)
+    delta = {}
+    for q in range(n):
+        for a in dict.fromkeys(alphabet):
+            if draw(st.booleans()):
+                delta[(q, a)] = draw(states)
+    return Nfa(n, alphabet, draw(states), draw(states), delta)
+
+
+@st.composite
+def drawn_dfas(draw):
+    n = draw(st.integers(1, 6))
+    alphabet = draw(alphabets)
+    delta = {(q, a): draw(st.integers(0, n - 1)) for q in range(n) for a in dict.fromkeys(alphabet)}
+    finals = draw(st.frozensets(st.integers(0, n - 1)))
+    return Dfa(n, alphabet, draw(st.integers(0, n - 1)), finals, delta)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_nfas())
+    @example(Nfa(2, (), {0}, {0}, {}))  # empty alphabet
+    @example(Nfa(3, ("a", "b"), {0}, {2}, {(0, "a"): {1}}))  # states with no successors
+    @example(Nfa(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}}))
+    @example(Nfa(4, ("a",), {1}, {3}, {(1, "a"): {1}, (3, "a"): {0}}))  # 0, 2, 3 unreachable
+    def test_determinize(self, n):
+        det = determinize(n)
+        assert_same_dfa(det, reference_determinize(n))
+        assert_same_dfa(minimize(det), reference_minimize(det))
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_dfas())
+    @example(Dfa(3, (), 2, {0, 2}, {}))
+    @example(Dfa(2, ("a", "a"), 0, {1}, {(0, "a"): 1, (1, "a"): 1}))
+    @example(Dfa(4, ("a", "b"), 0, {3}, {(q, a): 0 for q in range(4) for a in "ab"}))
+    def test_minimize(self, d):
+        assert_same_dfa(minimize(d), reference_minimize(d))
+
+
+class TestTable:
+    def test_rows_in_alphabet_order(self):
+        d = Dfa(2, ("b", "a"), 0, {1}, {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1})
+        assert d.table == ((0, 1), (1, 1))
+        assert Dfa.of_table(2, ("b", "a"), 0, {1}, d.table) == d
+
+    def test_stray_dfa_keys_rejected(self):
+        delta = {(0, "a"): 1, (1, "a"): 0}
+        with pytest.raises(ValueError, match=r"delta key \(5, 'a'\) outside range\(2\)"):
+            Dfa(2, ("a",), 0, {0}, {**delta, (5, "a"): 0})
+        with pytest.raises(ValueError, match=r"delta key \(0, 'b'\) outside range\(2\)"):
+            Dfa(2, ("a",), 0, {0}, {**delta, (0, "b"): 1})
+        assert Dfa(2, ("a",), 0, {0}, delta).step(1, "a") == 0
+
+    def test_stray_nfa_letters_rejected(self):
+        with pytest.raises(ValueError, match="letter 'b' not in the alphabet"):
+            Nfa(2, ("a",), {0}, {1}, {(0, "a"): {1}, (1, "b"): {0}})
+
+    def test_of_table_checks_range_and_shape(self):
+        with pytest.raises(ValueError, match=r"delta\(1, 'b'\) = 2 out of range"):
+            Dfa.of_table(2, ("a", "b"), 0, {0}, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"delta\(0, 'a'\) = -1 out of range"):
+            Dfa.of_table(2, ("a",), 0, {0}, [(-1,), (0,)])
+        with pytest.raises(ValueError, match="table is not 2 rows of 1 successors"):
+            Dfa.of_table(2, ("a",), 0, {0}, [(0,), (0, 1)])
+        with pytest.raises(ValueError, match="table is not 2 rows"):
+            Dfa.of_table(2, ("a",), 0, {0}, [(0,)])
+        with pytest.raises(ValueError, match="final state out of range"):
+            Dfa.of_table(1, ("a",), 0, {1}, [(0,)])
+
+    def test_delta_view_built_from_table(self):
+        d = Dfa.of_table(2, ("a", "b"), 0, {1}, [(1, 0), (1, 1)])
+        assert d.delta == {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1}
+        assert d.run("ba") == 1 and d.accepts("ba") and not d.accepts("bb")
+
+
+def _digest(d):
+    return hashlib.sha256(json.dumps(dfa_to_json(d), sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedClassical:
+    """sha256 of the JSON form of the subset construction and its
+    minimization on the full letter set, recorded from the frozenset and
+    dict-keyed implementation."""
+
+    PINS = {
+        (2, 3, (1,), (1,)): (
+            "701de20a154289c840ca86cc1d3898c4258343be89ecf65dd8c638f1abd3552a",
+            "701de20a154289c840ca86cc1d3898c4258343be89ecf65dd8c638f1abd3552a",
+        ),
+        (3, 2, (1,), (1,)): (
+            "a01769d14b479c897f963b7f686179c80bb25072996a29240b444423ac9fea40",
+            "a01769d14b479c897f963b7f686179c80bb25072996a29240b444423ac9fea40",
+        ),
+        # minimization merges 44 subsets into 3 classes here
+        (2, 3, (0, 1), (1,)): (
+            "41b514d4b6c780d96858642f7820e3614742ea425d66ffa92f69896f2f3e1802",
+            "a03bd23529444b62def1944c68e4f12a4afb5e39ebf0b5c5d954dbda70309f48",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_digests(self, case):
+        m, n, f1, f2 = case
+        letters = [
+            MonsterLetter(Transformation(f), Transformation(g))
+            for f in product(range(m), repeat=m)
+            for g in product(range(n), repeat=n)
+        ]
+        k = monster_dfa(m, f1, letters, "left")
+        det = determinize(shuffle_nfa(k, monster_dfa(n, f2, letters, "right")))
+        assert (_digest(det), _digest(minimize(det))) == self.PINS[case]
 
 
 class TestMooreRefine:

@@ -92,6 +92,18 @@ class TestConjecture1:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             check_conjecture1(4, 4)
+        with pytest.raises(SizeGuardError):
+            check_conjecture1(2, 3, max_cells=4, reach=reachable_tableaux(2, 3))
+
+    def test_given_reach(self):
+        for check in (check_conjecture1, check_conjecture2):
+            for reach in (reachable_tableaux(3, 3), reachable_tableaux(3, 3, depth_limit=1)):
+                got = check(3, 3, reach=reach).json_dumps()
+                assert got == check(3, 3, depth_limit=None if reach.complete else 1).json_dumps()
+            with pytest.raises(ValueError, match="reach is of a 2x3 grid, not 3x2"):
+                check(3, 2, reach=reachable_tableaux(2, 3))
+            with pytest.raises(ValueError, match="pass it or reach, not both"):
+                check(2, 2, depth_limit=1, reach=reachable_tableaux(2, 2))
 
 
 class TestConjecture2:

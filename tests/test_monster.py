@@ -513,20 +513,24 @@ class TestMonsterDfa:
         with pytest.raises(ValueError):
             monster_dfa(5, {0}, list(fig1_letters), "left")
 
+    def test_table_and_delta_agree(self, fig1_letters):
+        letters = list(fig1_letters)
+        k = monster_dfa(4, {3}, letters, "left")
+        assert k.table == tuple(tuple(a.left(q) for a in letters) for q in range(4))
+        assert k.delta == {(q, a): a.left(q) for q in range(4) for a in letters}
+        empty = monster_dfa(3, {0}, [], "right")
+        assert (empty.table, empty.delta) == (((),) * 3, {})
+
     def test_minimized_shuffle_matches_tableau_count(self):
         # classical pipeline (shuffle NFA, subset construction, minimization)
         # against the tableau machinery, over the full letter set and the
         # maximizing final sets
         from shufflesc import determinize, minimize, shuffle_nfa
 
-        for m, n in ((2, 2), (2, 3)):
+        for m, n in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
             res = state_complexity_shuffle(m, n)
             f1, f2 = res.witness()
-            letters = [
-                MonsterLetter(Transformation(f), Transformation(g))
-                for f in product(range(m), repeat=m)
-                for g in product(range(n), repeat=n)
-            ]
+            letters = all_letters(m, n)
             k = monster_dfa(m, f1, letters, "left")
             l = monster_dfa(n, f2, letters, "right")
             minimal = minimize(determinize(shuffle_nfa(k, l)))

@@ -1,6 +1,10 @@
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import shufflesc
+from shufflesc import conjecture, monster
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,6 +23,43 @@ def test_conjecture_sweep_smoke():
     assert proc.returncode == 0, proc.stderr
     assert "holds" in proc.stdout
     assert " 2  2 " in proc.stdout
+
+
+# the rows of `conjecture_sweep.py --max-cells 8 --sc-cells 8` without their
+# timing column, recorded when the sweep searched twice per size
+SWEEP_ROWS = """\
+ m  n  reachable     f(m,n)   status  depth         sc  finals
+--------------------------------------------------------------
+ 1  1          1          1    holds      0          1  F1=[0] F2=[0]
+ 1  2          2          2    holds      1          2  F1=[0] F2=[1]
+ 1  3          4          4    holds      2          3  F1=[0] F2=[1]
+ 1  4          8          8    holds      2          5  F1=[0] F2=[1]
+ 1  5         16         16    holds      3          9  F1=[0] F2=[1]
+ 1  6         32         32    holds      3         17  F1=[0] F2=[1]
+ 1  7         64         64    holds      3         33  F1=[0] F2=[1]
+ 1  8        128        128    holds      3         65  F1=[0] F2=[1]
+ 2  2         10         10    holds      2         10  F1=[0] F2=[0]
+ 2  3         44         44    holds      3         44  F1=[0] F2=[0]
+ 2  4        184        184    holds      3        184  F1=[0] F2=[0]
+""".splitlines()
+
+
+def test_conjecture_sweep_searches_once_per_size(monkeypatch, capsys):
+    calls = []
+    search = monster.reachable_tableaux
+
+    def spy(m, n, *args, **kwargs):
+        calls.append((m, n))
+        return search(m, n, *args, **kwargs)
+
+    for module in (shufflesc, monster, conjecture):
+        monkeypatch.setattr(module, "reachable_tableaux", spy)
+    sweep = runpy.run_path(str(SCRIPTS / "conjecture_sweep.py"))
+    monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--max-cells", "8", "--sc-cells", "8"])
+    assert sweep["main"]() == 0
+    rows = [line.rsplit("   (", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert rows == SWEEP_ROWS
+    assert calls == [(1, n) for n in range(1, 9)] + [(2, 2), (2, 3), (2, 4)]
 
 
 def test_enumeration_tables_smoke():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -386,6 +387,18 @@ class TestUPair:
         with pytest.raises(ValueError, match="grade 0"):
             UPair.from_json({"k": 7, "left": [[1]], "right": [[1]]})
         assert UPair.from_json({"left": [[1]], "right": [[1]]}).grade == 0
+
+    def test_json_large_element_refused_before_masks(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="left side lists 1 elements, none can exceed 1"):
+                UPair.from_json({"left": [[10**8]], "right": [[1]]})
+            with pytest.raises(ValueError, match="right side lists 4 elements"):
+                UPair.from_json({"left": [[1, 2], [3, 4]], "right": [[1, 2, 3], [10**12]]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestProjection:
