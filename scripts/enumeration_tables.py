@@ -18,7 +18,7 @@ from shufflesc import (
     matrix_A,
     matrix_B,
     matrix_S,
-    r_total,
+    r_totals,
 )
 
 
@@ -39,7 +39,7 @@ def main():
             sys.exit(f"factorization check failed: S_{n} != B (x) A_{n} entrywise")
         print(f"S_{n} (= B (x) A_{n} entrywise):")
         print(fmt_matrix(s.rows))
-        totals = [r_total(n, k) for k in range(args.kmax + 1)]
+        totals = r_totals(n, args.kmax)
         print(f"totals k=0..{args.kmax}: {', '.join(map(str, totals))}")
         coeffs = closed_form_coeffs(n)
         terms = " + ".join(

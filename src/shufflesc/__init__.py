@@ -40,6 +40,7 @@ from .enumeration import (
     matrix_S,
     r_stirling2,
     r_total,
+    r_totals,
     series_closed,
     series_direct,
     stirling2,

@@ -26,9 +26,13 @@ def bits(mask: int) -> Iterator[int]:
 
 
 class Transformation:
-    """A total map of {0..n-1} into itself, stored as its tuple of images."""
+    """A total map of {0..n-1} into itself, stored as its tuple of images.
 
-    __slots__ = ("images",)
+    The hash of the images is computed once, at construction: letters are
+    dict keys in the automata over the full letter set, so a key would
+    otherwise rehash its images on every lookup."""
+
+    __slots__ = ("images", "_hash")
 
     def __init__(self, images: Iterable[int]):
         images = tuple(int(i) for i in images)
@@ -36,6 +40,7 @@ class Transformation:
         if any(not 0 <= i < n for i in images):
             raise ValueError(f"images {images} not within range({n})")
         self.images = images
+        self._hash = hash(images)
 
     @property
     def size(self) -> int:
@@ -85,7 +90,7 @@ class Transformation:
         return isinstance(other, Transformation) and self.images == other.images
 
     def __hash__(self):
-        return hash(self.images)
+        return self._hash
 
     def __repr__(self):
         return f"Transformation({list(self.images)})"

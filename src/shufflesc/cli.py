@@ -21,7 +21,7 @@ from .enumeration import (
     lower_bound_ie,
     matrix_power,
     matrix_S,
-    r_total,
+    r_totals,
     series_closed,
     series_direct,
     succ_count,
@@ -253,7 +253,7 @@ def _cmd_matrix(args):
 
 
 def _cmd_sequence(args):
-    values = [r_total(args.n, k) for k in range(args.kmax + 1)]
+    values = r_totals(args.n, args.kmax)
     if args.fmt == "json":
         _emit(args, _json_dumps({"n": args.n, "values": values}))
     elif args.fmt == "csv":

@@ -153,10 +153,22 @@ def check_conjecture2(
 
 
 @lru_cache(maxsize=None)
-def _graded_all_parts_nonempty(n: int, k: int) -> tuple:
-    return tuple(
-        v for v in generate_graded(n, k) if v.nonempty_count() == n
-    )
+def _left_first_parts(n: int, k: int) -> frozenset:
+    """Indices j such that some grade-k right-valid rho of length n with all
+    parts nonempty is left-valid at grade k once reordered with part j
+    first."""
+    found = set()
+    for rho in generate_graded(n, k):
+        if rho.nonempty_count() < n:
+            continue
+        for j in range(n):
+            if j not in found:
+                rest = rho.parts[:j] + rho.parts[j + 1:]
+                if is_lvalid(SetVector.of_masks((rho[j],) + rest), k):
+                    found.add(j)
+        if len(found) == n:
+            break
+    return frozenset(found)
 
 
 def permutation_min_grade(sigma: Transformation, k_max: int) -> Optional[int]:
@@ -164,9 +176,21 @@ def permutation_min_grade(sigma: Transformation, k_max: int) -> Optional[int]:
 
     For a permutation tableau the left vector is forced part-by-part by the
     right one (left[i] = right[sigma(i)]), so it suffices to scan the grade-k
-    right-valid vectors with all parts nonempty and test left validity.  By
-    the path correspondence this grade equals the least number of steps
-    needed to reach the tableau from {(0, 0)}.
+    right-valid vectors rho with all parts nonempty and test left validity
+    of [rho[sigma(0)], ..., rho[sigma(n-1)]].  By the path correspondence
+    this grade equals the least number of steps needed to reach the tableau
+    from {(0, 0)}.
+
+    That test depends on sigma only through sigma(0).  `is_lvalid` bounds
+    the union, which reordering keeps, and tests `is_rvalid` of the mirror.
+    `mirror` acts part by part, so it commutes with reordering the parts.
+    `is_rvalid` reads the order of the parts in one place only, "element 1
+    lies in part 0"; its union test and its half-block test quantify over
+    the set of parts.  Mirrored, element 1 is element 2^k of the part placed
+    first, rho[sigma(0)].  So the reordering is left-valid exactly when rho
+    reordered with part sigma(0) first is, whatever the order of the rest,
+    and the grade is the least k at which sigma(0) is in
+    `_left_first_parts(n, k)`, which is decided once per (n, k).
     """
     n = sigma.size
     if not sigma.is_permutation():
@@ -174,10 +198,8 @@ def permutation_min_grade(sigma: Transformation, k_max: int) -> Optional[int]:
     for k in range(k_max + 1):
         if (1 << k) < n:
             continue  # fewer stamps than nonempty parts needed
-        for rho in _graded_all_parts_nonempty(n, k):
-            left = SetVector.of_masks([rho[j] for j in sigma.images])
-            if is_lvalid(left, k):
-                return k
+        if sigma(0) in _left_first_parts(n, k):
+            return k
     return None
 
 
@@ -247,14 +269,20 @@ def verify_witnesses(
     Every permutation tableau of size n must be hit by its constructed pair
     at the predicted grade, and that grade must be minimal (the minimal
     grade equals the breadth-first depth; when a precomputed reach result is
-    supplied the depth is read from it as a cross-check instead).  The full
-    m x n tableau must be hit by its pair as well.
+    supplied the depth is read from it as a cross-check instead, so it must
+    be a complete reach of the n x n grid).  The full m x n tableau must be
+    hit by its pair as well.
     """
     if n > max_permutation_size:
         raise SizeGuardError(
             f"verifying {n}! permutations exceeds the guard of "
             f"{max_permutation_size}!; raise max_permutation_size to override"
         )
+    if reach is not None:
+        if (reach.m, reach.n) != (n, n):
+            raise ValueError(f"reach is of a {reach.m}x{reach.n} grid, not {n}x{n}")
+        if not reach.complete:
+            raise ValueError("reach is incomplete, so a depth may be missing from it")
     cases = []
     for images in permutations(range(n)):
         sigma = Transformation(images)
@@ -264,7 +292,7 @@ def verify_witnesses(
         if not check_depths:
             depth = None
         elif reach is not None:
-            depth = reach.mask_depths[target.mask] if target in reach else None
+            depth = reach.mask_depths[target.mask]
         else:
             depth = permutation_min_grade(sigma, expected + 1)
         cases.append(

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Iterable, Mapping, Optional
+from math import comb, factorial, prod
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import SizeGuardError
-from .upair import SetVector, successors
+from .upair import SetVector, sort_canonically, successors
 
 
 @lru_cache(maxsize=None)
@@ -98,9 +99,10 @@ def successor_vectors(
             f"{n}^{l} maps exceed the guard of {max_maps}; raise max_maps to override"
         )
     buckets: dict[int, list[SetVector]] = {}
-    for v in set(successors(canonical_vector(l, n))):
+    for parts in set(successors(canonical_vector(l, n))):
+        v = SetVector.of_masks(parts)
         buckets.setdefault(v.nonempty_count(), []).append(v)
-    return {key: sorted(vs, key=SetVector.key) for key, vs in sorted(buckets.items())}
+    return {key: sort_canonically(vs) for key, vs in sorted(buckets.items())}
 
 
 def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
@@ -247,6 +249,25 @@ def r_total(n: int, k: int) -> int:
     return matrix_power(matrix_S(n), k).row_sum(0)
 
 
+def graded_rows(n: int, kmax: int) -> Iterator[tuple]:
+    """The first rows of (S_n)^k for k = 0..kmax, each one vector-matrix
+    product from the last: entry l - 1 of row k is graded_count(n, k, l)."""
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    cols = list(zip(*matrix_S(n).rows))
+    row = (1,) + (0,) * (n - 1)
+    yield row
+    for _ in range(kmax):
+        row = tuple(sum(map(mul, row, col)) for col in cols)
+        yield row
+
+
+def r_totals(n: int, kmax: int) -> list[int]:
+    """[r_total(n, k) for k = 0..kmax], walking the first row of (S_n)^k
+    once instead of raising S_n to every power."""
+    return [sum(row) for row in graded_rows(n, kmax)]
+
+
 def u_total(m: int, n: int, k: int) -> int:
     """Number of grade-k pairs: the two sides are independent, so the count
     is the product of the side totals."""
@@ -256,37 +277,30 @@ def u_total(m: int, n: int, k: int) -> int:
 # --- closed forms -----------------------------------------------------------
 
 
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fractions; raises on a singular system."""
-    size = len(b)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if m[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(size):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [m[r][size] for r in range(size)]
-
-
 def closed_form_coeffs(n: int) -> list[Fraction]:
     """Rationals a_1..a_n with r_total(n, k) = sum of a_i (i^i)^k for all k.
 
     The totals satisfy a linear recurrence with the distinct characteristic
-    roots 1^1, ..., n^n (the diagonal of S_n), so the coefficients solve a
-    Vandermonde-type system built from k = 0..n-1; the result reproduces all
-    higher k exactly.
+    roots x_i = i^i (the diagonal of S_n), so the coefficients solve the
+    Vandermonde system sum of a_i x_i^k = r_total(n, k) for k = 0..n-1; the
+    result reproduces all higher k exactly.  The inverse of the system is
+    the Lagrange basis: with L_i(t) = product over j != i of (t - x_j),
+    a_i = (sum over k of [t^k] L_i * r_total(n, k)) / L_i(x_i).  Everything
+    stays in integers up to that one division per coefficient.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    a = [[Fraction((i ** i) ** k) for i in range(1, n + 1)] for k in range(n)]
-    b = [Fraction(r_total(n, k)) for k in range(n)]
-    return _solve_exact(a, b)
+    roots = [i**i for i in range(1, n + 1)]
+    totals = r_totals(n, n - 1)
+    coeffs = []
+    for x in roots:
+        basis = [1]  # coefficients of L_i, lowest degree first
+        for y in roots:
+            if y != x:
+                basis = [a - y * b for a, b in zip([0] + basis, basis + [0])]
+        at_x = prod(x - y for y in roots if y != x)
+        coeffs.append(Fraction(sum(map(mul, basis, totals)), at_x))
+    return coeffs
 
 
 def lower_bound_ie(m: int, n: int) -> int:

@@ -167,16 +167,18 @@ def succ_elem(v: SetVector, t: Transformation, side: str = "right") -> SetVector
     raise ValueError("side must be 'left' or 'right'")
 
 
-def successors(p: SetVector) -> Iterator[SetVector]:
-    """succ_right(p, g) for every map g on the occupied parts of p, the
-    others fixed; distinct such maps give distinct successors."""
-    n = len(p)
-    occupied = [i for i, part in enumerate(p.parts) if part]
-    g = list(range(n))
-    for images in product(range(n), repeat=len(occupied)):
-        for i, target in zip(occupied, images):
-            g[i] = target
-        yield succ_right(p, Transformation(g))
+def successors(p: Sequence[int]) -> Iterator[tuple]:
+    """The parts of succ_right(p, g), as a tuple of masks, for every map g
+    on the occupied parts of p (a SetVector or its masks), the others
+    fixed; distinct such maps give distinct successors.  Maps run in
+    `product` order over the occupied parts."""
+    r = reduce(or_, p, 0).bit_length()
+    occupied = [(i, part << r) for i, part in enumerate(p) if part]
+    for images in product(range(len(p)), repeat=len(occupied)):
+        out = list(p)
+        for (i, moved), t in zip(occupied, images):
+            out[t] |= moved
+        yield tuple(out)
 
 
 def mirror(v: SetVector, k: Optional[int] = None) -> SetVector:
@@ -218,17 +220,29 @@ def is_lvalid(v: SetVector, k: int) -> bool:
     return not v._union() >> (1 << k) and is_rvalid(mirror(v, k), k)
 
 
+def sort_canonically(vectors: Iterable[SetVector]) -> list[SetVector]:
+    """`sorted(vectors, key=SetVector.key)`, faster: each part is compared
+    by its rank among the distinct parts, in the order of their element
+    tuples, which is the order `key` compares them in."""
+    vectors = list(vectors)
+    parts = {p for v in vectors for p in v.parts}
+    rank = {p: i for i, p in enumerate(sorted(parts, key=lambda p: tuple(bits(p))))}
+    return sorted(vectors, key=lambda v: tuple(map(rank.__getitem__, v.parts)))
+
+
 def generate_graded(
     n: int, k: int, side: str = "right", max_count: int = 2_000_000
 ) -> list[SetVector]:
     """The full grade-k family of valid vectors of length n, sorted canonically.
 
-    Generated by iterating `successors` from the base vector.  `max_count`
-    bounds the maps tried in each grade, the sum of n^(occupied parts) over
-    the vectors of the grade before.  That sum is taken from the exact
-    counts of vectors by occupied parts (`enumeration.graded_count`) before
-    any map is tried, so a run beyond the guard is refused at once.  It is
-    at least the number of vectors the grade yields.
+    Generated by iterating `successors` on tuples of masks from the base
+    vector; each distinct tuple of the last grade becomes one validated
+    `SetVector`.  `max_count` bounds the maps tried in each grade, the sum
+    of n^(occupied parts) over the vectors of the grade before.  That sum
+    is taken from the exact counts of vectors by occupied parts
+    (`enumeration.graded_count`) before any map is tried, so a run beyond
+    the guard is refused at once.  It is at least the number of vectors the
+    grade yields.
     """
     from .enumeration import graded_count  # enumeration imports this module
 
@@ -243,12 +257,14 @@ def generate_graded(
                 f"grade {grade + 1} of length-{n} vectors tries {tries} maps, "
                 f"beyond the guard of {max_count}; raise max_count to override"
             )
-    level = {SetVector.base(n)}
+    level = {SetVector.base(n).parts}
     for _ in range(k):
         level = {s for p in level for s in successors(p)}
+    vectors = [SetVector.of_masks(parts) for parts in level]
+    del level  # the vectors share their part tuples with the set
     if side == "left":
-        level = {mirror(v, k) for v in level}
-    return sorted(level, key=SetVector.key)
+        vectors = [mirror(v, k) for v in vectors]
+    return sort_canonically(vectors)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,13 @@ class TestTransformation:
         with pytest.raises(ValueError):
             Transformation([0, 0]).inverse()
 
+    def test_hash_is_that_of_the_images(self):
+        t = Transformation([2, 0, 1])
+        assert hash(t) == hash(t.images) == hash(Transformation((2, 0, 1)))
+        assert t == Transformation.cycle(3, [0, 2, 1]) and repr(t) == "Transformation([2, 0, 1])"
+        assert hash(t) == hash(Transformation.cycle(3, [0, 2, 1]))
+        assert len({t, Transformation([2, 0, 1]), Transformation.identity(3)}) == 2
+
 
 class TestShuffleNfa:
     def test_eps_shuffle_eps(self):

@@ -312,8 +312,10 @@ class TestOutputFile:
 
 class TestPinnedOutputs:
     """sha256 of whole CLI outputs, recorded before the refactors they guard:
-    the reach, sc and conjecture outputs before the mask-line kernel, and the
-    graded, witness and succ outputs before set-vector parts became masks."""
+    the reach, sc and conjecture outputs before the mask-line kernel, the
+    graded, witness and succ outputs before set-vector parts became masks,
+    and `succ 7 5 2 --oracle`, sequence and coeffs before successors became
+    mask tuples and the totals one walk along the first row."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -340,6 +342,16 @@ class TestPinnedOutputs:
              "b99e1de613c596b44f0222be75a8f43674a1bab5df91111d4cf550f840c171dd"),
             (["--format", "json", "succ", "5", "3", "1", "--oracle"],
              "f33e0012bfe0b0c73d9106c29e7dd510be8650d17e609cc447a26404b4bf7b6f"),
+            (["succ", "7", "5", "2", "--oracle"],
+             "c7abf0a1d79e621c0bee8014155c190b6cac40d8a0f8873460a4e5f6b89141d8"),
+            (["sequence", "10", "200"],
+             "5877cf158b2779615db80f16eb1199cd879d8aea8eaf8f04777687867e45155b"),
+            (["--format", "json", "sequence", "12", "60"],
+             "e3b17913f0fbe76bb26a9b1b2eea3d360a8e4551753e1c1db20267a62467eeef"),
+            (["coeffs", "20"],
+             "c4e4a868319f5470d1f500dcc2e771480163fc5c086a138089793a3bfdca4012"),
+            (["--format", "json", "coeffs", "9"],
+             "ba0e4160d37b0965163fe3311395bf1cad0ba5940add608780e56339616bfd28"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):

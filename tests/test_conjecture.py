@@ -1,3 +1,9 @@
+import hashlib
+import json
+import random
+from functools import cache
+from itertools import permutations
+
 import pytest
 
 from shufflesc import (
@@ -13,7 +19,25 @@ from shufflesc import (
 from shufflesc import conjecture
 from shufflesc.conjecture import expected_permutation_grade, permutation_min_grade
 from shufflesc.monster import all_valid_tableaux
-from shufflesc.upair import enumerate_dense
+from shufflesc.upair import SetVector, enumerate_dense, generate_graded, is_lvalid
+
+
+@cache
+def all_parts_nonempty(n, k):
+    return [v for v in generate_graded(n, k) if v.nonempty_count() == n]
+
+
+def reference_min_grade(sigma, k_max):
+    """`permutation_min_grade` as one scan per permutation: the least grade
+    with a right vector rho whose reordering [rho[sigma(i)]] is left-valid."""
+    n = sigma.size
+    for k in range(k_max + 1):
+        if (1 << k) < n:
+            continue
+        for rho in all_parts_nonempty(n, k):
+            if is_lvalid(SetVector.of_masks([rho[j] for j in sigma.images]), k):
+                return k
+    return None
 
 
 class TestConjecture1:
@@ -147,13 +171,32 @@ class TestWitnessVerification:
             depths_grade = {c.detail: c.depth for c in rep_grade.cases if c.kind == "permutation"}
             assert depths_bfs == depths_grade
 
-    def test_reach_of_another_grid_gives_no_depth(self):
+    def test_reach_of_another_grid_refused(self):
         # a 3x2 reach holds masks of the 2x2 permutation tableaux' cells,
         # but those are other tableaux, so no depth may be read from it
-        rep = verify_witnesses(3, 2, reach=reachable_tableaux(3, 2))
-        perms = [c for c in rep.cases if c.kind == "permutation"]
-        assert len(perms) == 2 and all(c.depth is None for c in perms)
-        assert rep.ok()
+        with pytest.raises(ValueError, match="reach is of a 3x2 grid, not 2x2"):
+            verify_witnesses(3, 2, reach=reachable_tableaux(3, 2))
+
+    def test_depth_limited_reach_refused(self):
+        # a search cut at depth 1 misses targets, whose depths would go unchecked
+        with pytest.raises(ValueError, match="incomplete"):
+            verify_witnesses(3, 3, reach=reachable_tableaux(3, 3, depth_limit=1))
+        # cut at depth 4, the search still holds all f(3, 3) tableaux
+        reach = reachable_tableaux(3, 3, depth_limit=4)
+        assert reach.complete
+        assert verify_witnesses(3, 3, reach=reach).to_json() == verify_witnesses(3, 3).to_json()
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (5, "76990b6aad17cae6446473dc16adc18106f31cfaf70ccdcc420118f1cf94fe96"),
+            (6, "8a34bded783eabb66dc2a2dc15346282603a2095fa54e939ad23af25c29cc875"),
+        ],
+    )
+    def test_report_digest(self, n, digest):
+        # recorded when every permutation was scanned on its own
+        body = json.dumps(verify_witnesses(n, n).to_json(), sort_keys=True)
+        assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
 
     def test_size_four_exercises_grade_search(self):
         # n = 4 has fixed-zero permutations whose minimal depth exceeds
@@ -185,9 +228,23 @@ class TestMinGrade:
         assert expected_permutation_grade(Transformation([0, 1, 2, 3])) == 3
         assert expected_permutation_grade(Transformation([1, 2, 3, 0])) == 2
 
-    def test_min_grade_matches_bfs(self):
-        from itertools import permutations
+    def test_min_grade_matches_per_permutation_scan(self):
+        for n in range(1, 5):
+            for images in permutations(range(n)):
+                sigma = Transformation(images)
+                for k_max in range(expected_permutation_grade(sigma) + 2):
+                    assert permutation_min_grade(sigma, k_max) == reference_min_grade(sigma, k_max)
 
+    def test_min_grade_matches_per_permutation_scan_n5(self):
+        rng = random.Random(5)
+        sample = rng.sample(list(permutations(range(5))), 20)
+        assert {images[0] for images in sample} == set(range(5))
+        for images in sample:
+            sigma = Transformation(images)
+            k_max = expected_permutation_grade(sigma) + 1
+            assert permutation_min_grade(sigma, k_max) == reference_min_grade(sigma, k_max)
+
+    def test_min_grade_matches_bfs(self):
         for n in (2, 3):
             reach = reachable_tableaux(n, n)
             for images in permutations(range(n)):

@@ -17,12 +17,13 @@ from shufflesc import (
     matrix_S,
     r_stirling2,
     r_total,
+    r_totals,
     stirling2,
     succ_count,
     succ_count_oracle,
     u_total,
 )
-from shufflesc.enumeration import canonical_vector, successor_vectors
+from shufflesc.enumeration import canonical_vector, graded_rows, successor_vectors
 
 S_DISPLAYS = {
     2: [[1, 1], [0, 4]],
@@ -284,6 +285,17 @@ class TestTotals:
             for l in range(1, n + 1):
                 assert graded_count(n, k, l) == by_parts.get(l, 0)
             assert r_total(n, k) == len(vectors)
+
+    def test_totals_walk_matches_matrix_powers(self):
+        for n in range(1, 9):
+            assert r_totals(n, 30) == [r_total(n, k) for k in range(31)]
+            for k, row in enumerate(graded_rows(n, 30)):
+                assert row == tuple(graded_count(n, k, l) for l in range(1, n + 1))
+        assert r_totals(3, 0) == [1]
+        with pytest.raises(ValueError):
+            r_totals(3, -1)
+        with pytest.raises(ValueError):
+            r_totals(0, 3)
 
     def test_u_total(self):
         assert u_total(2, 2, 2) == 36

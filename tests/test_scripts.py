@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 import subprocess
 import sys
@@ -67,6 +68,14 @@ def test_enumeration_tables_smoke():
     assert proc.returncode == 0, proc.stderr
     assert "closed form: (2/3)*1^k + (1/3)*4^k" in proc.stdout
     assert "1, 2, 6, 22, 86" in proc.stdout
+
+
+def test_enumeration_tables_pinned():
+    # recorded when the totals were one matrix power per k
+    proc = run_script("enumeration_tables.py", "--max-n", "5", "--kmax", "12")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+    assert digest == "d1f8ae99c9c86b3d8c67c09d3882de773a03237eccc351adce2aecfc49863527"
 
 
 def test_enumeration_tables_checks_under_O():

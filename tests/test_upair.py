@@ -29,6 +29,7 @@ from shufflesc import (
     tableau_step,
     union_vec,
 )
+from shufflesc.upair import sort_canonically, successors
 
 
 def sv(*parts):
@@ -328,6 +329,30 @@ class TestGenerateGraded:
         assert len(generate_graded(3, 3, max_count=363)) == 363
         with pytest.raises(SizeGuardError, match="grade 3 of length-3 vectors tries 363 maps"):
             generate_graded(3, 3, max_count=362)
+
+
+class TestSuccessors:
+    def test_masks_match_succ_right(self):
+        # every map on the occupied parts, in product order, others fixed
+        for n in range(1, 5):
+            for k in range(3):
+                for v in generate_graded(n, k):
+                    occupied = [i for i, part in enumerate(v) if part]
+                    expected = []
+                    for images in product(range(n), repeat=len(occupied)):
+                        g = list(range(n))
+                        for i, t in zip(occupied, images):
+                            g[i] = t
+                        expected.append(succ_right(v, Transformation(g)).parts)
+                    assert list(successors(v)) == expected
+                    assert list(successors(v.parts)) == expected
+
+    def test_sort_canonically_matches_key_order(self):
+        rng = random.Random(3)
+        vectors = generate_graded(4, 2) + generate_graded(3, 2) + generate_graded(2, 3, side="left")
+        rng.shuffle(vectors)
+        assert sort_canonically(vectors) == sorted(vectors, key=SetVector.key)
+        assert sort_canonically([]) == []
 
 
 class TestPOfPath:
