@@ -319,6 +319,14 @@ def lower_bound_ie(m: int, n: int) -> int:
 # --- truncated bivariate series ---------------------------------------------
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; a float is refused rather than stored as its binary
+    fraction."""
+    if isinstance(c, float):
+        raise TypeError(f"series coefficients must be exact, not the float {c!r}")
+    return Fraction(c)
+
+
 class TruncatedSeries:
     """Bivariate power series over exact rationals, truncated to the
     rectangle x-degree <= max_x, y-degree <= max_y.
@@ -336,7 +344,7 @@ class TruncatedSeries:
         self.coeffs: dict[tuple[int, int], Fraction] = {}
         if coeffs:
             for (ex, ey), c in coeffs.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c and ex <= max_x and ey <= max_y:
                     self.coeffs[(ex, ey)] = c
 
@@ -371,7 +379,7 @@ class TruncatedSeries:
             return TruncatedSeries(
                 self.max_x,
                 self.max_y,
-                {k: c * Fraction(other) for k, c in self.coeffs.items()},
+                {k: c * _exact(other) for k, c in self.coeffs.items()},
             )
         self._same_box(other)
         out: dict[tuple[int, int], Fraction] = {}
@@ -435,14 +443,74 @@ def _lambert_w_xy(d: int) -> dict[int, Fraction]:
     }
 
 
+def _scaled_blocks(blocks: list[dict[int, Fraction]]) -> list[dict[int, int]]:
+    """Block k (x-degree -> coefficient of x^e y^k) times k!, as integers.
+
+    The recurrences of `series_closed` stay in integers only if every such
+    product is one; a coefficient for which it is not is an internal fault,
+    not bad input, hence RuntimeError."""
+    scaled = []
+    for k, block in enumerate(blocks):
+        out = {}
+        for ex, c in block.items():
+            n = Fraction(c) * factorial(k)
+            if n.denominator != 1:
+                raise RuntimeError(
+                    f"the x^{ex} y^{k} coefficient {c} is not integral at {k}!"
+                )
+            out[ex] = n.numerator
+        scaled.append(out)
+    return scaled
+
+
+def _add_product(acc: dict, scale: int, p: dict, q: dict, max_x: int) -> None:
+    """acc += scale * p * q over x-degrees up to max_x."""
+    for e1, c1 in p.items():
+        c1 *= scale
+        for e2, c2 in q.items():
+            if e1 + e2 <= max_x:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+
+
+def _recurrence_blocks(a: list[dict], coef, max_x: int) -> list[dict]:
+    """out_0 = 1 and out_n = sum over k = 1..n of coef(n, k) a_k out_(n-k),
+    for a with a_0 = 0.  With a_k = k! A_k and out_n = n! times block n:
+
+    - exp(A): the y-derivative gives n E_n = sum of k A_k E_(n-k), which
+      scaled by (n-1)! has coef(n, k) = C(n-1, k-1);
+    - 1 / (1 + A): (1 + A) H = 1 gives coef(n, k) = -C(n, k).
+    """
+    out = [{0: 1}]
+    for n in range(1, len(a)):
+        acc: dict[int, int] = {}
+        for k in range(1, n + 1):
+            _add_product(acc, coef(n, k), a[k], out[n - k], max_x)
+        out.append(acc)
+    return out
+
+
+def _product_blocks(p: list[dict], q: list[dict], max_x: int) -> list[dict]:
+    """n! (P Q)_n = sum of C(n, k) (k! P_k) ((n-k)! Q_(n-k))."""
+    out = []
+    for n in range(len(p)):
+        acc: dict[int, int] = {}
+        for k in range(n + 1):
+            _add_product(acc, comb(n, k), p[k], q[n - k], max_x)
+        out.append(acc)
+    return out
+
+
 def series_closed(d: int, max_blocks_guard: int = 64) -> TruncatedSeries:
     """The same generating function from its closed form
 
         exp(-(W(-x y)/y + x)) / (1 + W(-x y)).
 
     W(-x y)/y has the single y-degree-0 term -x, cancelled exactly by the +x,
-    so the exponent argument and the reciprocal expansion both live in
-    positive y-degrees and the truncated algebra is exact blockwise.
+    so the exponent argument and W both live in positive y-degrees and the
+    truncated algebra is exact blockwise.  Each y-block k is carried as
+    integers scaled by k!, through the generic exp, reciprocal and product
+    recurrences on the W coefficients alone; the result divides block n by
+    n! once per coefficient.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -451,24 +519,20 @@ def series_closed(d: int, max_blocks_guard: int = 64) -> TruncatedSeries:
     max_x, max_y = 2 * d, d
     w_diag = _lambert_w_xy(d + 1)
 
-    # -(W(-xy)/y + x): the i-th W term contributes at (x^i, y^(i-1)).
-    arg = {}
-    for i, c in w_diag.items():
-        if i == 1:
-            continue  # the -x term, cancelled by +x
-        if i - 1 <= max_y and i <= max_x:
-            arg[(i, i - 1)] = -c
-    exponent = TruncatedSeries(max_x, max_y, arg)
-    numerator = exponent.exp()
-
-    # 1 / (1 + W(-xy)) via the geometric series in -W(-xy).
-    w = TruncatedSeries(
-        max_x, max_y, {(i, i): c for i, c in w_diag.items() if i <= max_y}
+    # -(W(-xy)/y + x): the i-th W term contributes at (x^i, y^(i-1)), i >= 2.
+    exponent = [{}] + [{k + 1: -w_diag[k + 1]} for k in range(1, max_y + 1)]
+    w = [{}] + [{k: w_diag[k]} for k in range(1, max_y + 1)]
+    numerator = _recurrence_blocks(
+        _scaled_blocks(exponent), lambda n, k: comb(n - 1, k - 1), max_x
     )
-    one = TruncatedSeries(max_x, max_y, {(0, 0): Fraction(1)})
-    inv = one
-    power = one
-    for _ in range(max_y):
-        power = power * (-w)
-        inv = inv + power
-    return numerator * inv
+    inverse = _recurrence_blocks(_scaled_blocks(w), lambda n, k: -comb(n, k), max_x)
+    blocks = _product_blocks(numerator, inverse, max_x)
+    return TruncatedSeries(
+        max_x,
+        max_y,
+        {
+            (ex, n): Fraction(c, factorial(n))
+            for n, block in enumerate(blocks)
+            for ex, c in block.items()
+        },
+    )

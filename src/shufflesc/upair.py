@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -27,6 +27,13 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .automata import Transformation, bits
 from .errors import SizeGuardError
 from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
+
+
+@lru_cache(maxsize=1 << 12)
+def _elements(mask: int) -> tuple[int, ...]:
+    """The elements of a part mask, increasing: bit x - 1 is element x.
+    Listings decode the same few parts many times over, hence the cache."""
+    return tuple(b + 1 for b in bits(mask))
 
 
 class SetVector:
@@ -85,7 +92,7 @@ class SetVector:
 
     def key(self) -> tuple:
         """Canonical hashable form: elements sorted inside each part."""
-        return tuple(tuple(b + 1 for b in bits(p)) for p in self.parts)
+        return tuple(map(_elements, self.parts))
 
     @classmethod
     def parse(cls, text: str) -> "SetVector":
@@ -226,7 +233,7 @@ def sort_canonically(vectors: Iterable[SetVector]) -> list[SetVector]:
     tuples, which is the order `key` compares them in."""
     vectors = list(vectors)
     parts = {p for v in vectors for p in v.parts}
-    rank = {p: i for i, p in enumerate(sorted(parts, key=lambda p: tuple(bits(p))))}
+    rank = {p: i for i, p in enumerate(sorted(parts, key=_elements))}
     return sorted(vectors, key=lambda v: tuple(map(rank.__getitem__, v.parts)))
 
 

@@ -314,8 +314,9 @@ class TestPinnedOutputs:
     """sha256 of whole CLI outputs, recorded before the refactors they guard:
     the reach, sc and conjecture outputs before the mask-line kernel, the
     graded, witness and succ outputs before set-vector parts became masks,
-    and `succ 7 5 2 --oracle`, sequence and coeffs before successors became
-    mask tuples and the totals one walk along the first row."""
+    `succ 7 5 2 --oracle`, sequence and coeffs before successors became
+    mask tuples and the totals one walk along the first row, and series
+    before its closed route became integer block recurrences."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -352,6 +353,10 @@ class TestPinnedOutputs:
              "c4e4a868319f5470d1f500dcc2e771480163fc5c086a138089793a3bfdca4012"),
             (["--format", "json", "coeffs", "9"],
              "ba0e4160d37b0965163fe3311395bf1cad0ba5940add608780e56339616bfd28"),
+            (["series", "40"],
+             "1ca008f80c7b0e66bee6174e3c5ba0042feeaa90d3c019a606d5a91a25eedde1"),
+            (["--format", "json", "series", "12"],
+             "67812fb9c47e9336de2fc5b2d2d54a54ec7903a8f639402735ebe6f82ef2d60d"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from shufflesc import SizeGuardError, TruncatedSeries, series_closed, series_direct
+from shufflesc import SizeGuardError, TruncatedSeries, enumeration, series_closed, series_direct
+from shufflesc.cli import main
 
 
 def F(*args):
@@ -39,6 +40,16 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             TruncatedSeries(2, 2) + TruncatedSeries(3, 2)
 
+    def test_floats_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            TruncatedSeries(1, 1, {(0, 0): 0.1})
+        a = TruncatedSeries(1, 1, {(0, 0): F(1)})
+        with pytest.raises(TypeError, match="float"):
+            a * 0.1
+        with pytest.raises(TypeError, match="float"):
+            0.5 * a
+        assert (a * 2).coefficient(0, 0) == 2
+
 
 class TestGeneratingFunction:
     def test_low_order_blocks(self):
@@ -50,8 +61,36 @@ class TestGeneratingFunction:
         assert s.y_block(3)[3:7] == [F(27, 6), F(37, 6), F(12, 6), F(1, 6)]
 
     def test_direct_equals_closed(self):
-        for d in (1, 2, 3, 4):
+        for d in [*range(1, 13), 40, 64]:
             assert series_direct(d) == series_closed(d)
+
+    def test_closed_route_is_independent(self, monkeypatch):
+        expected = series_direct(7)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed route used the direct one")
+
+        monkeypatch.setattr(enumeration, "r_stirling2", forbidden)
+        monkeypatch.setattr(enumeration, "series_direct", forbidden)
+        monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
+        assert series_closed(7) == expected
+
+    def test_nonintegral_input_is_an_internal_fault(self, monkeypatch):
+        exact = enumeration._lambert_w_xy
+
+        def skewed(d):
+            coeffs = exact(d)
+            coeffs[2] = F(1, 2 * 2)  # 2! times it is 1/2
+            return coeffs
+
+        monkeypatch.setattr(enumeration, "_lambert_w_xy", skewed)
+        result = None
+        with pytest.raises(RuntimeError, match="not integral"):
+            result = series_closed(3)
+        assert result is None
+        # not reported as bad input (exit 1): the fault propagates
+        with pytest.raises(RuntimeError, match="not integral"):
+            main(["series", "3"])
 
     def test_y4_block(self):
         s = series_closed(4)

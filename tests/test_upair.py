@@ -29,7 +29,8 @@ from shufflesc import (
     tableau_step,
     union_vec,
 )
-from shufflesc.upair import sort_canonically, successors
+from shufflesc.automata import bits
+from shufflesc.upair import _elements, sort_canonically, successors
 
 
 def sv(*parts):
@@ -90,6 +91,63 @@ class TestSetVector:
         ]
         v = SetVector(parts)
         assert SetVector.parse(str(v)) == v
+
+
+def decoded(mask):
+    """The elements of a part mask, straight from its set bits."""
+    return tuple(b + 1 for b in bits(mask))
+
+
+def disjoint_masks(rng, length, width):
+    """`length` pairwise-disjoint random masks within the low `width` bits."""
+    parts = [0] * length
+    for b in range(width):
+        slot = rng.randrange(length + 1)  # slot == length: element left out
+        if slot < length:
+            parts[slot] |= 1 << b
+    return parts
+
+
+class TestPartDecoding:
+    """`_elements` is the one decode path of `key`, `to_lists`, `str` and the
+    rank order of `sort_canonically`; each must agree with the set bits."""
+
+    def check(self, v):
+        expected = tuple(map(decoded, v.parts))
+        assert v.key() == expected
+        assert v.to_lists() == [list(p) for p in expected]
+        assert str(v) == "[" + ",".join(
+            "{" + ",".join(map(str, p)) + "}" for p in expected) + "]"
+
+    def test_random_masks(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            v = SetVector.of_masks(disjoint_masks(rng, rng.randrange(1, 6), rng.randrange(70)))
+            assert all(_elements(p) == decoded(p) for p in v.parts)
+            self.check(v)
+
+    def test_element_near_ten_thousand(self):
+        v = SetVector.of_masks([1 << 9999, 0, 1 | 1 << 9996])
+        assert _elements(v[0]) == (10000,)
+        assert v.key() == ((10000,), (), (1, 9997))
+        assert str(v) == "[{10000},{},{1,9997}]"
+        self.check(v)
+
+    def test_more_masks_than_the_cache_holds(self):
+        size = _elements.cache_info().maxsize
+        masks = range(3, 3 + 2 * size)
+        for _ in range(2):  # the second pass finds the early masks evicted
+            for mask in masks:
+                assert _elements(mask) == decoded(mask)
+        assert _elements.cache_info().currsize <= size
+        self.check(SetVector.of_masks([masks[0], masks[-1] << 14]))
+
+    def test_rank_order_on_random_vectors(self):
+        rng = random.Random(12)
+        vectors = [SetVector.of_masks(disjoint_masks(rng, 3, 12)) for _ in range(400)]
+        assert sort_canonically(vectors) == sorted(vectors, key=SetVector.key)
+        assert sorted(vectors, key=SetVector.key) == sorted(
+            vectors, key=lambda v: tuple(map(decoded, v.parts)))
 
 
 class TestOperations:
