@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .automata import Transformation
@@ -386,7 +387,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
+        message = str(exc)
+        if not args.force:
+            # the library names its keyword; --force is what widens it here
+            message = re.sub(r"raise \w+ to override$", "pass --force to override", message)
+        print(f"size guard: {message}", file=sys.stderr)
         return EXIT_GUARD
 
 

@@ -422,16 +422,27 @@ class TruncatedSeries:
 def series_direct(d: int, max_blocks_guard: int = 64) -> TruncatedSeries:
     """The double generating function of the Stirling-type factor, assembled
     termwise: sum over i, j of {2i over j}_i x^j y^i / i!, complete through
-    the y^d block (x-degree up to 2d)."""
+    the y^d block (x-degree up to 2d).  Each block i reads its r-Stirling
+    numbers from one table (`_r_stirling_row`); `series_closed` uses none."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if d > max_blocks_guard:
         raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}")
     coeffs = {(0, 0): Fraction(1)}
     for i in range(1, d + 1):
+        row = _r_stirling_row(2 * i, i)
         for j in range(i, 2 * i + 1):
-            coeffs[(j, i)] = Fraction(r_stirling2(2 * i, j, i), factorial(i))
+            coeffs[(j, i)] = Fraction(row[j], factorial(i))
     return TruncatedSeries(2 * d, d, coeffs)
+
+
+def _r_stirling_row(np: int, r: int) -> list[int]:
+    """[r_stirling2(np, kp, r) for kp in 0..np], for np >= r: one table
+    filled row by row from np = r with the recurrence of `r_stirling2`."""
+    row = [0] * r + [1]
+    for _ in range(r, np):
+        row = [kp * a + b for kp, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
 
 
 def _lambert_w_xy(d: int) -> dict[int, Fraction]:

@@ -181,8 +181,9 @@ class ReachResult:
     number of steps needed to reach each of them from {(0, 0)}.
 
     `mask_depths` maps each reached mask (`Tableau.mask`) to its depth, in
-    the order the search found them; `depths` is the same map keyed by
-    `Tableau`, built on first use.
+    the order the search found them, orbit by orbit (see
+    `reachable_tableaux`); `depths` is the same map keyed by `Tableau`,
+    built on first use.  Nothing reads that order: `listing` sorts.
     """
 
     m: int
@@ -234,13 +235,43 @@ def _expand_mask(mask: int, m: int, n: int) -> list[list[int]]:
     return images
 
 
+@cache
+def _orbit_swaps(m: int, n: int) -> list[tuple[int, int, int]]:
+    """Swaps of adjacent rows i, i+1 and adjacent columns j, j+1 with i, j
+    at least 1, each as (kept bits, bits of the first line, distance to the
+    second); they generate the relabellings that fix row 0 and column 0."""
+    lines = mask_lines(m, n)
+    full = (1 << (m * n)) - 1
+    firsts = [((1 << n) - 1) << lines.row_shifts[i] for i in range(1, m - 1)]
+    firsts += [lines.col0 << j for j in range(1, n - 1)]
+    dists = [n] * (m - 2) + [1] * (n - 2)
+    return [(full ^ (a | a << d), a, d) for a, d in zip(firsts, dists)]
+
+
+def _orbit(mask: int, m: int, n: int) -> set[int]:
+    """The masks of (s x t)(E) for every relabelling (s, t) that fixes row 0
+    and column 0, E the tableau of `mask`: its closure under the swaps of
+    `_orbit_swaps`, in time proportional to the orbit's size."""
+    swaps = _orbit_swaps(m, n)
+    orbit = {mask}
+    todo = [mask]
+    for x in todo:  # the list grows while it is walked
+        for keep, a, d in swaps:
+            y = x & keep | (x & a) << d | x >> d & a
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
 def reachable_tableaux(
     m: int,
     n: int,
     depth_limit: Optional[int] = None,
     max_cells: int = 16,
 ) -> ReachResult:
-    """Breadth-first closure of {(0, 0)} under all letters.
+    """Breadth-first closure of {(0, 0)} under all letters, one tableau
+    expanded per orbit.
 
     Every letter keeps a tableau valid, so the reachable tableaux are among
     the f(m, n) valid ones (`f_bound`); the search stops as soon as it holds
@@ -251,6 +282,16 @@ def reachable_tableaux(
     levels were expanded with frontier left over and fewer than f(m, n)
     tableaux found.  The default guard refuses grids beyond 16 cells (the
     6 x 6 case alone has 2^36 tableaux).
+
+    The search runs on orbits of G, the relabellings (s, t) of the rows and
+    the columns that fix row 0 and column 0.  As proved under Orbits in
+    `_final_pair_classes`, (s x t) fixes {(0, 0)} and sends the image of E
+    under (f, g) to the image of (s x t)(E) under (s f s^-1, t g t^-1), and
+    conjugation permutes the full alphabet.  So depth((s x t)(E)) = depth(E)
+    and every level of the search is a union of orbits: when a tableau is
+    first found, its whole orbit (`_orbit`) gets the same depth, and only
+    that tableau is expanded at the next level.  The images of one tableau
+    per orbit, closed under G, are the images of the whole level.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -276,7 +317,7 @@ def reachable_tableaux(
                 for cv in col_variants:
                     s = rv | cv
                     if s not in depths:
-                        depths[s] = depth
+                        depths.update(dict.fromkeys(_orbit(s, m, n), depth))
                         nxt.append(s)
             if len(depths) == bound:
                 break

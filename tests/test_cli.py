@@ -260,6 +260,27 @@ class TestGuards:
         assert code == 2 and out == ""
         assert err.startswith("size guard: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["reach", "4", "5"], ["sc", "4", "4"], ["conjecture", "4", "4"],
+         ["succ", "8", "7", "1", "--oracle"], ["graded", "6", "4", "--count"]],
+    )
+    def test_hint_names_force(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith("; pass --force to override\n") and "raise max_" not in err
+
+    @pytest.mark.parametrize(
+        "argv, keyword",
+        [(["reach", "9", "9"], "max_cells"), (["graded", "6", "4", "--count"], "max_count")],
+    )
+    def test_hint_kept_under_force(self, capsys, argv, keyword):
+        # --force was given and the widened guard still holds: the library's
+        # message is printed as it is
+        code, out, err = run_cli(capsys, "--force", *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"; raise {keyword} to override\n") and "--force" not in err
+
     # CLI name of each guarded call -> (a cheap command, its limit keyword, the --force value)
     GUARDED = {
         "reachable_tableaux": (["reach", "2", "2"], "max_cells", FORCED_CELLS),
@@ -315,8 +336,9 @@ class TestPinnedOutputs:
     the reach, sc and conjecture outputs before the mask-line kernel, the
     graded, witness and succ outputs before set-vector parts became masks,
     `succ 7 5 2 --oracle`, sequence and coeffs before successors became
-    mask tuples and the totals one walk along the first row, and series
-    before its closed route became integer block recurrences."""
+    mask tuples and the totals one walk along the first row, series
+    before its closed route became integer block recurrences, and the
+    reach and depth-limited outputs before the search ran on orbits."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -357,9 +379,30 @@ class TestPinnedOutputs:
              "1ca008f80c7b0e66bee6174e3c5ba0042feeaa90d3c019a606d5a91a25eedde1"),
             (["--format", "json", "series", "12"],
              "67812fb9c47e9336de2fc5b2d2d54a54ec7903a8f639402735ebe6f82ef2d60d"),
+            (["--format", "json", "reach", "3", "4"],
+             "d2eff5bc995e925f841d218e7ec6a9e93bcfdf21e015f2986b1a25263185d712"),
+            (["--format", "csv", "reach", "2", "6"],
+             "5382485cb6a329ef3f3ebfb245aff4b22d256922071c5ef4a854437f2c3e7efb"),
+            (["reach", "3", "3", "--depth-limit", "2"],
+             "e9f2e602740a848bf4f8a1b7df0f5864aa0661e758697d42997798b339cbfa9f"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_incomplete_conjecture_digest(self, capsys):
+        # the depth-limited search: status incomplete, exit 3, with the
+        # missing and dense_unreached lists written out
+        code, out, err = run_cli(
+            capsys, "--format", "json", "conjecture", "3", "3", "--depth-limit", "2"
+        )
+        assert code == 3 and err == ""
+        payload = json.loads(out)
+        assert payload["status"] == "incomplete"
+        assert payload["missing"] and payload["dense_unreached"]
+        assert (
+            hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "be4e6762d46464141b88b14ad1b47f92f959198044a9ae9d50d83c4615d241b8"
+        )

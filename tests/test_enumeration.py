@@ -23,6 +23,7 @@ from shufflesc import (
     succ_count_oracle,
     u_total,
 )
+from shufflesc import enumeration
 from shufflesc.enumeration import canonical_vector, graded_rows, successor_vectors
 
 S_DISPLAYS = {
@@ -144,6 +145,14 @@ class TestRStirling:
                         if all(len(p & marked) <= 1 for p in part)
                     )
                     assert r_stirling2(a, b, r) == count
+
+    def test_table_rows_match_the_recursion(self):
+        # the rows series_direct reads, against the recursive definition
+        for r in range(0, 9):
+            for np in range(r, 2 * r + 9):
+                assert enumeration._r_stirling_row(np, r) == [
+                    r_stirling2(np, kp, r) for kp in range(np + 1)
+                ]
 
 
 class TestSuccCount:

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from shufflesc import (
 from shufflesc import monster
 from shufflesc.automata import moore_refine, successor_rows
 from shufflesc.monster import (
+    ReachResult,
     _expand_mask,
     _final_pair_classes,
     _transition_rows,
@@ -38,6 +39,42 @@ def all_letters(m, n):
         for f in product(range(m), repeat=m)
         for g in product(range(n), repeat=n)
     ]
+
+
+def reference_reach(m, n, depth_limit=None):
+    """The mask BFS as it was before the search ran on orbits: every new
+    tableau of a level is expanded, and each gets its depth when first
+    found.  Stops at f(m, n) tableaux, as the library does."""
+    bound = f_bound(m, n)
+    depths = {1: 0}
+    frontier = [1]
+    depth = 0
+    complete = True
+    while frontier and len(depths) < bound:
+        if depth_limit is not None and depth >= depth_limit:
+            complete = False
+            break
+        depth += 1
+        nxt = []
+        for mask in frontier:
+            row_variants, col_variants = _expand_mask(mask, m, n)
+            for rv in row_variants:
+                for cv in col_variants:
+                    s = rv | cv
+                    if s not in depths:
+                        depths[s] = depth
+                        nxt.append(s)
+            if len(depths) == bound:
+                break
+        frontier = sorted(nxt)
+    return ReachResult(m, n, depths, complete)
+
+
+def relabellings(m, n):
+    """Every (s, t): permutations of the rows and of the columns fixing 0."""
+    for s in permutations(range(1, m)):
+        for t in permutations(range(1, n)):
+            yield (0, *s), (0, *t)
 
 
 def naive_final_pair_classes(m, n):
@@ -212,23 +249,22 @@ class TestReachability:
                     assert reach.depths[tableau_step(t, letter)] <= d + 1
 
     def test_full_alphabet_agrees(self):
-        # independent closure over every whole-grid letter
-        for m, n in ((2, 2), (2, 3), (3, 3)):
-            seen = {T(m, n, {(0, 0)})}
-            frontier = list(seen)
-            letters = [
-                MonsterLetter(Transformation(f), Transformation(g))
-                for f in product(range(m), repeat=m)
-                for g in product(range(n), repeat=n)
-            ]
-            while frontier:
-                t = frontier.pop()
-                for letter in letters:
-                    nt = tableau_step(t, letter)
-                    if nt not in seen:
-                        seen.add(nt)
-                        frontier.append(nt)
-            assert seen == set(reachable_tableaux(m, n).depths)
+        # independent closure over every whole-grid letter, level by level,
+        # with tableau_step: the same tableaux at the same depths
+        for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            depths = {T(m, n, {(0, 0)}): 0}
+            level = list(depths)
+            letters = all_letters(m, n)
+            while level:
+                nxt = []
+                for t in level:
+                    for letter in letters:
+                        nt = tableau_step(t, letter)
+                        if nt not in depths:
+                            depths[nt] = depths[t] + 1
+                            nxt.append(nt)
+                level = nxt
+            assert depths == reachable_tableaux(m, n).depths
 
     def test_depth_limit_incomplete(self):
         reach = reachable_tableaux(3, 3, depth_limit=1)
@@ -267,6 +303,7 @@ class TestReachability:
     def test_4x4_reaches_every_valid_tableau(self):
         reach = reachable_tableaux(4, 4)
         assert reach.complete and reach.count == f_bound(4, 4) == 57856
+        assert list(reach.depth_histogram().values()) == [1, 15, 1079, 30989, 25772]
 
     def test_listing_and_views(self):
         reach = reachable_tableaux(2, 3)
@@ -289,6 +326,49 @@ class TestReachability:
         assert sum(hist.values()) == 10
         assert hist[0] == 1
         assert reach.saturation_depth() == 2
+
+
+SMALL_GRIDS = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+
+
+class TestOrbitSearch:
+    """The search on orbits against `reference_reach`, which expands every
+    tableau."""
+
+    @pytest.mark.parametrize("m, n", SMALL_GRIDS)
+    def test_matches_reference(self, m, n):
+        full = reference_reach(m, n)
+        for depth_limit in [*range(full.saturation_depth() + 1), None]:
+            expected = reference_reach(m, n, depth_limit)
+            reach = reachable_tableaux(m, n, depth_limit=depth_limit)
+            assert reach.mask_depths == expected.mask_depths
+            assert reach.complete == expected.complete
+
+    def test_matches_reference_at_4x4(self):
+        # depth_limit 4, the saturation depth, runs as the unlimited search:
+        # the bound is reached in level 4
+        for depth_limit in (0, 1, 2, 3, None):
+            expected = reference_reach(4, 4, depth_limit)
+            reach = reachable_tableaux(4, 4, depth_limit=depth_limit)
+            assert reach.mask_depths == expected.mask_depths
+            assert reach.complete == expected.complete
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (3, 4)])
+    def test_depth_is_invariant_under_relabelling(self, m, n):
+        for reach in (reference_reach(m, n), reachable_tableaux(m, n)):
+            depths = reach.depths
+            for t, d in depths.items():
+                for s, u in relabellings(m, n):
+                    assert depths[T(m, n, {(s[i], u[j]) for i, j in t.cells})] == d
+
+    def test_orbit_is_every_relabelling(self):
+        for m, n in ((2, 3), (3, 3), (3, 4), (4, 2)):
+            for mask in valid_masks(m, n):
+                t = Tableau.from_mask(m, n, mask)
+                assert monster._orbit(mask, m, n) == {
+                    T(m, n, {(s[i], u[j]) for i, j in t.cells}).mask
+                    for s, u in relabellings(m, n)
+                }
 
 
 class TestDistinguishingLetters:

@@ -63,6 +63,19 @@ def test_conjecture_sweep_searches_once_per_size(monkeypatch, capsys):
     assert calls == [(1, n) for n in range(1, 9)] + [(2, 2), (2, 3), (2, 4)]
 
 
+def test_conjecture_sweep_to_16_cells():
+    # every grid up to 16 cells with m <= n, 4x4 among them, in seconds
+    proc = run_script("conjecture_sweep.py", "--max-cells", "16", "--sc-cells", "9")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    sizes = [(int(row[0]), int(row[1])) for row in rows]
+    assert sizes == [(m, n) for m in range(1, 5) for n in range(m, 17) if m * n <= 16]
+    for (m, n), row in zip(sizes, rows):
+        assert row[2] == row[3] == str(monster.f_bound(m, n)) and row[4] == "holds"
+        assert (row[6] != "-") == (m * n <= 9)
+    assert rows[-1][:4] == ["4", "4", "57856", "57856"]
+
+
 def test_enumeration_tables_smoke():
     proc = run_script("enumeration_tables.py", "--max-n", "3", "--kmax", "4")
     assert proc.returncode == 0, proc.stderr

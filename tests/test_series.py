@@ -71,6 +71,7 @@ class TestGeneratingFunction:
             raise AssertionError("the closed route used the direct one")
 
         monkeypatch.setattr(enumeration, "r_stirling2", forbidden)
+        monkeypatch.setattr(enumeration, "_r_stirling_row", forbidden)
         monkeypatch.setattr(enumeration, "series_direct", forbidden)
         monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
         assert series_closed(7) == expected
