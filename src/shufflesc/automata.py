@@ -8,7 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, or_
@@ -28,8 +28,10 @@ def bits(mask: int) -> Iterator[int]:
 class Transformation:
     """A total map of {0..n-1} into itself, stored as its tuple of images.
 
-    The hash of the images is computed once, at construction: letters are
-    dict keys in the automata over the full letter set, so a key would
+    The hash of the images is computed once, at construction.  The table
+    constructions hash a letter only once per table, to check repeated
+    letters, but the `delta` views of `Dfa` and `Nfa` (read by `step`, `run`
+    and `step_set`) hold one key per (state, letter), so a key would
     otherwise rehash its images on every lookup."""
 
     __slots__ = ("images", "_hash")
@@ -96,6 +98,27 @@ class Transformation:
         return f"Transformation({list(self.images)})"
 
 
+def _check_table(table, state_count, alphabet, bound, name):
+    """Check that `table` is state_count rows of one entry in range(bound) per
+    letter position, and that the columns of a repeated letter are equal.
+    Each letter is hashed once, never once per (state, letter)."""
+    if len(table) != state_count or any(len(row) != len(alphabet) for row in table):
+        raise ValueError(f"table is not {state_count} rows of {len(alphabet)} successors")
+    if alphabet and table and not 0 <= min(map(min, table)) <= max(map(max, table)) < bound:
+        q, i = next(
+            (q, i)
+            for q, row in enumerate(table)
+            for i, dst in enumerate(row)
+            if not 0 <= dst < bound
+        )
+        raise ValueError(f"{name}({q}, {alphabet[i]!r}) = {table[q][i]} out of range")
+    first: dict = {}
+    for i, a in enumerate(alphabet):
+        j = first.setdefault(a, i)
+        if j != i and any(row[i] != row[j] for row in table):
+            raise ValueError(f"letter {a!r} is repeated in the alphabet with different columns")
+
+
 @dataclass(frozen=True, eq=True, init=False)
 class Dfa:
     """Complete deterministic automaton: delta is total on states x alphabet.
@@ -155,16 +178,7 @@ class Dfa:
             raise ValueError(f"initial state {initial} out of range")
         if any(not 0 <= q < state_count for q in self.finals):
             raise ValueError("final state out of range")
-        if len(table) != state_count or any(len(row) != len(alphabet) for row in table):
-            raise ValueError(f"table is not {state_count} rows of {len(alphabet)} successors")
-        if alphabet and table and not 0 <= min(map(min, table)) <= max(map(max, table)) < state_count:
-            q, i = next(
-                (q, i)
-                for q, row in enumerate(table)
-                for i, dst in enumerate(row)
-                if not 0 <= dst < state_count
-            )
-            raise ValueError(f"delta({q}, {alphabet[i]!r}) = {table[q][i]} out of range")
+        _check_table(table, state_count, alphabet, state_count, "delta")
 
     @cached_property
     def delta(self) -> Mapping[tuple[int, Letter], int]:
@@ -188,38 +202,80 @@ class Dfa:
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=True)
-class Nfa:
-    """Nondeterministic automaton; delta maps (state, letter) to a state set.
+def _mask(states: Iterable[int]) -> int:
+    return sum(1 << q for q in states)
 
-    Missing (state, letter) entries mean the empty successor set.  There are
-    no epsilon transitions.
+
+@dataclass(frozen=True, eq=True, init=False)
+class Nfa:
+    """Nondeterministic automaton without epsilon transitions.
+
+    `table[q][i]` is the successor mask of state q under `alphabet[i]`, bit d
+    for successor d and 0 for none, one tuple per state in alphabet order;
+    the constructions of this module read and build tables.  `delta` is the
+    same relation keyed by (state, letter), with frozenset values and a
+    missing entry meaning the empty set.  It is kept as given to the
+    constructor or built on first use (nonempty sets only); `step_set`,
+    `run_subset` and `accepts` read it.
     """
 
     state_count: int
     alphabet: tuple
     initials: frozenset
     finals: frozenset
-    delta: Mapping[tuple[int, Letter], frozenset]
+    table: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "initials", frozenset(self.initials))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(
-            self, "delta", {k: frozenset(v) for k, v in dict(self.delta).items()}
-        )
-        for q in self.initials | self.finals:
-            if not 0 <= q < self.state_count:
-                raise ValueError(f"state {q} out of range")
-        letters = set(self.alphabet)
-        for (q, a), dsts in self.delta.items():
-            if not 0 <= q < self.state_count:
+    def __init__(
+        self, state_count, alphabet, initials, finals, delta: Mapping[tuple[int, Letter], Iterable]
+    ):
+        """Check that every key of `delta` is in range(state_count) x alphabet
+        and every successor in range, and read it into the table."""
+        alphabet = tuple(alphabet)
+        delta = {k: frozenset(v) for k, v in dict(delta).items()}
+        letters = set(alphabet)
+        for (q, a), dsts in delta.items():
+            if not 0 <= q < state_count:
                 raise ValueError(f"state {q} out of range")
             if a not in letters:
                 raise ValueError(f"delta key {(q, a)!r}: letter {a!r} not in the alphabet")
-            if any(not 0 <= d < self.state_count for d in dsts):
+            if any(not 0 <= d < state_count for d in dsts):
                 raise ValueError(f"successor set {set(dsts)} out of range")
+        table = tuple(
+            tuple(_mask(delta.get((q, a), ())) for a in alphabet) for q in range(state_count)
+        )
+        self._init(state_count, alphabet, initials, finals, table)
+        self.__dict__["delta"] = delta
+
+    @classmethod
+    def of_table(cls, state_count, alphabet, initials, finals, table) -> "Nfa":
+        """The NFA whose successor mask of state q under alphabet[i] is
+        table[q][i]; a letter repeated in the alphabet must have equal
+        columns."""
+        n = object.__new__(cls)
+        n._init(state_count, tuple(alphabet), initials, finals, tuple(map(tuple, table)))
+        return n
+
+    def _init(self, state_count, alphabet, initials, finals, table):
+        self.__dict__.update(
+            state_count=state_count,
+            alphabet=alphabet,
+            initials=frozenset(initials),
+            finals=frozenset(finals),
+            table=table,
+        )
+        for q in self.initials | self.finals:
+            if not 0 <= q < state_count:
+                raise ValueError(f"state {q} out of range")
+        _check_table(table, state_count, alphabet, 1 << state_count, "mask of delta")
+
+    @cached_property
+    def delta(self) -> Mapping[tuple[int, Letter], frozenset]:
+        return {
+            (q, a): frozenset(bits(mask))
+            for q, row in enumerate(self.table)
+            for a, mask in zip(self.alphabet, row)
+            if mask
+        }
 
     def step_set(self, states: frozenset, letter: Letter) -> frozenset:
         out = set()
@@ -244,55 +300,62 @@ def shuffle_nfa(k: Dfa, l: Dfa) -> Nfa:
 
     State (p, q) is numbered p * l.state_count + q.  Each letter either
     advances the first component or the second, so a run interleaves one
-    word from each language.
+    word from each language: the successor mask of (p, q) under a letter
+    has the bits of (k's successor of p, q) and (p, l's successor of q).
     """
     if tuple(k.alphabet) != tuple(l.alphabet):
         raise ValueError("shuffle requires a common alphabet")
     width = l.state_count
-    delta = {}
-    for p, krow in enumerate(k.table):
-        for q, lrow in enumerate(l.table):
-            src = p * width + q
-            for a, kp, lq in zip(k.alphabet, krow, lrow):
-                delta[(src, a)] = frozenset({kp * width + q, p * width + lq})
-    return Nfa(
-        state_count=k.state_count * width,
-        alphabet=k.alphabet,
-        initials={k.initial * width + l.initial},
-        finals={p * width + q for p in k.finals for q in l.finals},
-        delta=delta,
+    table = [
+        tuple((1 << (kp * width + q)) | (1 << (p * width + lq)) for kp, lq in zip(krow, lrow))
+        for p, krow in enumerate(k.table)
+        for q, lrow in enumerate(l.table)
+    ]
+    return Nfa.of_table(
+        k.state_count * width,
+        k.alphabet,
+        {k.initial * width + l.initial},
+        {p * width + q for p in k.finals for q in l.finals},
+        table,
     )
 
 
-def _mask(states: Iterable[int]) -> int:
-    return sum(1 << q for q in states)
+class _Numbering(dict):
+    """Numbers keys in order of first lookup: reading a missing key gives it
+    the next number and appends it to `order`."""
+
+    __slots__ = ("order",)
+
+    def __init__(self):
+        self.order = []
+
+    def __missing__(self, key):
+        i = self[key] = len(self.order)
+        self.order.append(key)
+        return i
 
 
 def determinize(n: Nfa) -> Dfa:
     """Subset construction restricted to reachable subsets.
 
     Subsets are masks, bit d for state d.  The successors of a subset under
-    every letter are the element-wise OR of its states' successor masks.
-    Subsets are numbered in breadth-first discovery order (letters taken in
-    alphabet order), so the result is reproducible; state 0 is the initial
-    subset.
+    every letter are the element-wise OR of its states' rows of `n.table`,
+    read lazily and numbered as they are read, so each subset builds one
+    tuple, its row of the result.  Subsets are numbered in breadth-first
+    discovery order (letters taken in alphabet order), so the result is
+    reproducible; state 0 is the initial subset.
     """
-    # succ[q][i]: the successor mask of state q under alphabet[i]
-    succ = [
-        tuple(_mask(n.delta.get((q, a), ())) for a in n.alphabet) for q in range(n.state_count)
-    ]
-    index = {_mask(n.initials): 0}
-    order = list(index)
+    succ = n.table
+    index = _Numbering()
+    index[_mask(n.initials)]  # the initial subset is number 0
+    order = index.order
+    zero = (0,) * len(n.alphabet)
     table = []
     for subset in order:
-        row = (0,) * len(n.alphabet)
-        for q in bits(subset):
-            row = map(or_, row, succ[q])
-        row = tuple(row)
-        for dst in dict.fromkeys(row):
-            if dst not in index:
-                index[dst] = len(order)
-                order.append(dst)
+        states = map(succ.__getitem__, bits(subset))
+        row = next(states, zero)
+        for other in states:
+            row = map(or_, row, other)
         table.append(tuple(map(index.__getitem__, row)))
     finals = _mask(n.finals)
     return Dfa.of_table(
@@ -300,16 +363,15 @@ def determinize(n: Nfa) -> Dfa:
     )
 
 
-def _accessible(d: Dfa) -> list[int]:
-    """Accessible states in breadth-first order from the initial state."""
-    seen = {d.initial}
-    order = [d.initial]
-    for q in order:
-        for dst in dict.fromkeys(d.table[q]):
-            if dst not in seen:
-                seen.add(dst)
-                order.append(dst)
-    return order
+def _accessible(d: Dfa) -> _Numbering:
+    """Accessible states numbered in breadth-first order from the initial
+    state: the position of each state, and the states in `order`."""
+    pos = _Numbering()
+    pos[d.initial]
+    for q in pos.order:
+        # reading the positions of q's successors numbers the new ones
+        deque(map(pos.__getitem__, d.table[q]), 0)
+    return pos
 
 
 def _no_successors(codes):
@@ -367,27 +429,34 @@ def minimize(d: Dfa) -> Dfa:
     states start split by finality and are repeatedly split by the classes
     of their successors.  The classes of the result are renumbered in
     breadth-first order from the initial class, so equal inputs give
-    identical outputs.
+    identical outputs.  The accessible states are numbered that way too, so
+    when every class is a single state the renumbering is the identity and
+    their rows are the result: the subset construction of a shuffle that
+    meets the bound f(m, n) is such a case.
     """
-    order = _accessible(d)
-    pos = dict(zip(order, range(len(order))))
-    succ = [tuple(map(pos.__getitem__, d.table[q])) for q in order]
+    pos = _accessible(d)
+    order = pos.order
+    if order == list(range(len(order))):
+        # already numbered breadth-first, as `determinize` numbers subsets:
+        # the table itself gives the successor positions
+        succ = d.table[: len(order)]
+    else:
+        succ = [tuple(map(pos.__getitem__, d.table[q])) for q in order]
     codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
+    if len(set(codes)) == len(codes):
+        finals = [i for i, q in enumerate(order) if q in d.finals]
+        return Dfa.of_table(len(succ), d.alphabet, 0, finals, succ)
 
     # the partition is stable, so any member stands for its class; position
     # 0 is the initial state
     rep = dict(zip(codes, range(len(codes))))
-    renum = {codes[0]: 0}
-    classes = [codes[0]]
-    for c in classes:
-        for dst in dict.fromkeys(map(codes.__getitem__, succ[rep[c]])):
-            if dst not in renum:
-                renum[dst] = len(classes)
-                classes.append(dst)
-    new = [renum[c] for c in codes]
-    table = [tuple(map(new.__getitem__, succ[rep[c]])) for c in classes]
-    finals = [new[i] for i, q in enumerate(order) if q in d.finals]
-    return Dfa.of_table(len(classes), d.alphabet, 0, finals, table)
+    renum = _Numbering()
+    renum[codes[0]]  # the initial class is number 0
+    table = []
+    for c in renum.order:
+        table.append(tuple(map(renum.__getitem__, map(codes.__getitem__, succ[rep[c]]))))
+    finals = [renum[c] for c, q in zip(codes, order) if q in d.finals]
+    return Dfa.of_table(len(table), d.alphabet, 0, finals, table)
 
 
 # --- JSON forms -------------------------------------------------------------
@@ -440,17 +509,17 @@ def dfa_from_json(obj: Mapping) -> Dfa:
 
 
 def nfa_to_json(n: Nfa) -> dict:
-    triples = []
-    for q in range(n.state_count):
-        for a in n.alphabet:
-            for dst in sorted(n.delta.get((q, a), ())):
-                triples.append([q, _thaw(a), dst])
     return {
         "states": n.state_count,
         "alphabet": [_thaw(a) for a in n.alphabet],
         "initial": sorted(n.initials),
         "finals": sorted(n.finals),
-        "delta": triples,
+        "delta": [
+            [q, _thaw(a), dst]
+            for q, row in enumerate(n.table)
+            for a, mask in zip(n.alphabet, row)
+            for dst in bits(mask)
+        ],
     }
 
 

@@ -21,7 +21,7 @@ from shufflesc import (
     shuffle_nfa,
 )
 from shufflesc.automata import moore_refine, successor_rows
-from shufflesc.monster import monster_dfa
+from shufflesc.monster import f_bound, monster_dfa
 
 
 def single_word_dfa(word, alphabet):
@@ -301,17 +301,39 @@ def drawn_dfas(draw):
     return Dfa(n, alphabet, draw(st.integers(0, n - 1)), finals, delta)
 
 
+def nfa_examples(test):
+    """The drawn NFAs plus an empty alphabet, states with no successors, a
+    repeated letter and unreachable states."""
+    for n in (
+        Nfa(2, (), {0}, {0}, {}),
+        Nfa(3, ("a", "b"), {0}, {2}, {(0, "a"): {1}}),
+        Nfa(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}}),
+        Nfa(4, ("a",), {1}, {3}, {(1, "a"): {1}, (3, "a"): {0}}),  # 0, 2, 3 unreachable
+    ):
+        test = example(n)(test)
+    return given(drawn_nfas())(settings(max_examples=150, deadline=None)(test))
+
+
 class TestAgainstReference:
-    @settings(max_examples=150, deadline=None)
-    @given(drawn_nfas())
-    @example(Nfa(2, (), {0}, {0}, {}))  # empty alphabet
-    @example(Nfa(3, ("a", "b"), {0}, {2}, {(0, "a"): {1}}))  # states with no successors
-    @example(Nfa(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}}))
-    @example(Nfa(4, ("a",), {1}, {3}, {(1, "a"): {1}, (3, "a"): {0}}))  # 0, 2, 3 unreachable
+    @nfa_examples
     def test_determinize(self, n):
         det = determinize(n)
         assert_same_dfa(det, reference_determinize(n))
         assert_same_dfa(minimize(det), reference_minimize(det))
+
+    @nfa_examples
+    def test_nfa_table_route(self, n):
+        t = Nfa.of_table(n.state_count, n.alphabet, n.initials, n.finals, n.table)
+        assert t == n and t.table == n.table
+        for q, a in product(range(n.state_count), n.alphabet):
+            dsts = n.delta.get((q, a), frozenset())
+            assert t.delta.get((q, a), frozenset()) == dsts
+            assert n.table[q][n.alphabet.index(a)] == sum(1 << d for d in dsts)
+        # the built view holds the nonempty sets only
+        assert t.delta == {key: dsts for key, dsts in n.delta.items() if dsts}
+        assert Nfa(t.state_count, t.alphabet, t.initials, t.finals, t.delta) == n
+        assert nfa_to_json(t) == nfa_to_json(n)
+        assert nfa_from_json(json.loads(json.dumps(nfa_to_json(t)))) == n
 
     @settings(max_examples=150, deadline=None)
     @given(drawn_dfas())
@@ -352,6 +374,65 @@ class TestTable:
         with pytest.raises(ValueError, match="final state out of range"):
             Dfa.of_table(1, ("a",), 0, {1}, [(0,)])
 
+    def test_of_table_checks_repeated_letters(self):
+        with pytest.raises(ValueError, match="letter 'a' is repeated in the alphabet with diff"):
+            Dfa.of_table(2, ("a", "a"), 0, {1}, [(1, 0), (1, 1)])
+        with pytest.raises(ValueError, match="letter 'a' is repeated"):
+            Nfa.of_table(2, ("a", "b", "a"), {0}, {1}, [(1, 2, 2), (0, 0, 0)])
+        d = Dfa.of_table(2, ("a", "b", "a"), 0, {1}, [(1, 0, 1), (1, 1, 1)])
+        assert d.delta == {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1} and d.run("ab") == 1
+        n = Nfa.of_table(2, ("a", "b", "a"), {0}, {1}, [(3, 0, 3), (0, 1, 0)])
+        assert n.delta == {(0, "a"): {0, 1}, (1, "b"): {0}}
+
+    def test_of_table_hashes_each_letter_once(self):
+        class Letter:
+            hashes = 0
+
+            def __init__(self, name):
+                self.name = name
+
+            def __eq__(self, other):
+                return isinstance(other, Letter) and self.name == other.name
+
+            def __hash__(self):
+                Letter.hashes += 1
+                return hash(self.name)
+
+        # once per letter position, a repeated letter included
+        letters = [Letter(c) for c in "abca"]
+        Dfa.of_table(5, letters, 0, {1}, [(1, 2, 3, 1)] * 5)
+        assert Letter.hashes == 4
+        Nfa.of_table(5, letters, {0}, {1}, [(1, 2, 3, 1)] * 5)
+        assert Letter.hashes == 8
+
+    def test_nfa_of_table_checks_range_and_shape(self):
+        with pytest.raises(ValueError, match="table is not 2 rows of 1 successors"):
+            Nfa.of_table(2, ("a",), {0}, {1}, [(1,), (1, 2)])
+        with pytest.raises(ValueError, match="table is not 2 rows"):
+            Nfa.of_table(2, ("a",), {0}, {1}, [(1,)])
+        with pytest.raises(ValueError, match=r"mask of delta\(1, 'b'\) = -1 out of range"):
+            Nfa.of_table(2, ("a", "b"), {0}, {1}, [(1, 2), (0, -1)])
+        with pytest.raises(ValueError, match=r"mask of delta\(0, 'a'\) = 4 out of range"):
+            Nfa.of_table(2, ("a",), {0}, {1}, [(4,), (3,)])
+        with pytest.raises(ValueError, match="state 2 out of range"):
+            Nfa.of_table(2, ("a",), {2}, {1}, [(1,), (0,)])
+        with pytest.raises(ValueError, match="state -1 out of range"):
+            Nfa.of_table(2, ("a",), {0}, {-1}, [(1,), (0,)])
+        n = Nfa.of_table(2, ("a",), {0}, {1}, [(3,), (0,)])
+        assert n.delta == {(0, "a"): {0, 1}} and n.step_set({0, 1}, "a") == {0, 1}
+        assert Nfa.of_table(0, ("a",), (), (), ()).table == ()
+
+    def test_nfa_json_unchanged(self):
+        n = Nfa(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}, (1, "a"): ()})
+        assert nfa_to_json(n) == {
+            "states": 2,
+            "alphabet": ["a", "a", "b"],
+            "initial": [0],
+            "finals": [1],
+            "delta": [[0, "a", 0], [0, "a", 1], [0, "a", 0], [0, "a", 1], [1, "b", 0]],
+        }
+        assert n.delta[(1, "a")] == frozenset() and nfa_from_json(nfa_to_json(n)) == n
+
     def test_delta_view_built_from_table(self):
         d = Dfa.of_table(2, ("a", "b"), 0, {1}, [(1, 0), (1, 1)])
         assert d.delta == {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1}
@@ -383,17 +464,73 @@ class TestPinnedClassical:
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(PINS))
-    def test_digests(self, case):
-        m, n, f1, f2 = case
+    # the benchmark's two classical jobs (finals {1} on both sides): sha256
+    # of the body that `perfbench/worker.py` hashes, rows read from `table`
+    BENCHMARK = {
+        (2, 4): "38cae84a99c59d7b6507944d28248352be199d7ce4d5a8763dcb138a16f4dd21",
+        (3, 3): "419ea24cab60ed543ef9bd8157cc754d3bac00bd7d1ea4e30e4881f4fe8a42cb",
+    }
+
+    @staticmethod
+    def sides(m, n, f1, f2):
         letters = [
             MonsterLetter(Transformation(f), Transformation(g))
             for f in product(range(m), repeat=m)
             for g in product(range(n), repeat=n)
         ]
-        k = monster_dfa(m, f1, letters, "left")
-        det = determinize(shuffle_nfa(k, monster_dfa(n, f2, letters, "right")))
+        return monster_dfa(m, f1, letters, "left"), monster_dfa(n, f2, letters, "right")
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_digests(self, case):
+        det = determinize(shuffle_nfa(*self.sides(*case)))
         assert (_digest(det), _digest(minimize(det))) == self.PINS[case]
+
+    @pytest.mark.parametrize("case", [(2, 3, (1,), (1,)), (3, 2, (1,), (1,))])
+    def test_pipeline_reads_tables_only(self, case, monkeypatch):
+        k, l = self.sides(*case)
+        hashes = 0
+        hash_images = Transformation.__hash__
+
+        def forbidden(self):
+            raise AssertionError("the pipeline read a delta view")
+
+        def counted(self):
+            nonlocal hashes
+            hashes += 1
+            return hash_images(self)
+
+        monkeypatch.setattr(Dfa, "delta", property(forbidden))
+        monkeypatch.setattr(Nfa, "delta", property(forbidden))
+        monkeypatch.setattr(Transformation, "__hash__", counted)
+        det = determinize(shuffle_nfa(k, l))
+        assert (_digest(det), _digest(minimize(det))) == self.PINS[case]
+        # each letter, a pair of transformations, is hashed once per table
+        # built (the NFA, the subset DFA, the minimal DFA), never per state
+        assert hashes == 2 * 3 * len(k.alphabet)
+
+    def test_shuffle_nfa_digest(self):
+        nfa = shuffle_nfa(*self.sides(2, 3, (1,), (1,)))
+        body = json.dumps(nfa_to_json(nfa), sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == (
+            "c5d52a374fc4f28a79535bcd26b52eb42b093527602f4df81fafcf9cc42d1275"
+        )
+
+    @pytest.mark.parametrize("size", sorted(BENCHMARK))
+    def test_benchmark_digests(self, size):
+        m, n = size
+        d = minimize(determinize(shuffle_nfa(*self.sides(m, n, {1}, {1}))))
+        body = json.dumps(
+            [
+                d.state_count,
+                d.initial,
+                sorted(d.finals),
+                [[list(a.left.images), list(a.right.images)] for a in d.alphabet],
+                [list(row) for row in d.table],
+            ],
+            separators=(",", ":"),
+        )
+        assert d.state_count == f_bound(m, n)
+        assert hashlib.sha256(body.encode()).hexdigest() == self.BENCHMARK[size]
 
 
 class TestMooreRefine:
