@@ -30,7 +30,14 @@ from .enumeration import (
 )
 from .errors import SizeGuardError
 from .monster import f_bound, reachable_tableaux, state_complexity_shuffle
-from .upair import generate_graded, s_projection, witness_full, witness_permutation
+from .upair import (
+    graded_level,
+    part_texts,
+    s_projection,
+    sort_canonically,
+    witness_full,
+    witness_permutation,
+)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -228,19 +235,21 @@ def _cmd_sc(args):
 
 
 def _cmd_graded(args):
-    vectors = generate_graded(args.n, args.k, **_forced(args, max_count=FORCED_COUNT))
+    level = graded_level(args.n, args.k, **_forced(args, max_count=FORCED_COUNT))
     if args.count_only:
-        _emit(args, str(len(vectors)))
-    elif args.fmt == "json":
+        _emit(args, str(len(level)))
+        return EXIT_OK
+    vectors = sort_canonically(level)
+    # each part is decoded once; the JSON is what _json_dumps would write
+    text = part_texts(vectors, "[]" if args.fmt == "json" else "{}").__getitem__
+    rows = ["[" + ",".join(map(text, v)) + "]" for v in vectors]
+    if args.fmt == "json":
         _emit(
             args,
-            _json_dumps(
-                {"n": args.n, "k": args.k, "count": len(vectors),
-                 "vectors": [v.to_lists() for v in vectors]}
-            ),
+            f'{{"count":{len(rows)},"k":{args.k},"n":{args.n},"vectors":[{",".join(rows)}]}}',
         )
     else:
-        _emit(args, "\n".join(str(v) for v in vectors))
+        _emit(args, "\n".join(rows))
     return EXIT_OK
 
 
@@ -337,7 +346,7 @@ def _cmd_witness(args):
             )
         pair = witness_permutation(Transformation(images))
     else:
-        pair = witness_full(args.m, args.n)
+        pair = witness_full(args.m, args.n, **_forced(args, max_count=FORCED_COUNT))
     tableau = s_projection(pair)
     if args.fmt == "json":
         payload = pair.to_json()

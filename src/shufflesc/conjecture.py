@@ -30,10 +30,10 @@ from .monster import (
     valid_masks,
 )
 from .upair import (
-    SetVector,
     dense_masks,
-    generate_graded,
-    is_lvalid,
+    graded_level,
+    half_blocks_closed,
+    mirror_part,
     s_projection,
     witness_full,
     witness_permutation,
@@ -156,18 +156,30 @@ def check_conjecture2(
 def _left_first_parts(n: int, k: int) -> frozenset:
     """Indices j such that some grade-k right-valid rho of length n with all
     parts nonempty is left-valid at grade k once reordered with part j
-    first."""
+    first.
+
+    One scan of `graded_level(n, k)`, with no sorting and no `SetVector`.
+    The parts of rho partition {1..2^k}, so exactly one part j holds
+    element 2^k.  Left validity of a reordering is right validity of its
+    mirror, and the mirror's element 1 is element 2^k of the part placed
+    first, so only part j can come first.  The mirror's union is {1..2^k}
+    whatever the order, and the half-block test (`half_blocks_closed`)
+    reads the mirrored parts as a set (see `permutation_min_grade`).  So
+    each rho is tested once, on its mirrored parts, and adds at most j to
+    the set; a rho whose j is already in it needs no test.  Each distinct
+    part is mirrored once for the whole scan.
+    """
+    top = 1 << ((1 << k) - 1)  # element 2^k
+    mirrored = lru_cache(maxsize=None)(lambda part: mirror_part(part, k))
     found = set()
-    for rho in generate_graded(n, k):
-        if rho.nonempty_count() < n:
+    for rho in graded_level(n, k):
+        if 0 in rho:
             continue
-        for j in range(n):
-            if j not in found:
-                rest = rho.parts[:j] + rho.parts[j + 1:]
-                if is_lvalid(SetVector.of_masks((rho[j],) + rest), k):
-                    found.add(j)
-        if len(found) == n:
-            break
+        j = next(i for i, part in enumerate(rho) if part & top)
+        if j not in found and half_blocks_closed(tuple(map(mirrored, rho)), k):
+            found.add(j)
+            if len(found) == n:
+                break
     return frozenset(found)
 
 

@@ -85,19 +85,23 @@ def canonical_vector(l: int, n: Optional[int] = None) -> SetVector:
     return SetVector.of_masks([1 << i for i in range(l - 1)] + [rest] + [0] * (n - l))
 
 
-def successor_vectors(
-    n: int, l: int, max_maps: int = 2_000_000
-) -> dict[int, list[SetVector]]:
-    """All distinct one-step successors of the canonical l-part vector,
-    bucketed by their count of nonempty parts.
-
-    Enumerates every map on the l occupied slots (n^l of them), the
-    brute-force ground truth against which succ_count is checked.
-    """
+def _maps_guard(n: int, l: int, max_maps: int) -> None:
     if n ** l > max_maps:
         raise SizeGuardError(
             f"{n}^{l} maps exceed the guard of {max_maps}; raise max_maps to override"
         )
+
+
+def successor_vectors(
+    n: int, l: int, max_maps: int = 2_000_000
+) -> dict[int, list[SetVector]]:
+    """All distinct one-step successors of the canonical l-part vector,
+    bucketed by their count of nonempty parts, each bucket sorted
+    canonically.
+
+    Enumerates every map on the l occupied slots (n^l of them).
+    """
+    _maps_guard(n, l, max_maps)
     buckets: dict[int, list[SetVector]] = {}
     for parts in set(successors(canonical_vector(l, n))):
         v = SetVector.of_masks(parts)
@@ -106,8 +110,15 @@ def successor_vectors(
 
 
 def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
-    """Brute-force value of succ_count by explicit successor enumeration."""
-    return len(successor_vectors(n, l, max_maps).get(l + d, ()))
+    """Brute-force value of succ_count, the ground truth it is checked
+    against: enumerate every map on the l occupied slots of the canonical
+    l-part vector (n^l of them) and count the distinct successor tuples
+    with l + d nonempty parts."""
+    _maps_guard(n, l, max_maps)
+    parts = l + d
+    return sum(
+        len(s) - s.count(0) == parts for s in set(successors(canonical_vector(l, n)))
+    )
 
 
 # --- exact matrices ---------------------------------------------------------

@@ -188,38 +188,53 @@ def successors(p: Sequence[int]) -> Iterator[tuple]:
         yield tuple(out)
 
 
+def mirror_part(part: int, k: int) -> int:
+    """Replace every element x of a part mask by 2^k + 1 - x, that is,
+    reverse its low 2^k bits; the part must lie inside {1..2^k}."""
+    width = 1 << k
+    return int(f"{part:0{width}b}"[::-1], 2)
+
+
 def mirror(v: SetVector, k: Optional[int] = None) -> SetVector:
-    """Replace every element x of a grade-k vector by 2^k + 1 - x, that is,
-    reverse the low 2^k bits of every part.
+    """`mirror_part` of every part of a grade-k vector.
 
     An involution exchanging the left-valid and right-valid families.
     """
     if k is None:
         k = v.grade()
-    width = 1 << k
-    if v._union() >> width:
+    if v._union() >> (1 << k):
         raise ValueError(f"vector is not of grade {k}")
-    return SetVector.of_masks(int(f"{p:0{width}b}"[::-1], 2) for p in v.parts)
+    return SetVector.of_masks(mirror_part(p, k) for p in v.parts)
+
+
+def half_blocks_closed(parts: Sequence[int], k: int) -> bool:
+    """The half-block condition of right validity on part masks: for every
+    k' < k, each part's low 2^k' bits, shifted up by 2^k', lie inside one
+    part.  It reads the parts as a set, so their order does not matter."""
+    for kp in range(k):
+        h = 1 << kp
+        low = (1 << h) - 1
+        for p in parts:
+            moved = (p & low) << h
+            if moved and not any(moved & q == moved for q in parts):
+                return False
+    return True
 
 
 def is_rvalid(v: SetVector, k: int) -> bool:
     """Right validity at grade k.
 
-    The parts must partition {1..2^k}, 1 must lie in the first part, and for
-    every k' < k: elements of {1..2^k'} sharing a part must still share a
-    part after adding 2^k'.  On masks: each part's low 2^k' bits, shifted up
-    by 2^k', lie inside one part.  The condition is hereditary because each
-    step appends a shifted copy of the moved previous vector on the right.
+    The parts must partition {1..2^k}, 1 must lie in the first part, and
+    the parts must be closed under half blocks (`half_blocks_closed`): for
+    every k' < k, elements of {1..2^k'} sharing a part must still share a
+    part after adding 2^k'.  The condition is hereditary because each step
+    appends a shifted copy of the moved previous vector on the right.
     """
-    if v._union() != (1 << (1 << k)) - 1 or not v.parts[0] & 1:
-        return False
-    for kp in range(k):
-        h = 1 << kp
-        for p in v.parts:
-            moved = (p & ((1 << h) - 1)) << h
-            if not any((moved & q) == moved for q in v.parts):
-                return False
-    return True
+    return (
+        v._union() == (1 << (1 << k)) - 1
+        and bool(v.parts[0] & 1)
+        and half_blocks_closed(v.parts, k)
+    )
 
 
 def is_lvalid(v: SetVector, k: int) -> bool:
@@ -227,36 +242,52 @@ def is_lvalid(v: SetVector, k: int) -> bool:
     return not v._union() >> (1 << k) and is_rvalid(mirror(v, k), k)
 
 
-def sort_canonically(vectors: Iterable[SetVector]) -> list[SetVector]:
-    """`sorted(vectors, key=SetVector.key)`, faster: each part is compared
-    by its rank among the distinct parts, in the order of their element
-    tuples, which is the order `key` compares them in."""
+def sort_canonically(vectors: Iterable[Sequence[int]]) -> list:
+    """`sorted(vectors, key=SetVector.key)`, faster, for `SetVector`s or
+    tuples of part masks alike: each part is compared by its rank among
+    the distinct parts, in the order of their element tuples, which is the
+    order `key` compares them in."""
     vectors = list(vectors)
-    parts = {p for v in vectors for p in v.parts}
+    parts = {p for v in vectors for p in v}
     rank = {p: i for i, p in enumerate(sorted(parts, key=_elements))}
-    return sorted(vectors, key=lambda v: tuple(map(rank.__getitem__, v.parts)))
+    return sorted(vectors, key=lambda v: tuple(map(rank.__getitem__, v)))
 
 
-def generate_graded(
-    n: int, k: int, side: str = "right", max_count: int = 2_000_000
-) -> list[SetVector]:
-    """The full grade-k family of valid vectors of length n, sorted canonically.
+def part_texts(vectors: Iterable[Sequence[int]], brackets: str) -> dict[int, str]:
+    """The text of every distinct part of `vectors`, each decoded once:
+    brackets "{}" give the `str` form {1,4}, "[]" the JSON list [1,4]."""
+    parts = {p for v in vectors for p in v}
+    return {p: brackets[0] + ",".join(map(str, _elements(p))) + brackets[1] for p in parts}
 
-    Generated by iterating `successors` on tuples of masks from the base
-    vector; each distinct tuple of the last grade becomes one validated
-    `SetVector`.  `max_count` bounds the maps tried in each grade, the sum
-    of n^(occupied parts) over the vectors of the grade before.  That sum
-    is taken from the exact counts of vectors by occupied parts
-    (`enumeration.graded_count`) before any map is tried, so a run beyond
-    the guard is refused at once.  It is at least the number of vectors the
-    grade yields.
+
+def _stamp_guard(grade: int, what: str, max_count: int) -> None:
+    """Refuse a vector of `grade`, whose 2^grade stamped elements exceed
+    `max_count`, before anything is built; 2^grade itself is never formed."""
+    if grade >= max(max_count, 0).bit_length():
+        raise SizeGuardError(
+            f"{what} has grade {grade}, so 2^{grade} elements, "
+            f"beyond the guard of {max_count}; raise max_count to override"
+        )
+
+
+def graded_level(n: int, k: int, max_count: int = 2_000_000) -> set[tuple]:
+    """The grade-k family of right-valid vectors of length n, as a set of
+    tuples of part masks, in no order.
+
+    Generated by iterating `successors` from the base tuple.  `max_count`
+    bounds the 2^k elements of one vector and the maps tried in each grade,
+    the sum of n^(occupied parts) over the vectors of the grade before.
+    Both are checked before anything is built: the sum is taken from the
+    exact counts of vectors by occupied parts (`enumeration.graded_count`),
+    and it is at least the number of vectors the grade yields.  Every tuple
+    of the result is checked to partition {1..2^k}; a failure is an
+    internal fault and raises `RuntimeError`.
     """
     from .enumeration import graded_count  # enumeration imports this module
 
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    _stamp_guard(k, f"a graded vector of length {n}", max_count)
     for grade in range(k):
         tries = sum(graded_count(n, grade, l) * n**l for l in range(1, n + 1))
         if tries > max_count:
@@ -267,11 +298,30 @@ def generate_graded(
     level = {SetVector.base(n).parts}
     for _ in range(k):
         level = {s for p in level for s in successors(p)}
-    vectors = [SetVector.of_masks(parts) for parts in level]
-    del level  # the vectors share their part tuples with the set
+    # popcount(a + b) <= popcount(a) + popcount(b), with equality only when
+    # a & b == 0; so parts summing to {1..2^k} with 2^k set bits in all
+    # are pairwise disjoint and their union is {1..2^k}
+    width = 1 << k
+    full = (1 << width) - 1
+    for parts in level:
+        if sum(parts) != full or sum(map(int.bit_count, parts)) != width:
+            raise RuntimeError(f"grade-{k} successor {parts} does not partition 1..{width}")
+    return level
+
+
+def generate_graded(
+    n: int, k: int, side: str = "right", max_count: int = 2_000_000
+) -> list[SetVector]:
+    """The full grade-k family of valid vectors of length n, sorted
+    canonically: `graded_level`, mirrored part by part for the left side,
+    sorted, and only then made into `SetVector`s.  `max_count` is the
+    guard of `graded_level`."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    level = graded_level(n, k, max_count)
     if side == "left":
-        vectors = [mirror(v, k) for v in vectors]
-    return sort_canonically(vectors)
+        level = [tuple(mirror_part(p, k) for p in parts) for parts in level]
+    return [SetVector.of_masks(parts) for parts in sort_canonically(level)]
 
 
 @dataclass(frozen=True)
@@ -468,17 +518,20 @@ def witness_permutation(sigma: Transformation, n: Optional[int] = None) -> UPair
     return pair
 
 
-def witness_full(m: int, n: int) -> UPair:
+def witness_full(m: int, n: int, max_count: int = 2_000_000) -> UPair:
     """A pair projecting onto the full m x n tableau.
 
     Right side: consecutive dyadic blocks [1..2^k], (2^k..2^(k+1)], ... with
     2^(k-1) < m <= 2^k.  Left side: a full-column pair at grade k, then the
     same doubling steps as the right side (identity on the rows), which
-    replicates each left part with period 2^k.  Grade k + n - 1.
+    replicates each left part with period 2^k.  Grade k + n - 1, so each
+    side stamps 2^(k+n-1) elements; more than `max_count` are refused
+    before any is built.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     k = (m - 1).bit_length()  # 2^(k-1) < m <= 2^k
+    _stamp_guard(k + n - 1, f"the full {m}x{n} witness", max_count)
     top = 1 << k
     base_left = [frozenset({top - i}) for i in range(m - 1)]
     base_left.append(frozenset(range(1, top - m + 2)))

@@ -253,6 +253,10 @@ class TestGuards:
             (["series", "65"], "d = 65 exceeds the guard of 64"),
             (["succ", "8", "7", "1", "--oracle"], "8^7 maps exceed the guard of 2000000"),
             (["graded", "6", "4", "--count"], "grade 4 of length-6 vectors tries 1309084746 maps"),
+            (["graded", "1", "22", "--count"],
+             "a graded vector of length 1 has grade 22, so 2^22 elements"),
+            (["witness", "full", "2", "22"],
+             "the full 2x22 witness has grade 22, so 2^22 elements"),
         ],
     )
     def test_library_default_applies(self, capsys, argv, message):
@@ -263,7 +267,8 @@ class TestGuards:
     @pytest.mark.parametrize(
         "argv",
         [["reach", "4", "5"], ["sc", "4", "4"], ["conjecture", "4", "4"],
-         ["succ", "8", "7", "1", "--oracle"], ["graded", "6", "4", "--count"]],
+         ["succ", "8", "7", "1", "--oracle"], ["graded", "6", "4", "--count"],
+         ["graded", "1", "22", "--count"], ["witness", "full", "2", "22"]],
     )
     def test_hint_names_force(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -281,13 +286,19 @@ class TestGuards:
         assert code == 2 and out == ""
         assert err.endswith(f"; raise {keyword} to override\n") and "--force" not in err
 
+    def test_force_widens_the_element_guard(self, capsys):
+        # at n = 1 a grade tries one map, but its vector holds 2^22 elements
+        assert run_cli(capsys, "graded", "1", "22", "--count")[:2] == (2, "")
+        assert run_cli(capsys, "--force", "graded", "1", "22", "--count") == (0, "1\n", "")
+
     # CLI name of each guarded call -> (a cheap command, its limit keyword, the --force value)
     GUARDED = {
         "reachable_tableaux": (["reach", "2", "2"], "max_cells", FORCED_CELLS),
         "state_complexity_shuffle": (["sc", "2", "2"], "max_cells", FORCED_CELLS),
         "check_conjecture1": (["conjecture", "2", "2"], "max_cells", FORCED_CELLS),
         "check_conjecture2": (["conjecture", "2", "2", "--dense"], "max_cells", FORCED_CELLS),
-        "generate_graded": (["graded", "2", "2"], "max_count", FORCED_COUNT),
+        "graded_level": (["graded", "2", "2"], "max_count", FORCED_COUNT),
+        "witness_full": (["witness", "full", "2", "2"], "max_count", FORCED_COUNT),
         "series_direct": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
         "series_closed": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
         "succ_count_oracle": (["succ", "4", "2", "1", "--oracle"], "max_maps", FORCED_COUNT),
@@ -337,8 +348,10 @@ class TestPinnedOutputs:
     graded, witness and succ outputs before set-vector parts became masks,
     `succ 7 5 2 --oracle`, sequence and coeffs before successors became
     mask tuples and the totals one walk along the first row, series
-    before its closed route became integer block recurrences, and the
-    reach and depth-limited outputs before the search ran on orbits."""
+    before its closed route became integer block recurrences, the
+    reach and depth-limited outputs before the search ran on orbits, and
+    the benchmark's `graded` outputs before listings were written from
+    tuples of part masks."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -385,12 +398,19 @@ class TestPinnedOutputs:
              "5382485cb6a329ef3f3ebfb245aff4b22d256922071c5ef4a854437f2c3e7efb"),
             (["reach", "3", "3", "--depth-limit", "2"],
              "e9f2e602740a848bf4f8a1b7df0f5864aa0661e758697d42997798b339cbfa9f"),
+            (["--format", "json", "graded", "5", "3"],
+             "0f2fa5c10f7d20460272b30935fdabe9234f629f9874c1904319f54e97b5ecc4"),
+            (["graded", "4", "3"],
+             "7516d2688dd0570375df48fdd8df56bdb27508381f4c87ab88b20b315ec071c9"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_graded_count(self, capsys):
+        assert run_cli(capsys, "graded", "5", "3", "--count") == (0, "23005\n", "")
 
     def test_incomplete_conjecture_digest(self, capsys):
         # the depth-limited search: status incomplete, exit 3, with the

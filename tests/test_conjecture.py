@@ -19,7 +19,7 @@ from shufflesc import (
 from shufflesc import conjecture
 from shufflesc.conjecture import expected_permutation_grade, permutation_min_grade
 from shufflesc.monster import all_valid_tableaux
-from shufflesc.upair import SetVector, enumerate_dense, generate_graded, is_lvalid
+from shufflesc.upair import SetVector, enumerate_dense, generate_graded, graded_level, is_lvalid
 
 
 @cache
@@ -38,6 +38,22 @@ def reference_min_grade(sigma, k_max):
             if is_lvalid(SetVector.of_masks([rho[j] for j in sigma.images]), k):
                 return k
     return None
+
+
+def reference_left_first_parts(vectors, n, k):
+    """`_left_first_parts` by brute force: every reordering of every vector
+    with all parts nonempty, tested with `is_lvalid` on `SetVector`s; an
+    index already found is not tried first again."""
+    found = set()
+    for rho in vectors:
+        if 0 in rho:
+            continue
+        for order in permutations(range(n)):
+            if order[0] not in found and is_lvalid(
+                SetVector.of_masks([rho[i] for i in order]), k
+            ):
+                found.add(order[0])
+    return frozenset(found)
 
 
 class TestConjecture1:
@@ -209,6 +225,14 @@ class TestWitnessVerification:
         assert depths["1,0,2,3"] == 2  # moves 0: log2(4) steps suffice
         assert depths["1,2,3,0"] == 2
 
+    def test_benchmark_digest(self):
+        # sha256 of the body `perfbench/worker.py` hashes for its witness job
+        body = json.dumps(verify_witnesses(5, 5).to_json(), sort_keys=True, separators=(",", ":"))
+        assert (
+            hashlib.sha256(body.encode("utf-8")).hexdigest()
+            == "ac1a1e39e8f268a4087846a4b9c75fa493b9dfda0338ac07fb3206abe02c19da"
+        )
+
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             verify_witnesses(7, 7)
@@ -243,6 +267,24 @@ class TestMinGrade:
             sigma = Transformation(images)
             k_max = expected_permutation_grade(sigma) + 1
             assert permutation_min_grade(sigma, k_max) == reference_min_grade(sigma, k_max)
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(1, 6) for k in range(4) if (1 << k) >= n]
+    )
+    def test_left_first_parts_matches_brute_force(self, n, k):
+        level = [v.parts for v in generate_graded(n, k)]
+        assert conjecture._left_first_parts(n, k) == reference_left_first_parts(level, n, k)
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_left_first_parts_per_vector(self, n, k, monkeypatch):
+        # on a level of one vector the scan must add exactly the first parts
+        # of its left-valid reorderings: none when the mirror fails the
+        # half-block test, which most of these vectors do
+        scan = conjecture._left_first_parts.__wrapped__
+        for rho in graded_level(n, k):
+            if 0 not in rho:
+                monkeypatch.setattr(conjecture, "graded_level", lambda *_, level={rho}: level)
+                assert scan(n, k) == reference_left_first_parts([rho], n, k), rho
 
     def test_min_grade_matches_bfs(self):
         for n in (2, 3):

@@ -192,6 +192,16 @@ class TestSuccCount:
                 for d in range(0, n - l + 1):
                     assert succ_count(n, l, d) == succ_count_oracle(n, l, d)
 
+    def test_oracle_counts_the_successor_buckets(self):
+        # the oracle counts mask tuples; successor_vectors buckets SetVectors
+        for n in range(1, 7):
+            for l in range(1, n + 1):
+                buckets = successor_vectors(n, l)
+                for d in range(0, n - l + 2):
+                    oracle = succ_count_oracle(n, l, d)
+                    assert oracle == len(buckets.get(l + d, ()))
+                    assert oracle == (succ_count(n, l, d) if l + d <= n else 0)
+
     def test_oracle_guard(self):
         with pytest.raises(SizeGuardError):
             succ_count_oracle(5, 5, 0, max_maps=100)

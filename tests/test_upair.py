@@ -30,7 +30,8 @@ from shufflesc import (
     union_vec,
 )
 from shufflesc.automata import bits
-from shufflesc.upair import _elements, sort_canonically, successors
+from shufflesc import upair
+from shufflesc.upair import _elements, graded_level, sort_canonically, successors
 
 
 def sv(*parts):
@@ -141,6 +142,14 @@ class TestPartDecoding:
                 assert _elements(mask) == decoded(mask)
         assert _elements.cache_info().currsize <= size
         self.check(SetVector.of_masks([masks[0], masks[-1] << 14]))
+
+    def test_rank_order_on_mask_tuples(self):
+        # one order for vectors and for their tuples of part masks
+        rng = random.Random(13)
+        vectors = [SetVector.of_masks(disjoint_masks(rng, 3, 12)) for _ in range(400)]
+        assert sort_canonically([v.parts for v in vectors]) == [
+            v.parts for v in sort_canonically(vectors)
+        ]
 
     def test_rank_order_on_random_vectors(self):
         rng = random.Random(12)
@@ -387,6 +396,29 @@ class TestGenerateGraded:
         assert len(generate_graded(3, 3, max_count=363)) == 363
         with pytest.raises(SizeGuardError, match="grade 3 of length-3 vectors tries 363 maps"):
             generate_graded(3, 3, max_count=362)
+
+    def test_guard_bounds_the_elements(self):
+        # at n = 1 each grade tries one map, but a grade-k vector holds 2^k
+        # elements; the guard refuses 2^k > max_count before building any
+        assert graded_level(1, 3, max_count=8) == {(255,)}
+        with pytest.raises(SizeGuardError, match="has grade 3, so 2\\^3 elements"):
+            graded_level(1, 3, max_count=7)
+        with pytest.raises(SizeGuardError, match="grade 0"):
+            graded_level(2, 0, max_count=0)
+
+    def test_level_is_the_family(self):
+        for n in range(1, 5):
+            for k in range(4):
+                assert graded_level(n, k) == {v.parts for v in generate_graded(n, k)}
+
+    @pytest.mark.parametrize("bad", [(1, 4), (1, 1, 1)])
+    def test_construction_check(self, monkeypatch, bad):
+        # a grade-1 tuple must partition {1, 2}: (1, 4) has two elements but
+        # misses 2; the masks of (1, 1, 1) sum to that of {1, 2}, but they
+        # repeat 1
+        monkeypatch.setattr(upair, "successors", lambda p: iter([bad]))
+        with pytest.raises(RuntimeError, match="does not partition"):
+            graded_level(len(bad), 1)
 
 
 class TestSuccessors:

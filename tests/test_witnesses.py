@@ -120,6 +120,12 @@ class TestFullWitness:
         reach = reachable_tableaux(2, 2)
         assert reach.depths[full_tableau(2, 2)] <= witness_full(2, 2).grade
 
+    def test_guard(self):
+        # grade 1 + 2 = 3 stamps 8 elements on each side
+        assert witness_full(2, 3, max_count=8).grade == 3
+        with pytest.raises(SizeGuardError, match="the full 2x3 witness has grade 3"):
+            witness_full(2, 3, max_count=7)
+
 
 class TestEraseCell:
     def test_full_minus_center(self):
