@@ -17,12 +17,19 @@ from typing import Hashable, Iterable, Iterator, Mapping
 Letter = Hashable
 
 
+# the set bits of each byte value, increasing
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+
+
 def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative mask, increasing."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of a nonnegative mask, increasing.  The mask is
+    read byte by byte from one `to_bytes` copy, so a wide mask is decoded in
+    time linear in its width."""
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
+        if byte:
+            k <<= 3
+            for b in _BYTE_BITS[byte]:
+                yield k + b
 
 
 class Transformation:

@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-from .automata import Transformation
+from .automata import Transformation, bits
 from .conjecture import check_conjecture1, check_conjecture2
 from .enumeration import (
     closed_form_coeffs,
@@ -29,7 +29,7 @@ from .enumeration import (
     succ_count_oracle,
 )
 from .errors import SizeGuardError
-from .monster import f_bound, reachable_tableaux, state_complexity_shuffle
+from .monster import f_bound, mask_lines, reachable_tableaux, state_complexity_shuffle
 from .upair import (
     graded_level,
     part_texts,
@@ -47,6 +47,10 @@ EXIT_CHECK_FAILED = 3
 # Limits that --force passes in place of the library's guard defaults.
 FORCED_CELLS = 64
 FORCED_COUNT = 10**9
+
+# bound and lower-bound print an exact value of about m*n bits, and writing
+# it in decimal takes time quadratic in that: larger grids are refused.
+MAX_VALUE_CELLS = 1 << 18
 
 # The only commands with a CSV rendering; --format csv is refused elsewhere.
 _CSV_COMMANDS = ("reach", "sequence", "matrix")
@@ -175,7 +179,20 @@ def _forced(args, **limits) -> dict:
     return limits if args.force else {}
 
 
+def _value_guard(args) -> None:
+    """Refuse an exact value over more than MAX_VALUE_CELLS cells, or more
+    than FORCED_COUNT under --force, before it is built."""
+    cells, limit = args.m * args.n, FORCED_COUNT if args.force else MAX_VALUE_CELLS
+    if cells > limit:
+        hint = "" if args.force else "; pass --force to override"
+        raise SizeGuardError(
+            f"the exact value at {args.m}x{args.n} has about {cells} bits, "
+            f"beyond the guard of {limit} bits{hint}"
+        )
+
+
 def _cmd_bound(args):
+    _value_guard(args)
     value = f_bound(args.m, args.n)
     if args.fmt == "json":
         _emit(args, _json_dumps({"m": args.m, "n": args.n, "f": value}))
@@ -184,29 +201,57 @@ def _cmd_bound(args):
     return EXIT_OK
 
 
+def _row_text(fmt: str, i: int, n: int, s: int) -> str:
+    """Row i of a reached tableau with row line s, as `reach` writes it in
+    this format, ending in one separator that the writer strips."""
+    if fmt == "json":
+        return "".join(f"[{i},{j}]," for j in bits(s))
+    if fmt == "csv":
+        return "".join(f"{i}.{j};" for j in bits(s))
+    return "".join(".×"[s >> j & 1] for j in range(n)) + "\n"
+
+
+class _RowTexts(dict):
+    """`_row_text` of one row of a grid in one format, by row line, each
+    made on first use."""
+
+    def __init__(self, *row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, s):
+        text = self[s] = _row_text(*self.row, s)
+        return text
+
+
 def _cmd_reach(args):
     reach = reachable_tableaux(
         args.m, args.n, depth_limit=args.depth_limit, **_forced(args, max_cells=FORCED_CELLS)
     )
-    listing = reach.listing()
+    m, n = args.m, args.n
+    order = reach.sorted_masks()
+    width = (1 << n) - 1
+    columns = []
+    for i, t in enumerate(mask_lines(m, n).row_shifts):
+        texts = _RowTexts(args.fmt, i, n)
+        columns.append([texts[mask >> t & width] for _, mask in order])
+    # a tableau is its m row texts joined, less the last separator; every
+    # reached tableau is valid, so it has a cell and the join is not empty
+    tableaux = map("".join, zip(*columns))
+    listing = [(d, text[:-1]) for (d, _), text in zip(order, tableaux)]
     if args.fmt == "json":
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "count": reach.count,
-            "complete": reach.complete,
-            "tableaux": [t.to_json(depth=d) for t, d in listing],
-        }
-        _emit(args, _json_dumps(payload))
+        # the text _json_dumps would write, keys sorted
+        items = ",".join(f'{{"cells":[{c}],"depth":{d},"m":{m},"n":{n}}}' for d, c in listing)
+        _emit(
+            args,
+            f'{{"complete":{_json_dumps(reach.complete)},"count":{reach.count},'
+            f'"m":{m},"n":{n},"tableaux":[{items}]}}',
+        )
     elif args.fmt == "csv":
-        rows = [["depth", "cells"]] + [
-            [d, ";".join(f"{i}.{j}" for i, j in sorted(t.cells))] for t, d in listing
-        ]
-        _emit(args, _csv_rows(rows))
+        _emit(args, "\n".join(["depth,cells"] + [f"{d},{c}" for d, c in listing]))
     else:
         blocks = [f"{reach.count} reachable tableaux (complete={reach.complete})"]
-        for t, d in listing:
-            blocks.append(f"depth {d}\n{t.render()}")
+        blocks += [f"depth {d}\n{grid}" for d, grid in listing]
         _emit(args, "\n\n".join(blocks))
     return EXIT_OK
 
@@ -362,6 +407,7 @@ def _cmd_witness(args):
 
 
 def _cmd_lower_bound(args):
+    _value_guard(args)
     value = lower_bound_ie(args.m, args.n)
     if args.fmt == "json":
         _emit(args, _json_dumps({"m": args.m, "n": args.n, "lower_bound": value}))
@@ -387,6 +433,20 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # exact values can have more digits than the interpreter's int-to-str
+    # limit (4300 by default; there is none before 3.10.7): lift it while the
+    # CLI runs, and restore it after
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.fmt == "csv" and args.command not in _CSV_COMMANDS:

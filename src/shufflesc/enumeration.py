@@ -317,13 +317,18 @@ def closed_form_coeffs(n: int) -> list[Fraction]:
 def lower_bound_ie(m: int, n: int) -> int:
     """Inclusion-exclusion count of the tableaux containing a full row and a
     full column, all of which are reachable: a lower bound for the shuffle
-    state complexity, strictly above 2^((m-1)(n-1)) for m, n >= 2."""
+    state complexity, strictly above 2^((m-1)(n-1)) for m, n >= 2.
+
+    The double sum over k full rows and l full columns, of
+    (-1)^(k+l) C(m,k) C(n,l) 2^((m-k)(n-l)), is summed over l in closed
+    form: with x = 2^(m-k) the l-sum is (x-1)^n - x^n.  The count is
+    symmetric in m and n, so k runs over the shorter side."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
+    m, n = sorted((m, n))
     return sum(
-        (-1) ** (k + l) * comb(m, k) * comb(n, l) * (1 << ((m - k) * (n - l)))
+        (-1) ** k * comb(m, k) * (((1 << (m - k)) - 1) ** n - (1 << ((m - k) * n)))
         for k in range(1, m + 1)
-        for l in range(1, n + 1)
     )
 
 

@@ -183,7 +183,7 @@ class ReachResult:
     `mask_depths` maps each reached mask (`Tableau.mask`) to its depth, in
     the order the search found them, orbit by orbit (see
     `reachable_tableaux`); `depths` is the same map keyed by `Tableau`,
-    built on first use.  Nothing reads that order: `listing` sorts.
+    built on first use.  Nothing reads that order: `sorted_masks` sorts.
     """
 
     m: int
@@ -200,10 +200,13 @@ class ReachResult:
     def count(self) -> int:
         return len(self.mask_depths)
 
+    def sorted_masks(self) -> list[tuple[int, int]]:
+        """(depth, mask) sorted; the canonical listing order."""
+        return sorted((d, mask) for mask, d in self.mask_depths.items())
+
     def listing(self) -> list[tuple[Tableau, int]]:
-        """(tableau, depth) sorted by (depth, mask); a canonical listing order."""
-        order = sorted((d, mask) for mask, d in self.mask_depths.items())
-        return [(Tableau.from_mask(self.m, self.n, mask), d) for d, mask in order]
+        """(tableau, depth) in the order of `sorted_masks`."""
+        return [(Tableau.from_mask(self.m, self.n, mask), d) for d, mask in self.sorted_masks()]
 
     def depth_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}

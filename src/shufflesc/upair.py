@@ -533,18 +533,15 @@ def witness_full(m: int, n: int, max_count: int = 2_000_000) -> UPair:
     k = (m - 1).bit_length()  # 2^(k-1) < m <= 2^k
     _stamp_guard(k + n - 1, f"the full {m}x{n} witness", max_count)
     top = 1 << k
-    base_left = [frozenset({top - i}) for i in range(m - 1)]
-    base_left.append(frozenset(range(1, top - m + 2)))
-    reps = 1 << (n - 1)
-    lam = SetVector(
-        [{x + top * a for x in part for a in range(reps)} for part in base_left]
-    )
-    rho = SetVector(
-        [range(1, top + 1)]
-        + [
-            range((top << (j - 1)) + 1, (top << j) + 1)
-            for j in range(1, n)
-        ]
+    # left: the parts {top}, {top-1}, ..., {top-m+2} and {1..top-m+1}, each
+    # repeated every top elements 2^(n-1) times by one product with a repunit
+    base_left = [1 << (top - 1 - i) for i in range(m - 1)] + [(1 << (top - m + 1)) - 1]
+    repunit = ((1 << (top << (n - 1))) - 1) // ((1 << top) - 1)
+    lam = SetVector.of_masks([part * repunit for part in base_left])
+    # right: [1..top], then the run (top 2^(j-1) .. top 2^j] for j = 1..n-1
+    rho = SetVector.of_masks(
+        [(1 << top) - 1]
+        + [((1 << (top << (j - 1))) - 1) << (top << (j - 1)) for j in range(1, n)]
     )
     return UPair(lam, rho)
 

@@ -20,7 +20,7 @@ from shufflesc import (
     nfa_to_json,
     shuffle_nfa,
 )
-from shufflesc.automata import moore_refine, successor_rows
+from shufflesc.automata import bits, moore_refine, successor_rows
 from shufflesc.monster import f_bound, monster_dfa
 
 
@@ -79,6 +79,29 @@ class TestTransformation:
         assert t == Transformation.cycle(3, [0, 2, 1]) and repr(t) == "Transformation([2, 0, 1])"
         assert hash(t) == hash(Transformation.cycle(3, [0, 2, 1]))
         assert len({t, Transformation([2, 0, 1]), Transformation.identity(3)}) == 2
+
+
+def reference_bits(mask):
+    """The set bits of a mask read off its binary text."""
+    return [i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1"]
+
+
+class TestBits:
+    @given(st.integers(min_value=0, max_value=(1 << 200) - 1))
+    @example(0)
+    @example(1)
+    @example(255)
+    @example(256)
+    @example(1 << 64)
+    def test_narrow(self, mask):
+        assert list(bits(mask)) == reference_bits(mask)
+
+    def test_wide(self):
+        # 2^18 bits: every byte value, runs of zero bytes and the top bit set
+        mask = sum(v << (8 * k) for k, v in enumerate(range(256)))
+        mask |= ((1 << 4096) - 1) << 100_000 | 0x5A5A << 150_000 | 1 << ((1 << 18) - 1)
+        assert mask.bit_length() == 1 << 18
+        assert list(bits(mask)) == reference_bits(mask)
 
 
 class TestShuffleNfa:

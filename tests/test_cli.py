@@ -1,10 +1,13 @@
 import hashlib
 import json
+import re
+import sys
 
 import pytest
 
 from shufflesc import cli
 from shufflesc.cli import FORCED_CELLS, FORCED_COUNT, main
+from shufflesc.monster import Tableau, reachable_tableaux
 
 
 def run_cli(capsys, *args):
@@ -117,6 +120,57 @@ class TestReachCommand:
         _, out1, _ = run_cli(capsys, "--format", "json", "reach", "2", "2")
         _, out2, _ = run_cli(capsys, "--format", "json", "reach", "2", "2")
         assert out1 == out2
+
+
+def reference_reach_output(fmt, m, n, depth_limit=None):
+    """The reach output written through one `Tableau` per reached state, the
+    library views the CLI writer must agree with byte for byte."""
+    reach = reachable_tableaux(m, n, depth_limit=depth_limit)
+    listing = reach.listing()
+    if fmt == "json":
+        payload = {
+            "m": m,
+            "n": n,
+            "count": reach.count,
+            "complete": reach.complete,
+            "tableaux": [t.to_json(depth=d) for t, d in listing],
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        rows = ["depth,cells"] + [
+            f"{d}," + ";".join(f"{i}.{j}" for i, j in sorted(t.cells)) for t, d in listing
+        ]
+        return "\n".join(rows) + "\n"
+    blocks = [f"{reach.count} reachable tableaux (complete={reach.complete})"]
+    blocks += [f"depth {d}\n{t.render()}" for t, d in listing]
+    return "\n\n".join(blocks) + "\n"
+
+
+class TestReachWriter:
+    """The CLI writes the reach listing from the masks; the reference above
+    builds a `Tableau` per state.  Every grid of at most 12 cells, every
+    format, depth limits 0, 1, 2 and none."""
+
+    @pytest.mark.parametrize(
+        "m, n", [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+    )
+    def test_matches_reference(self, capsys, m, n):
+        for fmt in ("text", "json", "csv"):
+            for limit in (0, 1, 2, None):
+                extra = [] if limit is None else ["--depth-limit", str(limit)]
+                code, out, err = run_cli(capsys, "--format", fmt, "reach", str(m), str(n), *extra)
+                assert (code, err) == (0, "")
+                assert out == reference_reach_output(fmt, m, n, limit), (fmt, limit)
+
+    def test_builds_no_tableau(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Tableau was built")
+
+        monkeypatch.setattr(Tableau, "from_mask", refuse)
+        monkeypatch.setattr(Tableau, "__post_init__", refuse)
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, "--format", fmt, "reach", "3", "3")
+            assert (code, err) == (0, "") and out
 
 
 class TestScCommand:
@@ -321,6 +375,58 @@ class TestGuards:
             assert keyword not in calls.pop(name)
 
 
+class TestLongValues:
+    """Exact values beyond the interpreter's default int-to-str limit of 4300
+    digits are written in full, and the limit is restored afterwards."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "json", "bound", "200", "200"],
+            ["lower-bound", "200", "200"],
+            ["--format", "json", "lower-bound", "200", "200"],
+            ["matrix", "3", "--power", "20000"],
+            ["--format", "json", "matrix", "3", "--power", "20000"],
+        ],
+    )
+    def test_written_in_full(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+
+    def test_limit_restored(self, capsys):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        before = get_limit()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert run_cli(capsys, "bound", "200", "200")[0] == 0
+            assert get_limit() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("command", ["bound", "lower-bound"])
+    def test_huge_grid_refused_before_building(self, capsys, monkeypatch, command):
+        def refuse(m, n):
+            raise AssertionError("the value was built")
+
+        monkeypatch.setattr(cli, "f_bound", refuse)
+        monkeypatch.setattr(cli, "lower_bound_ie", refuse)
+        code, out, err = run_cli(capsys, command, "99999", "99999")
+        assert code == 2 and out == ""
+        assert err == (
+            "size guard: the exact value at 99999x99999 has about 9999800001 bits, "
+            "beyond the guard of 262144 bits; pass --force to override\n"
+        )
+        code, out, err = run_cli(capsys, "--force", command, "99999", "99999")
+        assert code == 2 and out == "" and err.endswith("beyond the guard of 1000000000 bits\n")
+
+    def test_guard_edge(self, capsys):
+        assert run_cli(capsys, "bound", "512", "512")[0] == 0
+        assert run_cli(capsys, "bound", "513", "512")[:2] == (2, "")
+
+
 class TestOutputFile:
     def test_write_to_path(self, capsys, tmp_path):
         target = tmp_path / "out.json"
@@ -351,7 +457,8 @@ class TestPinnedOutputs:
     before its closed route became integer block recurrences, the
     reach and depth-limited outputs before the search ran on orbits, and
     the benchmark's `graded` outputs before listings were written from
-    tuples of part masks."""
+    tuples of part masks, and the reach listings and full witnesses
+    before reach was written from masks and `bits` decoded byte by byte."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -402,6 +509,23 @@ class TestPinnedOutputs:
              "0f2fa5c10f7d20460272b30935fdabe9234f629f9874c1904319f54e97b5ecc4"),
             (["graded", "4", "3"],
              "7516d2688dd0570375df48fdd8df56bdb27508381f4c87ab88b20b315ec071c9"),
+            (["reach", "3", "4"],
+             "e87c855aec53bf283c5db83dcee73bcc61cb55371b8953aef1c0af6995d22ddd"),
+            # the benchmark's golden digest of this output
+            (["--format", "json", "reach", "2", "6"],
+             "787b4bb2744bf8bac909a5c58490afe265585909bb5e1cc69f788cff032c13a7"),
+            (["--format", "csv", "reach", "3", "3", "--depth-limit", "1"],
+             "794c6ca798850adbc5a3969634f4c1cb1d06e1363b0ed41c3a2463df90fe13a3"),
+            (["reach", "1", "4"],
+             "b3cfa4e85f74a2bc8d34b6a9f4846b184d3d0a5e3aff4bd92c19ebca6e96a351"),
+            (["--format", "json", "reach", "4", "1"],
+             "9fa720b4b3203b0b96efa15d74d64193db297e4fe1d274481dcc1b0407f014c2"),
+            (["--format", "csv", "reach", "1", "5"],
+             "c6ba533db57047a45441f1f8bcf8d4921eb000cf506d71efd1e07a28967795f0"),
+            (["witness", "full", "2", "12"],
+             "626ae713da25c260260f9a0a8350b77a2d9253c2fb0debf4a4c0be046de3fb85"),
+            (["--format", "json", "witness", "full", "3", "8"],
+             "1811c46031edf313f4ba07cba3b5c545aa3aa84881ed10c3420d6c4f78e142a6"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):
@@ -411,6 +535,39 @@ class TestPinnedOutputs:
 
     def test_graded_count(self, capsys):
         assert run_cli(capsys, "graded", "5", "3", "--count") == (0, "23005\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["bound", "200", "200"],
+             "418314a6d74afc3ffb250ee8ff9b6ac71498d4556c99412d55856a0949a29f6f"),
+            (["sequence", "2", "20000"],
+             "0734a7695168edabcd6e0649f8ea59fb914b580ea514ad03bb24ce88710d66d5"),
+        ],
+    )
+    def test_long_value_digest(self, capsys, argv, digest):
+        # values of 12043 digits and up, past the default int-to-str limit
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_incomplete_reach_digest(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--format", "json", "reach", "2", "3", "--depth-limit", "1"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["complete"] is False
+        assert (
+            hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "919d0da3b7d4131c091a2ed5c973dddeda5bedb0d180ca84ad6c95953b280d30"
+        )
+
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        target = tmp_path / "reach.txt"
+        argv = ["reach", "2", "4"]
+        assert run_cli(capsys, "--output", str(target), *argv)[:2] == (0, "")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and target.read_bytes() == out.encode("utf-8")
 
     def test_incomplete_conjecture_digest(self, capsys):
         # the depth-limited search: status incomplete, exit 3, with the

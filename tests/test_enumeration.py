@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -367,6 +368,16 @@ class TestLowerBound:
                 )
                 count += has_cross
             assert lower_bound_ie(m, n) == count
+
+    def test_double_sum(self):
+        # the inclusion-exclusion over k full rows and l full columns, term by term
+        for m in range(1, 9):
+            for n in range(1, 9):
+                assert lower_bound_ie(m, n) == sum(
+                    (-1) ** (k + l) * comb(m, k) * comb(n, l) * (1 << ((m - k) * (n - l)))
+                    for k in range(1, m + 1)
+                    for l in range(1, n + 1)
+                )
 
     def test_sandwich(self):
         for m in range(2, 7):
