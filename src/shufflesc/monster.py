@@ -287,14 +287,19 @@ def reachable_tableaux(
     6 x 6 case alone has 2^36 tableaux).
 
     The search runs on orbits of G, the relabellings (s, t) of the rows and
-    the columns that fix row 0 and column 0.  As proved under Orbits in
-    `_final_pair_classes`, (s x t) fixes {(0, 0)} and sends the image of E
-    under (f, g) to the image of (s x t)(E) under (s f s^-1, t g t^-1), and
-    conjugation permutes the full alphabet.  So depth((s x t)(E)) = depth(E)
-    and every level of the search is a union of orbits: when a tableau is
-    first found, its whole orbit (`_orbit`) gets the same depth, and only
-    that tableau is expanded at the next level.  The images of one tableau
-    per orbit, closed under G, are the images of the whole level.
+    the columns that fix row 0 and column 0: permutations s of {0..m-1}
+    and t of {0..n-1} with s(0) = 0 and t(0) = 0.  The map E -> (s x t)(E)
+    on tableaux fixes {(0, 0)}.  It sends the image of E under a letter
+    (f, g) to the image of (s x t)(E) under the conjugate letter
+    (s f s^-1, t g t^-1): a cell (i, j) of E gives (f(i), j) and (i, g(j)),
+    which (s x t) moves to (s f s^-1 (s(i)), t(j)) and (s(i), t g t^-1
+    (t(j))), the images of the cell (s(i), t(j)) of (s x t)(E).
+    Conjugation permutes the full alphabet, so by induction on the depth,
+    depth((s x t)(E)) = depth(E).  Every level of the search is thus a
+    union of orbits: when a tableau is first found, its whole orbit
+    (`_orbit`) gets the same depth, and only that tableau is expanded at
+    the next level.  The images of one tableau per orbit, closed under G,
+    are the images of the whole level.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -422,9 +427,9 @@ def count_distinguishable(
     words are restricted to the given alphabet, which may be empty (then
     only finality separates).  Every pair of nonempty final sets is refined
     from finality on its own.  None of the routes of state_complexity_shuffle
-    applies: the orbit reduction, the support quotient and the certificate
-    all rest on the full alphabet.  The maximizers are listed in the same
-    order as for state_complexity_shuffle.
+    applies: the support quotient, the shared partition of the proper pairs
+    and the certificate all rest on the full alphabet.  The maximizers are
+    listed in the same order as for state_complexity_shuffle.
     """
     letters = list(letters)
     for f, g in letters:
@@ -445,16 +450,15 @@ def state_complexity_shuffle(
     pairs are reported, ordered by the bitmasks of F1 then F2 (bit i set
     when state i is final).  Pairs with an empty side make every state
     equivalent and are skipped.  The full alphabet (m^m n^n letters) is
-    never refined over unless needed: one pair per orbit under relabelling
-    the non-initial states is counted (25 of 49 pairs at 3x3), by the first
-    of three routes that applies, each proved in `_final_pair_classes`.  A
-    pair with F1 = Q1 or F2 = Q2 is counted on the supports of the reached
-    tableaux (every pair at 1 x n and n x 1).  Any other pair is refined
-    under the (4+m)(4+n) or fewer certificate letters, and if that leaves
-    every reached tableau in a class of its own, the count is the
-    reachable count.  Only otherwise does the refinement go on over the
-    full alphabet, from the certificate's partition; no size up to 4 x 4
-    takes that route.
+    never refined over unless needed; each step is proved in
+    `_final_pair_classes`.  A pair with F1 = Q1 or F2 = Q2 is counted on the
+    supports of the reached tableaux (every pair at 1 x n and n x 1).  All
+    other pairs have one and the same Nerode partition, so one refinement
+    per grid counts them all: from the finality of ({0}, {n-1}), under the
+    (4+m)(4+n) or fewer certificate letters.  If that leaves every reached
+    tableau in a class of its own, the count is the reachable count.  Only
+    otherwise does the refinement go on over the full alphabet, from the
+    certificate's partition; no grid of at most 16 cells takes that route.
     """
     return _max_over_finals(m, n, None, reach, max_cells)
 
@@ -492,12 +496,27 @@ def _certificate_letters(m, n):
     return [MonsterLetter(Transformation(f), Transformation(g)) for f in maps(m) for g in maps(n)]
 
 
-def _support_classes(supports, final):
-    """Class count of the support quotient (see `_final_pair_classes`): each
-    support that misses `final` is a class of its own, and the supports
-    that meet it make one more class, if there are any."""
-    missing = sum(1 for s in supports if not s & final)
-    return missing + (missing < len(supports))
+def _support_classes(supports, width):
+    """Class count of the support quotient (see `_final_pair_classes`) for
+    every final set of `width` states, indexed by its mask: each support
+    that misses the final set is a class of its own, and the supports that
+    meet it make one more class, if there are any.  The supports inside
+    each mask are counted for all masks at once, one state at a time, in
+    width 2^width steps rather than one pass over the supports per final
+    set (2^15 supports and 2^16 final sets at 1 x 16)."""
+    full = (1 << width) - 1
+    inside = [0] * (full + 1)
+    for s in supports:
+        inside[s] = 1
+    for b in range(width):
+        h = 1 << b
+        for x in range(full + 1):
+            if x & h:
+                inside[x] += inside[x ^ h]
+    return [
+        missing + (missing < len(supports))
+        for missing in (inside[full ^ final] for final in range(full + 1))
+    ]
 
 
 def _final_pair_classes(m, n, letters, reach):
@@ -507,18 +526,10 @@ def _final_pair_classes(m, n, letters, reach):
     With a fixed letter set every pair is refined from finality under those
     letters.  With the full alphabet (`letters` None) the count is that of
     the Nerode equivalence, found without refining over the full alphabet
-    where a proof allows; Q1 and Q2 are the whole state sets:
+    where a proof allows.  Q1 and Q2 are the whole state sets, acc(F1, F2)
+    is the set of tableaux that meet F1 x F2, and a pair is proper when
+    neither side is empty or whole:
 
-    - Orbits.  For permutations s of {0..m-1} and t of {0..n-1} that fix 0,
-      the map E -> (s x t)(E) on tableaux fixes the initial tableau
-      {(0, 0)}, sends the image of E under a letter (f, g) to the image of
-      (s x t)(E) under (s f s^-1, t g t^-1), and E meets F1 x F2 iff
-      (s x t)(E) meets s(F1) x t(F2).  Conjugation permutes the full
-      alphabet, so the automata with finals (F1, F2) and (s(F1), t(F2)) are
-      isomorphic and have the same number of classes.  That number is then
-      a function of the orbit, which is fixed by whether 0 lies in F1 and in
-      F2 and by the sizes of F1 and F2: one pair per orbit is counted, by
-      the first of the three routes below that applies.
     - Quotient, when F1 = Q1.  Then E meets F1 x F2 iff its column support
       C meets F2, and a letter (f, g) sends C to C | g(C), whatever f is.
       So two tableaux are equivalent iff their column supports are
@@ -532,51 +543,71 @@ def _final_pair_classes(m, n, letters, reach):
       not.  The count is thus the number of supports missing F2, plus one
       if some support meets F2 (`_support_classes`).  F2 = Q2 is the same
       on row supports, with f acting.
-    - Certified.  Otherwise refine under G (`_certificate_letters`).  G is a
-      subset of the full alphabet, so tableaux that G separates are
-      separated by the full alphabet too.  If G leaves every reached
-      tableau in a class of its own, so does the full alphabet, and the
-      count is the reachable count.
+    - Shared, for every proper pair.  All proper pairs have the same Nerode
+      equivalence.  A letter (f, g) sends E into acc(F1, F2) iff E meets
+      (f^-1(F1) x F2) | (F1 x g^-1(F2)).  Let f be constant at a state
+      outside F1 (one exists, as F1 != Q1), and for a nonempty B let g send
+      B into F2 and every other column outside F2 (possible, as F2 is
+      nonempty and proper).  Then E·(f, g) is in acc(F1, F2) iff E is in
+      acc(F1, B).  A word w that separates two tableaux for (F1, B) makes
+      w (f, g) separate them for (F1, F2), so the equivalence of (F1, F2)
+      refines that of (F1, B).  When B is proper too, the same with F2 and
+      B swapped gives the converse: the two are equal.  The mirror letters
+      (f sending a nonempty proper A into F1 and the rest outside it, g
+      constant outside F2) change F1 the same way, and one change per side
+      takes any proper pair to any other.  So one refinement counts them
+      all, from the finality of ({0}, {n-1}), by the two routes below.
+    - Certified.  Refine under G (`_certificate_letters`).  G is a subset
+      of the full alphabet, so tableaux that G separates are separated by
+      the full alphabet too.  If G leaves every reached tableau in a class
+      of its own, so does the full alphabet, and the count is the
+      reachable count.
     - Fallback.  Otherwise the refinement goes on over the full alphabet,
-      from the stable partition P of G; the full-alphabet rows are built
-      once, on first use.  P lies between finality and the Nerode
-      equivalence: it refines finality, and it never separates states that
-      no word separates, since words over G are words.  A Moore round keeps
-      Nerode-equivalent states together, so refinement from P never splits
-      a Nerode class; when it stops, the partition refines finality and is
-      closed under every letter, so each of its classes lies in a Nerode
-      class.  It thus ends at the Nerode equivalence, as refinement from the
-      finality partition does.
+      from the stable partition P of G.  P lies between finality and the
+      Nerode equivalence: it refines finality, and it never separates
+      states that no word separates, since words over G are words.  A Moore
+      round keeps Nerode-equivalent states together, so refinement from P
+      never splits a Nerode class; when it stops, the partition refines
+      finality and is closed under every letter, so each of its classes
+      lies in a Nerode class.  It thus ends at the Nerode equivalence, as
+      refinement from the finality partition does.
     """
     masks = sorted(reach.mask_depths)
-    q1, q2 = (1 << m) - 1, (1 << n) - 1  # the bits of Q1 and Q2
-    alphabet = _certificate_letters(m, n) if letters is None else letters
-    rows = cache(lambda: _transition_rows(masks, m, n, alphabet))
-    full_rows = cache(lambda: _transition_rows(masks, m, n, None))
-    if letters is None:
+    pairs = [(f1, f2) for f1 in range(1, 1 << m) for f2 in range(1, 1 << n)]
+
+    def finality(f1_bits, f2_bits):
+        fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
+        return [int(bool(mk & fmask)) for mk in masks]
+
+    if letters is not None:
+        rows = _transition_rows(masks, m, n, letters)
+        counts = (len(set(moore_refine(rows, finality(*pair)))) for pair in pairs)
+    else:
+        q1, q2 = (1 << m) - 1, (1 << n) - 1  # the bits of Q1 and Q2
         occupied = [mask_lines(m, n).rows(mask) for mask in masks]
-        row_supports = {sum(1 << i for i, _ in lines) for lines in occupied}
-        col_supports = {reduce(or_, (s for _, s in lines)) for lines in occupied}
-    known: dict = {}
-    for f1_bits in range(1, 1 << m):
-        for f2_bits in range(1, 1 << n):
-            if letters is None:
-                key = (f1_bits & 1, f1_bits.bit_count(), f2_bits & 1, f2_bits.bit_count())
-            else:
-                key = (f1_bits, f2_bits)
-            if key not in known:
-                if letters is None and f1_bits == q1:
-                    classes = _support_classes(col_supports, f2_bits)
-                elif letters is None and f2_bits == q2:
-                    classes = _support_classes(row_supports, f1_bits)
-                else:
-                    fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
-                    codes = moore_refine(rows(), [int(bool(mk & fmask)) for mk in masks])
-                    classes = len(set(codes))
-                    if letters is None and classes < len(masks):
-                        classes = len(set(moore_refine(full_rows(), codes)))
-                known[key] = classes
-            yield (frozenset(bits(f1_bits)), frozenset(bits(f2_bits))), known[key]
+        row_classes = _support_classes({sum(1 << i for i, _ in lines) for lines in occupied}, m)
+        col_classes = _support_classes({reduce(or_, (s for _, s in lines)) for lines in occupied}, n)
+
+        @cache
+        def proper():
+            # the certificate's rows are freed before the full alphabet's,
+            # far larger, are built
+            codes = moore_refine(
+                _transition_rows(masks, m, n, _certificate_letters(m, n)),
+                finality(1, 1 << (n - 1)),
+            )
+            if len(set(codes)) < len(masks):
+                codes = moore_refine(_transition_rows(masks, m, n, None), codes)
+            return len(set(codes))
+
+        counts = (
+            col_classes[f2_bits] if f1_bits == q1
+            else row_classes[f1_bits] if f2_bits == q2
+            else proper()
+            for f1_bits, f2_bits in pairs
+        )
+    for (f1_bits, f2_bits), classes in zip(pairs, counts):
+        yield (frozenset(bits(f1_bits)), frozenset(bits(f2_bits))), classes
 
 
 def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLetter], side: str) -> Dfa:

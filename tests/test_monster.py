@@ -433,9 +433,10 @@ class TestStateComplexity:
 
     @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_naive_refinement(self, m, n):
-        # orbits, the support quotient, the certificate and the singleton
-        # skip change nothing: the same class count for every final pair,
-        # hence the same value and the same maximizers in the same order
+        # the support quotient, the shared partition of the proper pairs, the
+        # certificate and the singleton skip change nothing: the same class
+        # count for every final pair, hence the same value and the same
+        # maximizers in the same order
         naive, reachable = naive_final_pair_classes(m, n)
         best = max(classes for _, classes in naive)
         res = state_complexity_shuffle(m, n)
@@ -487,6 +488,74 @@ class TestStateComplexity:
         )
         assert len(res.maximizers) == (2**3 - 2) * (2**4 - 2) == 84
 
+    def test_4x4(self):
+        # one refinement under the certificate letters counts all 196 proper
+        # pairs, and each is a maximizer
+        res = state_complexity_shuffle(4, 4, max_cells=16)
+        assert res.value == res.reachable_count == f_bound(4, 4) == 57856
+        assert res.maximizers == tuple(
+            (frozenset(i for i in range(4) if b1 >> i & 1), frozenset(j for j in range(4) if b2 >> j & 1))
+            for b1 in range(1, 15)
+            for b2 in range(1, 15)
+        )
+        assert len(res.maximizers) == (2**4 - 2) ** 2 == 196
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["reached", "all-masks"])
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+    def test_proper_pairs_share_one_partition(self, m, n, closed):
+        # the lemma behind the one shared refinement, as partitions and not
+        # only as counts: over the full alphabet, every pair of nonempty
+        # proper final sets refines the reached masks (or all 2^(mn) masks,
+        # also closed under every letter) into the same classes; a pair with
+        # a whole side gives another partition
+        masks = list(range(1 << (m * n))) if closed else sorted(reachable_tableaux(m, n).mask_depths)
+        rows = _transition_rows(masks, m, n, None)
+
+        def partition(b1, b2):
+            cells = [(i, j) for i in range(m) if b1 >> i & 1 for j in range(n) if b2 >> j & 1]
+            fmask = sum(1 << (i * n + j) for i, j in cells)
+            first: dict = {}
+            codes = moore_refine(rows, [int(bool(mask & fmask)) for mask in masks])
+            return [first.setdefault(c, len(first)) for c in codes]
+
+        q1, q2 = (1 << m) - 1, (1 << n) - 1
+        shared = partition(1, 1)
+        for b1 in range(1, 1 << m):
+            for b2 in range(1, 1 << n):
+                if b1 == q1 or b2 == q2:
+                    assert partition(b1, b2) != shared
+                else:
+                    assert partition(b1, b2) == shared
+
+    def test_one_refinement_per_grid(self, monkeypatch):
+        refined, built = [], []
+        refine, transition_rows = monster.moore_refine, monster._transition_rows
+
+        def refine_spy(rows, codes):
+            refined.append(len(codes))
+            return refine(rows, codes)
+
+        def rows_spy(masks, m, n, letters=None):
+            built.append(letters)
+            return transition_rows(masks, m, n, letters)
+
+        monkeypatch.setattr(monster, "moore_refine", refine_spy)
+        monkeypatch.setattr(monster, "_transition_rows", rows_spy)
+        assert state_complexity_shuffle(3, 3).value == 400
+        assert refined == [400] and built == [monster._certificate_letters(3, 3)]
+        # one final side of a single state: every pair is a support quotient
+        for m, n in ((1, 1), (1, 3), (1, 4), (3, 1), (4, 1)):
+            refined.clear()
+            built.clear()
+            state_complexity_shuffle(m, n)
+            assert refined == built == []
+        # a fixed letter set refines every pair on its own, on rows built once
+        refined.clear()
+        built.clear()
+        letters = distinguishing_letters(2, 3)
+        assert count_distinguishable(2, 3, letters).value == 44
+        assert refined == [44] * (3 * 7) and built == [letters]
+
     @pytest.mark.parametrize(
         "m, n, size", [(1, 3, 7), (2, 2, 16), (2, 5, 36), (3, 3, 49), (3, 4, 56), (4, 4, 64)]
     )
@@ -510,7 +579,21 @@ class TestStateComplexity:
         )
         for final in range(1, 1 << n):
             codes = moore_refine(rows, [int(bool(c & final)) for c in supports])
-            assert monster._support_classes(supports, final) == len(set(codes))
+            assert monster._support_classes(supports, n)[final] == len(set(codes))
+
+    @pytest.mark.parametrize(
+        "supports, width",
+        [({1}, 1), ({1, 2}, 3), ({1, 3, 5, 7}, 3), ({1, 6, 9, 12, 15}, 4), ({2, 3, 20, 31}, 5)],
+    )
+    def test_support_table_is_the_per_final_count(self, supports, width):
+        # the table counts inside every mask at once, and needs no symmetry
+        # of the supports: some sets above are closed under no relabelling,
+        # and at ({1, 2}, 3) the final mask 4 meets no support
+        table = monster._support_classes(supports, width)
+        assert len(table) == 1 << width
+        for final in range(1, 1 << width):
+            missing = sum(1 for s in supports if not s & final)
+            assert table[final] == missing + (missing < len(supports))
 
     @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
     def test_explicit_full_alphabet_agrees(self, m, n):
