@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .automata import Transformation, bits
@@ -184,10 +183,9 @@ def _value_guard(args) -> None:
     than FORCED_COUNT under --force, before it is built."""
     cells, limit = args.m * args.n, FORCED_COUNT if args.force else MAX_VALUE_CELLS
     if cells > limit:
-        hint = "" if args.force else "; pass --force to override"
         raise SizeGuardError(
             f"the exact value at {args.m}x{args.n} has about {cells} bits, "
-            f"beyond the guard of {limit} bits{hint}"
+            f"beyond the guard of {limit} bits"
         )
 
 
@@ -456,10 +454,8 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SizeGuardError as exc:
-        message = str(exc)
-        if not args.force:
-            # the library names its keyword; --force is what widens it here
-            message = re.sub(r"raise \w+ to override$", "pass --force to override", message)
+        # the library names its keyword; --force is what widens it here
+        message = str(exc) if args.force else exc.refusal + "; pass --force to override"
         print(f"size guard: {message}", file=sys.stderr)
         return EXIT_GUARD
 

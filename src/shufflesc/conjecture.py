@@ -273,7 +273,6 @@ def verify_witnesses(
     m: int,
     n: int,
     max_permutation_size: int = 6,
-    check_depths: bool = True,
     reach: Optional[ReachResult] = None,
 ) -> WitnessReport:
     """Check the explicit witness constructions at (m, n).
@@ -287,8 +286,8 @@ def verify_witnesses(
     """
     if n > max_permutation_size:
         raise SizeGuardError(
-            f"verifying {n}! permutations exceeds the guard of "
-            f"{max_permutation_size}!; raise max_permutation_size to override"
+            f"verifying {n}! permutations exceeds the guard of {max_permutation_size}!",
+            "max_permutation_size",
         )
     if reach is not None:
         if (reach.m, reach.n) != (n, n):
@@ -301,9 +300,7 @@ def verify_witnesses(
         pair = witness_permutation(sigma)
         target = Tableau(n, n, {(i, sigma(i)) for i in range(n)})
         expected = expected_permutation_grade(sigma)
-        if not check_depths:
-            depth = None
-        elif reach is not None:
+        if reach is not None:
             depth = reach.mask_depths[target.mask]
         else:
             depth = permutation_min_grade(sigma, expected + 1)

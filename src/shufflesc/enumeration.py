@@ -87,9 +87,7 @@ def canonical_vector(l: int, n: Optional[int] = None) -> SetVector:
 
 def _maps_guard(n: int, l: int, max_maps: int) -> None:
     if n ** l > max_maps:
-        raise SizeGuardError(
-            f"{n}^{l} maps exceed the guard of {max_maps}; raise max_maps to override"
-        )
+        raise SizeGuardError(f"{n}^{l} maps exceed the guard of {max_maps}", "max_maps")
 
 
 def successor_vectors(
@@ -443,7 +441,7 @@ def series_direct(d: int, max_blocks_guard: int = 64) -> TruncatedSeries:
     if d < 1:
         raise ValueError("d must be at least 1")
     if d > max_blocks_guard:
-        raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}")
+        raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}", "max_blocks_guard")
     coeffs = {(0, 0): Fraction(1)}
     for i in range(1, d + 1):
         row = _r_stirling_row(2 * i, i)
@@ -542,7 +540,7 @@ def series_closed(d: int, max_blocks_guard: int = 64) -> TruncatedSeries:
     if d < 1:
         raise ValueError("d must be at least 1")
     if d > max_blocks_guard:
-        raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}")
+        raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}", "max_blocks_guard")
     max_x, max_y = 2 * d, d
     w_diag = _lambert_w_xy(d + 1)
 

@@ -1,7 +1,14 @@
 class SizeGuardError(ValueError):
-    """A computation would exceed its configured size guard.
+    """A computation would exceed its configured size guard, which protects
+    against accidentally launching an exponential-size enumeration.
 
-    Guards protect against accidentally launching exponential-size
-    enumerations; every guarded entry point takes an explicit limit
-    argument that can be raised to override the default.
+    `refusal` says what was refused.  `keyword` names the limit argument
+    that widens the guard, or is None where there is none (the CLI's own
+    value guard).  The message is the refusal, followed by
+    "; raise <keyword> to override" when there is a keyword.
     """
+
+    def __init__(self, refusal: str, keyword: str | None = None):
+        self.refusal, self.keyword = refusal, keyword
+        hint = "" if keyword is None else f"; raise {keyword} to override"
+        super().__init__(refusal + hint)

@@ -128,8 +128,7 @@ def scan_guard(m: int, n: int, max_cells: int) -> None:
     """Refuse a scan over all 2^(mn) masks of an m x n grid beyond max_cells."""
     if m * n > max_cells:
         raise SizeGuardError(
-            f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}; "
-            "raise max_cells to override"
+            f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}", "max_cells"
         )
 
 
@@ -304,10 +303,7 @@ def reachable_tableaux(
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     if m * n > max_cells:
-        raise SizeGuardError(
-            f"{m}x{n} grid exceeds the {max_cells}-cell guard; "
-            "raise max_cells to override"
-        )
+        raise SizeGuardError(f"{m}x{n} grid exceeds the {max_cells}-cell guard", "max_cells")
     bound = f_bound(m, n)
     depths = {1: 0}  # mask of {(0, 0)} is 1
     frontier = [1]
@@ -468,8 +464,8 @@ def _max_over_finals(m, n, letters, reach, max_cells):
     reaches it, in bitmask order."""
     if m * n > max_cells:
         raise SizeGuardError(
-            f"state-complexity search on a {m}x{n} grid exceeds the "
-            f"{max_cells}-cell guard; raise max_cells to override"
+            f"state-complexity search on a {m}x{n} grid exceeds the {max_cells}-cell guard",
+            "max_cells",
         )
     if reach is None:
         reach = reachable_tableaux(m, n, max_cells=max_cells)

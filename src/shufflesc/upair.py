@@ -266,7 +266,8 @@ def _stamp_guard(grade: int, what: str, max_count: int) -> None:
     if grade >= max(max_count, 0).bit_length():
         raise SizeGuardError(
             f"{what} has grade {grade}, so 2^{grade} elements, "
-            f"beyond the guard of {max_count}; raise max_count to override"
+            f"beyond the guard of {max_count}",
+            "max_count",
         )
 
 
@@ -277,23 +278,25 @@ def graded_level(n: int, k: int, max_count: int = 2_000_000) -> set[tuple]:
     Generated by iterating `successors` from the base tuple.  `max_count`
     bounds the 2^k elements of one vector and the maps tried in each grade,
     the sum of n^(occupied parts) over the vectors of the grade before.
-    Both are checked before anything is built: the sum is taken from the
-    exact counts of vectors by occupied parts (`enumeration.graded_count`),
-    and it is at least the number of vectors the grade yields.  Every tuple
-    of the result is checked to partition {1..2^k}; a failure is an
-    internal fault and raises `RuntimeError`.
+    Both are checked before anything is built, the maps from the exact
+    totals (`enumeration.r_totals`).  Every tuple of the result is checked
+    to partition {1..2^k}; a failure is an internal fault and raises
+    `RuntimeError`.
     """
-    from .enumeration import graded_count  # enumeration imports this module
+    from .enumeration import r_totals  # enumeration imports this module
 
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     _stamp_guard(k, f"a graded vector of length {n}", max_count)
-    for grade in range(k):
-        tries = sum(graded_count(n, grade, l) * n**l for l in range(1, n + 1))
+    # The maps tried into a grade are exactly its vectors, r_total(n, grade):
+    # distinct maps on a parent's occupied parts give distinct successors,
+    # and a successor's low half is its parent, so no two tries coincide.
+    for grade, tries in enumerate(r_totals(n, k)[1:], 1):
         if tries > max_count:
             raise SizeGuardError(
-                f"grade {grade + 1} of length-{n} vectors tries {tries} maps, "
-                f"beyond the guard of {max_count}; raise max_count to override"
+                f"grade {grade} of length-{n} vectors tries {tries} maps, "
+                f"beyond the guard of {max_count}",
+                "max_count",
             )
     level = {SetVector.base(n).parts}
     for _ in range(k):

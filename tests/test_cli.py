@@ -7,6 +7,7 @@ import pytest
 
 from shufflesc import cli
 from shufflesc.cli import FORCED_CELLS, FORCED_COUNT, main
+from shufflesc.errors import SizeGuardError
 from shufflesc.monster import Tableau, reachable_tableaux
 
 
@@ -322,7 +323,7 @@ class TestGuards:
         "argv",
         [["reach", "4", "5"], ["sc", "4", "4"], ["conjecture", "4", "4"],
          ["succ", "8", "7", "1", "--oracle"], ["graded", "6", "4", "--count"],
-         ["graded", "1", "22", "--count"], ["witness", "full", "2", "22"]],
+         ["graded", "1", "22", "--count"], ["witness", "full", "2", "22"], ["series", "65"]],
     )
     def test_hint_names_force(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -331,7 +332,8 @@ class TestGuards:
 
     @pytest.mark.parametrize(
         "argv, keyword",
-        [(["reach", "9", "9"], "max_cells"), (["graded", "6", "4", "--count"], "max_count")],
+        [(["reach", "9", "9"], "max_cells"), (["graded", "6", "4", "--count"], "max_count"),
+         (["series", "1000000001"], "max_blocks_guard")],
     )
     def test_hint_kept_under_force(self, capsys, argv, keyword):
         # --force was given and the widened guard still holds: the library's
@@ -373,6 +375,29 @@ class TestGuards:
             assert calls.pop(name)[keyword] == limit
             assert run_cli(capsys, *argv)[0] == 0
             assert keyword not in calls.pop(name)
+
+    # CLI name of each guarded call -> (its arguments in the cheap command, a limit just below)
+    BELOW = {
+        "reachable_tableaux": ((2, 2), 3),
+        "state_complexity_shuffle": ((2, 2), 3),
+        "check_conjecture1": ((2, 2), 3),
+        "check_conjecture2": ((2, 2), 3),
+        "graded_level": ((2, 2), 3),
+        "witness_full": ((2, 2), 3),
+        "series_direct": ((2,), 1),
+        "series_closed": ((2,), 1),
+        "succ_count_oracle": ((4, 2, 1), 15),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_refusal_names_the_keyword_force_widens(self, name):
+        args, limit = self.BELOW[name]
+        keyword = self.GUARDED[name][1]
+        with pytest.raises(SizeGuardError) as info:
+            getattr(cli, name)(*args, **{keyword: limit})
+        exc = info.value
+        assert exc.keyword == keyword
+        assert str(exc) == f"{exc.refusal}; raise {exc.keyword} to override"
 
 
 class TestLongValues:
