@@ -26,14 +26,18 @@ from .upair import SetVector, sort_canonically, successors
 @lru_cache(maxsize=None)
 def stirling2(a: int, b: int) -> int:
     """Stirling number of the second kind: partitions of an a-set into b
-    nonempty blocks."""
+    nonempty blocks.
+
+    By the explicit sum b! S2(a, b) = sum over j of (-1)^j C(b, j) (b-j)^a,
+    not the recurrence: on a cold cache that goes up to a calls deep, past
+    the interpreter's recursion limit near a = 500."""
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
     if a == b:
         return 1
     if b == 0 or b > a:
         return 0
-    return b * stirling2(a - 1, b) + stirling2(a - 1, b - 1)
+    return sum((-1) ** j * comb(b, j) * (b - j) ** a for j in range(b)) // factorial(b)
 
 
 @lru_cache(maxsize=None)
@@ -59,15 +63,24 @@ def succ_count(n: int, l: int, d: int) -> int:
 
     Choosing which d empty slots open up gives the binomial prefactor; the
     inner sum counts maps on the occupied slots by how many of them leave.
+    With the explicit sum of `stirling2` and the binomial theorem this is
+
+        C(n-l, d) * sum over j of (-1)^j C(d, j) (l+d-j)^l,
+
+    the maps of the l occupied slots into themselves and d chosen empty
+    slots that hit every chosen one, by inclusion-exclusion over the missed
+    ones.  That form is computed, d + 1 terms and no Stirling numbers; the
+    first stays in `matrix_B`, so the factorization S_n = B o A_n checks one
+    against the other.
     """
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return (
-        factorial(d)
-        * comb(n - l, d)
-        * sum(comb(l, a) * l ** (l - a) * stirling2(a, d) for a in range(d, l + 1))
+    if d > min(l, n - l):  # l slots map onto at most l of the n - l empty ones
+        return 0
+    return comb(n - l, d) * sum(
+        (-1) ** j * comb(d, j) * (l + d - j) ** l for j in range(d + 1)
     )
 
 
@@ -198,15 +211,18 @@ def hadamard(m: ExactMatrix, n: ExactMatrix) -> ExactMatrix:
 
 
 @lru_cache(maxsize=None)
-def matrix_S(n: int) -> ExactMatrix:
+def matrix_S(n: int, size: Optional[int] = None) -> ExactMatrix:
     """The n x n successor-count matrix: entry (i, j), 1-indexed, is
-    succ_count(n, i, j - i).  Upper triangular with diagonal 1^1 ... n^n."""
+    succ_count(n, i, j - i).  Upper triangular with diagonal 1^1 ... n^n.
+    With `size`, only its top-left size x size block."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if size is None:
+        size = n
     return ExactMatrix(
         [
-            [succ_count(n, i, j - i) if j >= i else 0 for j in range(1, n + 1)]
-            for i in range(1, n + 1)
+            [succ_count(n, i, j - i) if j >= i else 0 for j in range(1, size + 1)]
+            for i in range(1, size + 1)
         ]
     )
 
@@ -260,15 +276,21 @@ def r_total(n: int, k: int) -> int:
 
 def graded_rows(n: int, kmax: int) -> Iterator[tuple]:
     """The first rows of (S_n)^k for k = 0..kmax, each one vector-matrix
-    product from the last: entry l - 1 of row k is graded_count(n, k, l)."""
+    product from the last: entry l - 1 of row k is graded_count(n, k, l).
+
+    A grade-k vector has at most 2^k nonempty parts (succ_count(n, l, d) is
+    0 for d > l), so these rows are 0 beyond column 2^kmax and the walk
+    reads only that block of S_n, padding each row with zeros to length n."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    cols = list(zip(*matrix_S(n).rows))
-    row = (1,) + (0,) * (n - 1)
-    yield row
+    size = min(n, 1 << min(kmax, n.bit_length()))  # 2^kmax is not formed
+    cols = list(zip(*matrix_S(n, size).rows))
+    pad = (0,) * (n - size)
+    row = (1,) + (0,) * (size - 1)
+    yield row + pad
     for _ in range(kmax):
         row = tuple(sum(map(mul, row, col)) for col in cols)
-        yield row
+        yield row + pad
 
 
 def r_totals(n: int, kmax: int) -> list[int]:
@@ -342,8 +364,10 @@ def _exact(c) -> Fraction:
 
 
 class TruncatedSeries:
-    """Bivariate power series over exact rationals, truncated to the
-    rectangle x-degree <= max_x, y-degree <= max_y.
+    """The bivariate power series that both constructions return: exact
+    rational coefficients, truncated to the rectangle x-degree <= max_x,
+    y-degree <= max_y.  It holds and compares coefficients; it has no
+    arithmetic.
 
     The grading variable is y: the block of y-degree i is a polynomial in x
     of degree between i and 2i, so a rectangle with max_x = 2 max_y holds
@@ -368,56 +392,6 @@ class TruncatedSeries:
     def y_block(self, ey: int) -> list[Fraction]:
         """Coefficients of y^ey as a dense list indexed by x-degree."""
         return [self.coefficient(ex, ey) for ex in range(self.max_x + 1)]
-
-    def _same_box(self, other: "TruncatedSeries"):
-        if (self.max_x, self.max_y) != (other.max_x, other.max_y):
-            raise ValueError("truncation rectangles differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._same_box(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return TruncatedSeries(self.max_x, self.max_y, out)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.max_x, self.max_y, {k: -c for k, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(
-                self.max_x,
-                self.max_y,
-                {k: c * _exact(other) for k, c in self.coeffs.items()},
-            )
-        self._same_box(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (x1, y1), c1 in self.coeffs.items():
-            for (x2, y2), c2 in other.coeffs.items():
-                ex, ey = x1 + x2, y1 + y2
-                if ex <= self.max_x and ey <= self.max_y:
-                    key = (ex, ey)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TruncatedSeries(self.max_x, self.max_y, out)
-
-    __rmul__ = __mul__
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term and no y-degree-0 part
-        (so the power sum terminates within the truncation box)."""
-        if any(ey == 0 for (_, ey) in self.coeffs):
-            raise ValueError("exp needs every term to carry a positive y-degree")
-        result = TruncatedSeries(self.max_x, self.max_y, {(0, 0): Fraction(1)})
-        power = TruncatedSeries(self.max_x, self.max_y, {(0, 0): Fraction(1)})
-        for t in range(1, self.max_y + 1):
-            power = power * self
-            result = result + power * Fraction(1, factorial(t))
-        return result
 
     def __eq__(self, other):
         return (

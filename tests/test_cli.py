@@ -452,6 +452,44 @@ class TestLongValues:
         assert run_cli(capsys, "bound", "513", "512")[:2] == (2, "")
 
 
+class TestLargeCheapInputs:
+    """Inputs large in n or in the value but cheap to answer: each ends with
+    an exit code and no traceback."""
+
+    CYCLE = ",".join(map(str, [*range(1, 200), 0]))
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["bound", "512", "512"], None),
+            (["reach", "2", "6"], None),
+            (["sc", "1", "12"], None),
+            (["sc", "4", "4"], None),  # refused by the guard
+            (["graded", "600", "1", "--count"], "600"),
+            (["graded", "300", "0", "--count"], "1"),
+            (["graded", "2", "30", "--count"], None),  # refused by the guard
+            (["matrix", "60"], None),
+            (["sequence", "600", "1"], "1,600"),
+            (["sequence", "300", "3"], None),
+            (["coeffs", "40"], None),
+            (["series", "64"], None),
+            (["series", "65"], None),  # refused by the guard
+            (["succ", "700", "520", "500"], None),  # d past the Stirling recurrence's depth
+            (["succ", "700", "600", "500"], "0"),  # more slots than are empty
+            (["conjecture", "2", "6"], None),
+            (["witness", "perm", "200", CYCLE], None),
+            (["witness", "full", "2", "12"], None),
+            (["lower-bound", "200", "200"], None),
+        ],
+    )
+    def test_no_traceback(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if expected is not None:
+            assert (code, out, err) == (0, expected + "\n", "")
+
+
 class TestOutputFile:
     def test_write_to_path(self, capsys, tmp_path):
         target = tmp_path / "out.json"

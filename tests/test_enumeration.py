@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -121,6 +121,16 @@ class TestStirling:
         with pytest.raises(ValueError):
             stirling2(-1, 0)
 
+    def test_large_arguments_against_a_triangle(self):
+        # the recurrence, filled row by row, beyond a = 500, where a
+        # recursive stirling2 exceeds the interpreter's recursion limit
+        checks = {600: (1, 2, 300, 598, 599, 600), 601: (600, 601, 602)}
+        row = [1]  # S2(0, .)
+        for a in range(1, max(checks) + 1):
+            row = [0] + [b * x + y for b, (x, y) in enumerate(zip(row[1:] + [0], row), 1)]
+            for b in checks.get(a, ()):
+                assert stirling2(a, b) == (row[b] if b <= a else 0)
+
 
 class TestRStirling:
     def test_known_values(self):
@@ -129,8 +139,9 @@ class TestRStirling:
         assert r_stirling2(4, 4, 2) == 1
 
     def test_r0_and_r1_reduce_to_stirling(self):
-        for a in range(0, 7):
-            for b in range(0, a + 1):
+        # r_stirling2 is the recursive reference for stirling2's explicit sum
+        for a in range(0, 41):
+            for b in range(0, 41):
                 assert r_stirling2(a, b, 0) == stirling2(a, b)
                 if a >= 1 and b >= 1:
                     assert r_stirling2(a, b, 1) == stirling2(a, b)
@@ -180,6 +191,15 @@ class TestSuccCount:
 
     def test_small_matrix_entry(self):
         assert succ_count(4, 2, 2) == 2
+
+    def test_first_form_at_scale(self):
+        # the docstring's Stirling form against the computed one, up to
+        # d = 500, beyond the Stirling recurrence's recursion limit
+        for n, l, d in [(700, 520, 500), (60, 40, 20), (9, 4, 5)]:
+            first = factorial(d) * comb(n - l, d) * sum(
+                comb(l, a) * l ** (l - a) * stirling2(a, d) for a in range(d, l + 1)
+            )
+            assert succ_count(n, l, d) == first
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -316,6 +336,19 @@ class TestTotals:
             r_totals(3, -1)
         with pytest.raises(ValueError):
             r_totals(0, 3)
+
+    def test_walk_reads_only_the_reached_block(self, monkeypatch):
+        seen = set()
+        count = enumeration.succ_count
+
+        def spy(n, l, d):
+            seen.add(l)
+            return count(n, l, d)
+
+        monkeypatch.setattr(enumeration, "succ_count", spy)
+        enumeration.matrix_S.cache_clear()
+        assert r_totals(600, 1) == [1, 600]
+        assert seen == {1, 2}
 
     def test_u_total(self):
         assert u_total(2, 2, 2) == 36

@@ -11,44 +11,19 @@ def F(*args):
 
 
 class TestTruncatedSeries:
-    def test_mul_truncates(self):
-        a = TruncatedSeries(2, 2, {(1, 1): F(1)})
-        sq = a * a
-        assert sq.coefficient(2, 2) == 1
-        assert (sq * a).coeffs == {}  # x^3 y^3 falls outside the box
-
-    def test_scalar_and_add(self):
-        a = TruncatedSeries(2, 1, {(0, 0): F(1), (1, 1): F(2)})
-        b = a * F(1, 2) + a
-        assert b.coefficient(1, 1) == F(3)
-        assert b.coefficient(0, 0) == F(3, 2)
-
-    def test_exp_requires_positive_y_degree(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 2, {(1, 0): F(1)}).exp()
-
-    def test_exp_matches_expansion(self):
-        u = TruncatedSeries(8, 4, {(2, 1): F(1)})
-        e = u.exp()
-        # exp(x^2 y) = sum (x^2 y)^t / t!
-        assert e.coefficient(0, 0) == 1
-        assert e.coefficient(2, 1) == 1
-        assert e.coefficient(4, 2) == F(1, 2)
-        assert e.coefficient(6, 3) == F(1, 6)
-
-    def test_box_mismatch(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 2) + TruncatedSeries(3, 2)
+    def test_constructor_keeps_the_box(self):
+        s = TruncatedSeries(
+            2, 1, {(0, 0): F(1), (1, 1): F(0), (3, 0): F(5), (1, 2): F(7), (2, 1): 3}
+        )
+        # the zero, the term beyond max_x and the term beyond max_y are dropped
+        assert s.coeffs == {(0, 0): F(1), (2, 1): F(3)}
+        assert s.coefficient(1, 1) == Fraction(0)
+        assert s.coefficient(3, 0) == Fraction(0)
+        assert s == TruncatedSeries(2, 1, {(0, 0): 1, (2, 1): F(3)})
 
     def test_floats_refused(self):
         with pytest.raises(TypeError, match="float"):
             TruncatedSeries(1, 1, {(0, 0): 0.1})
-        a = TruncatedSeries(1, 1, {(0, 0): F(1)})
-        with pytest.raises(TypeError, match="float"):
-            a * 0.1
-        with pytest.raises(TypeError, match="float"):
-            0.5 * a
-        assert (a * 2).coefficient(0, 0) == 2
 
 
 class TestGeneratingFunction:
@@ -73,7 +48,6 @@ class TestGeneratingFunction:
         monkeypatch.setattr(enumeration, "r_stirling2", forbidden)
         monkeypatch.setattr(enumeration, "_r_stirling_row", forbidden)
         monkeypatch.setattr(enumeration, "series_direct", forbidden)
-        monkeypatch.setattr(TruncatedSeries, "exp", forbidden)
         assert series_closed(7) == expected
 
     def test_nonintegral_input_is_an_internal_fault(self, monkeypatch):
