@@ -2,15 +2,18 @@
 
 States are dense integer indices.  Letters are opaque hashable values: strings,
 ints, or pairs of transformations all work unchanged.  Every operation returns
-a fresh value; nothing is mutated after construction, so automata are safe to
-share across threads.
+a fresh value, except that `minimize` returns an input that is already
+minimal and numbered breadth-first as it is; nothing is mutated after
+construction, so automata are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter, or_
 from typing import Hashable, Iterable, Iterator, Mapping
 
@@ -327,6 +330,10 @@ def shuffle_nfa(k: Dfa, l: Dfa) -> Nfa:
     )
 
 
+# one 64-bit field of a packed row (see `determinize`)
+_FIELD = (1 << 64) - 1
+
+
 class _Numbering(dict):
     """Numbers keys in order of first lookup: reading a missing key gives it
     the next number and appends it to `order`."""
@@ -345,24 +352,41 @@ class _Numbering(dict):
 def determinize(n: Nfa) -> Dfa:
     """Subset construction restricted to reachable subsets.
 
-    Subsets are masks, bit d for state d.  The successors of a subset under
-    every letter are the element-wise OR of its states' rows of `n.table`,
-    read lazily and numbered as they are read, so each subset builds one
-    tuple, its row of the result.  Subsets are numbered in breadth-first
-    discovery order (letters taken in alphabet order), so the result is
-    reproducible; state 0 is the initial subset.
+    Subsets are masks, bit d for state d.  Each state's row of `n.table` is
+    packed once into one int per plane of 64 states: plane p holds bits
+    64p..64p+63 of every letter's successor mask, in a 64-bit field at the
+    letter's position, in native byte order.  The successors of a subset
+    under every letter are then the OR of its states' packed ints, one
+    C-level `|` per state and plane, split back into one int per letter by
+    a `memoryview` cast (the planes past the first shifted into place), and
+    numbered as they are read, so each subset builds one tuple, its row of
+    the result.  Subsets are numbered in breadth-first discovery order
+    (letters taken in alphabet order), so the result is reproducible; state
+    0 is the initial subset.
     """
-    succ = n.table
+    width = 8 * len(n.alphabet)
+    shifts = range(0, max(64, n.state_count), 64)
+    packed = [
+        [
+            int.from_bytes(array("Q", [m >> s & _FIELD for m in row]).tobytes(), sys.byteorder)
+            for row in n.table
+        ]
+        for s in shifts
+    ]
+
+    def fields(plane, members):
+        acc = reduce(or_, map(plane.__getitem__, members), 0)
+        return memoryview(acc.to_bytes(width, sys.byteorder)).cast("Q")
+
     index = _Numbering()
     index[_mask(n.initials)]  # the initial subset is number 0
     order = index.order
-    zero = (0,) * len(n.alphabet)
     table = []
     for subset in order:
-        states = map(succ.__getitem__, bits(subset))
-        row = next(states, zero)
-        for other in states:
-            row = map(or_, row, other)
+        members = list(bits(subset))
+        row = fields(packed[0], members)
+        for s, plane in zip(shifts[1:], packed[1:]):
+            row = map(or_, row, [w << s for w in fields(plane, members)])
         table.append(tuple(map(index.__getitem__, row)))
     finals = _mask(n.finals)
     return Dfa.of_table(
@@ -438,19 +462,24 @@ def minimize(d: Dfa) -> Dfa:
     breadth-first order from the initial class, so equal inputs give
     identical outputs.  The accessible states are numbered that way too, so
     when every class is a single state the renumbering is the identity and
-    their rows are the result: the subset construction of a shuffle that
-    meets the bound f(m, n) is such a case.
+    their rows are the result.  If, besides, every state is accessible and
+    already numbered breadth-first, as `determinize` numbers subsets, the
+    result is `d` itself: the subset construction of a shuffle that meets
+    the bound f(m, n) is such a case.
     """
     pos = _accessible(d)
     order = pos.order
-    if order == list(range(len(order))):
-        # already numbered breadth-first, as `determinize` numbers subsets:
+    identity = order == list(range(len(order)))
+    if identity:
         # the table itself gives the successor positions
         succ = d.table[: len(order)]
     else:
         succ = [tuple(map(pos.__getitem__, d.table[q])) for q in order]
     codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
     if len(set(codes)) == len(codes):
+        if identity and len(order) == d.state_count:
+            # initial state 0, the same finals and `succ` is `d.table`
+            return d
         finals = [i for i, q in enumerate(order) if q in d.finals]
         return Dfa.of_table(len(succ), d.alphabet, 0, finals, succ)
 

@@ -186,18 +186,24 @@ class ExactMatrix:
 
 
 def matrix_power(m: ExactMatrix, k: int) -> ExactMatrix:
-    """m^k by repeated squaring; k = 0 gives the identity."""
+    """m^k by repeated squaring; k = 0 gives the identity.  The result
+    starts as the power of k's lowest set bit and no square is taken past
+    its highest, so m^1 is m itself and m^3 takes two products."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if m.nrows != m.ncols:
         raise ValueError("matrix must be square")
-    result = ExactMatrix.identity(m.nrows)
+    if not k:
+        return ExactMatrix.identity(m.nrows)
     base = m
-    while k:
-        if k & 1:
-            result = result @ base
+    while not k & 1:
         base = base @ base
         k >>= 1
+    result = base
+    while k := k >> 1:
+        base = base @ base
+        if k & 1:
+            result = result @ base
     return result
 
 

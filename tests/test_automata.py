@@ -1,7 +1,10 @@
 import hashlib
 import json
+import random
 from collections import deque
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -367,6 +370,56 @@ class TestAgainstReference:
         assert_same_dfa(minimize(d), reference_minimize(d))
 
 
+def hub_nfa(size, seed):
+    """A seeded random NFA whose successor sets are drawn from a few hub
+    states, so at most 2^len(hubs) + 1 subsets are reachable.  The hubs
+    include the states on each side of every 64-state boundary below
+    `size`, and the last state."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b", "c")
+    edges = {q for q in (0, 63, 64, 127, 128, size - 1) if q < size}
+    hubs = sorted(edges | set(rng.sample(range(size), min(size, 4))))
+    delta = {
+        (q, a): rng.sample(hubs, rng.randint(0, min(3, len(hubs))))
+        for q in range(size)
+        for a in alphabet
+    }
+    initials = rng.sample(range(size), min(size, 5))
+    return Nfa(size, alphabet, initials, rng.sample(range(size), size // 2), delta)
+
+
+class TestDeterminizeWidths:
+    """The packed rows of `determinize` hold 64 states per plane: NFAs of
+    one, two and three planes against the frozenset reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 129])
+    def test_against_reference(self, size, seed):
+        n = hub_nfa(size, seed)
+        masks = [m for row in n.table for m in row]
+        if size > 64:
+            # some letter's successors span two planes, and the top state
+            # is a successor
+            assert any(m >> 64 and m & (1 << 64) - 1 for m in masks)
+            assert reduce(or_, masks) >> (size - 1)
+        assert_same_dfa(determinize(n), reference_determinize(n))
+
+    @pytest.mark.parametrize("size", [1, 65, 129])
+    def test_empty_alphabet(self, size):
+        n = Nfa(size, (), {0, size - 1}, {size - 1}, {})
+        d = determinize(n)
+        assert (d.state_count, d.table, d.finals) == (1, ((),), frozenset({0}))
+        assert_same_dfa(d, reference_determinize(n))
+
+    @pytest.mark.parametrize("size", [1, 65, 129])
+    def test_no_initial_states(self, size):
+        n = hub_nfa(size, 0)
+        n = Nfa(size, n.alphabet, (), n.finals, n.delta)
+        d = determinize(n)
+        assert (d.state_count, d.table, d.finals) == (1, ((0, 0, 0),), frozenset())
+        assert_same_dfa(d, reference_determinize(n))
+
+
 class TestTable:
     def test_rows_in_alphabet_order(self):
         d = Dfa(2, ("b", "a"), 0, {1}, {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1})
@@ -528,8 +581,44 @@ class TestPinnedClassical:
         det = determinize(shuffle_nfa(k, l))
         assert (_digest(det), _digest(minimize(det))) == self.PINS[case]
         # each letter, a pair of transformations, is hashed once per table
-        # built (the NFA, the subset DFA, the minimal DFA), never per state
-        assert hashes == 2 * 3 * len(k.alphabet)
+        # built (the NFA and the subset DFA; the subset DFA is minimal and
+        # numbered breadth-first, so `minimize` returns it), never per state
+        assert hashes == 2 * 2 * len(k.alphabet)
+
+    def test_minimal_input_returned_as_is(self):
+        det = determinize(shuffle_nfa(*self.sides(2, 3, (1,), (1,))))
+        assert minimize(det) is det
+        # a merged result is minimal and numbered breadth-first in turn
+        m = minimize(determinize(shuffle_nfa(*self.sides(2, 3, (0, 1), (1,)))))
+        assert minimize(m) is m
+
+    def test_minimal_input_with_an_unreachable_state(self):
+        case = (2, 3, (1,), (1,))
+        det = determinize(shuffle_nfa(*self.sides(*case)))
+        extra = Dfa.of_table(
+            det.state_count + 1,
+            det.alphabet,
+            0,
+            det.finals | {det.state_count},
+            det.table + ((0,) * len(det.alphabet),),
+        )
+        m = minimize(extra)
+        assert m is not extra and m.state_count == det.state_count
+        assert _digest(m) == self.PINS[case][1]
+
+    def test_minimal_input_not_numbered_breadth_first(self):
+        case = (2, 3, (1,), (1,))
+        det = determinize(shuffle_nfa(*self.sides(*case)))
+        last = det.state_count - 1
+        reversed_ = Dfa.of_table(
+            det.state_count,
+            det.alphabet,
+            last,
+            {last - q for q in det.finals},
+            [tuple(last - dst for dst in row) for row in reversed(det.table)],
+        )
+        m = minimize(reversed_)
+        assert m is not reversed_ and _digest(m) == self.PINS[case][1]
 
     def test_shuffle_nfa_digest(self):
         nfa = shuffle_nfa(*self.sides(2, 3, (1,), (1,)))

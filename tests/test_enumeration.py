@@ -291,6 +291,27 @@ class TestMatrices:
         sq = matrix_power(s3, 2)
         assert sq.to_lists() == [[1, 10, 10], [0, 16, 155], [0, 0, 729]]
 
+    def test_power_matches_repeated_products(self):
+        m = ExactMatrix([[1, 2, Fraction(1, 3)], [0, -1, 4], [5, 0, 2]])
+        want = ExactMatrix.identity(3)
+        for k in range(10):
+            assert matrix_power(m, k) == want
+            want = want @ m
+
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_power_product_count(self, k, products, monkeypatch):
+        calls = 0
+        matmul = ExactMatrix.__matmul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+        matrix_power(matrix_S(4), k)
+        assert calls == products
+
     def test_power_negative(self):
         with pytest.raises(ValueError):
             matrix_power(matrix_S(2), -1)
