@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter, or_
@@ -425,31 +425,21 @@ def moore_refine(rows, codes) -> list:
     """Moore refinement: split classes by successor classes until stable.
 
     `codes[s]` is the initial class code of state s and `rows[s](codes)` the
-    codes of its successors (see `successor_rows`).  A round gives a
-    signature only to the states of classes with more than one member, since
-    a singleton class can never split; it stops once a round splits nothing,
-    every state has a class of its own, or there is only one class.  Returns
-    a class code per state: equal codes mean equivalent states, the values
+    codes of its successors (see `successor_rows`).  Each round numbers
+    every state by its code and the codes of its successors; it stops once
+    a round splits nothing.  No round runs when there is only one class or
+    every state has a class of its own, since neither can split.  Returns a
+    class code per state: equal codes mean equivalent states, the values
     themselves carry nothing.
     """
     codes = list(codes)
-    fresh = max(codes, default=0) + 1
-    sizes = Counter(codes)
-    # a lone class is stable too: all successors of its states share it
-    active = [s for s, c in enumerate(codes) if sizes[c] > 1] if len(sizes) > 1 else []
-    groups = sum(1 for k in sizes.values() if k > 1)
-    while active:
+    count = len(set(codes))
+    while 1 < count < len(codes):
         sigs: dict = {}
-        new = codes[:]
-        for s in active:
-            new[s] = sigs.setdefault((codes[s], rows[s](codes)), fresh + len(sigs))
-        if len(sigs) == groups:
+        codes = [sigs.setdefault((c, row(codes)), len(sigs)) for c, row in zip(codes, rows)]
+        if len(sigs) == count:
             break
-        fresh += len(sigs)
-        codes = new
-        sizes = Counter(map(new.__getitem__, active))
-        active = [s for s in active if sizes[new[s]] > 1]
-        groups = sum(1 for k in sizes.values() if k > 1)
+        count = len(sigs)
     return codes
 
 
@@ -460,12 +450,11 @@ def minimize(d: Dfa) -> Dfa:
     states start split by finality and are repeatedly split by the classes
     of their successors.  The classes of the result are renumbered in
     breadth-first order from the initial class, so equal inputs give
-    identical outputs.  The accessible states are numbered that way too, so
-    when every class is a single state the renumbering is the identity and
-    their rows are the result.  If, besides, every state is accessible and
-    already numbered breadth-first, as `determinize` numbers subsets, the
-    result is `d` itself: the subset construction of a shuffle that meets
-    the bound f(m, n) is such a case.
+    identical outputs.  If every state is accessible, already numbered
+    breadth-first (as `determinize` numbers subsets) and in a class of its
+    own, that renumbering is the identity and the result is `d` itself: the
+    subset construction of a shuffle that meets the bound f(m, n) is such a
+    case.
     """
     pos = _accessible(d)
     order = pos.order
@@ -476,12 +465,9 @@ def minimize(d: Dfa) -> Dfa:
     else:
         succ = [tuple(map(pos.__getitem__, d.table[q])) for q in order]
     codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
-    if len(set(codes)) == len(codes):
-        if identity and len(order) == d.state_count:
-            # initial state 0, the same finals and `succ` is `d.table`
-            return d
-        finals = [i for i, q in enumerate(order) if q in d.finals]
-        return Dfa.of_table(len(succ), d.alphabet, 0, finals, succ)
+    if identity and len(order) == d.state_count and len(set(codes)) == len(codes):
+        # initial state 0, the same finals and `succ` is `d.table`
+        return d
 
     # the partition is stable, so any member stands for its class; position
     # 0 is the initial state

@@ -253,10 +253,32 @@ def reference_determinize(n):
     return Dfa(len(order), n.alphabet, 0, finals, delta)
 
 
+def first_occurrence(codes):
+    """The partition given by `codes`, its classes numbered in order of
+    first occurrence."""
+    ids = {}
+    return [ids.setdefault(c, len(ids)) for c in codes]
+
+
+def plain_refine(succ, codes):
+    """Moore refinement straight from the definition: every round gives
+    every state the tuple of its class and the classes of its successors
+    `succ[s]`, one per letter, until a round splits nothing.  Returns the
+    partition numbered by first occurrence."""
+    codes = first_occurrence(codes)
+    while True:
+        new = first_occurrence(
+            [(c,) + tuple(codes[t] for t in row) for c, row in zip(codes, succ)]
+        )
+        if new == codes:
+            return codes
+        codes = new
+
+
 def reference_minimize(d):
-    """Moore refinement read through `d.delta`, classes renumbered in
+    """Plain Moore refinement read through `d.delta`, classes renumbered in
     breadth-first order from the initial class by a queue of
-    representatives: the reference of the table route of `minimize`."""
+    representatives: the reference of `minimize`."""
     seen = {d.initial}
     order = [d.initial]
     queue = deque(order)
@@ -270,7 +292,7 @@ def reference_minimize(d):
                 queue.append(dst)
     pos = {q: i for i, q in enumerate(order)}
     succ = [tuple(pos[d.delta[(q, a)]] for a in d.alphabet) for q in order]
-    codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
+    codes = plain_refine(succ, [int(q in d.finals) for q in order])
     renum = {codes[0]: 0}
     reps = [0]
     queue = deque([0])
@@ -664,6 +686,39 @@ class TestMooreRefine:
         rows = successor_rows([(), (), ()])
         assert len(set(moore_refine(rows, [0, 1, 1]))) == 2
         assert moore_refine([], []) == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_plain_refinement(self, seed):
+        # seeded successor tables of 1-40 states and 0-4 letters, some with
+        # successors drawn from a few states only, so classes stay merged;
+        # the initial partitions include one class and all singletons
+        rng = random.Random(seed)
+        for _ in range(50):
+            n = rng.randint(1, 40)
+            targets = rng.randint(1, n)
+            letters = rng.randint(0, 4)
+            succ = [tuple(rng.randrange(targets) for _ in range(letters)) for _ in range(n)]
+            start = rng.choice(
+                [
+                    [7] * n,
+                    list(range(n, 0, -1)),
+                    [rng.choice((3, 11)) for _ in range(n)],
+                    [rng.randrange(n) for _ in range(n)],
+                ]
+            )
+            got = moore_refine(successor_rows(succ), start)
+            assert first_occurrence(got) == plain_refine(succ, start)
+
+    def test_no_round_when_nothing_can_split(self):
+        # one class, or every state alone: the result comes back with no
+        # row read
+        def unread(codes):
+            raise AssertionError("a row was read")
+
+        for n in (1, 2, 5):
+            rows = [unread] * n
+            assert first_occurrence(moore_refine(rows, [4] * n)) == [0] * n
+            assert first_occurrence(moore_refine(rows, range(n, 0, -1))) == list(range(n))
 
 
 class TestMinimize:

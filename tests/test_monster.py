@@ -292,6 +292,23 @@ class TestReachability:
         assert stopped.depths == full.depths
         assert stopped.count == f_bound(m, n)
 
+    def test_sorted_frontier_expansions(self, monkeypatch):
+        # each level is expanded in increasing mask order, which reaches the
+        # bound after these many expansions; discovery order takes 123, 68
+        # and 1163, and several times as long at 4x4
+        expanded = []
+        expand = monster._expand_mask
+
+        def spy(mask, m, n):
+            expanded.append(mask)
+            return expand(mask, m, n)
+
+        monkeypatch.setattr(monster, "_expand_mask", spy)
+        for (m, n), count in {(2, 6): 43, (3, 4): 79, (4, 4): 275}.items():
+            expanded.clear()
+            assert reachable_tableaux(m, n).count == f_bound(m, n)
+            assert len(expanded) == count
+
     def test_level_sizes(self):
         assert list(reachable_tableaux(3, 4).depth_histogram().values()) == [
             1, 11, 398, 2684, 298
@@ -433,10 +450,10 @@ class TestStateComplexity:
 
     @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_naive_refinement(self, m, n):
-        # the support quotient, the shared partition of the proper pairs, the
-        # certificate and the singleton skip change nothing: the same class
-        # count for every final pair, hence the same value and the same
-        # maximizers in the same order
+        # the support quotient, the shared partition of the proper pairs and
+        # the certificate change nothing: the same class count for every
+        # final pair, hence the same value and the same maximizers in the
+        # same order
         naive, reachable = naive_final_pair_classes(m, n)
         best = max(classes for _, classes in naive)
         res = state_complexity_shuffle(m, n)
