@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Time the heavy CLI commands at fixed sizes and write a BENCH_*.json.
+
+Each command runs three times in a fresh interpreter, with the package
+imported from `<root>/src`, and the median is kept.  Per command it records
+the wall time of the whole process (interpreter start included), the
+child's own peak RSS (VmHWM: `ru_maxrss` would carry the parent's resident
+set across exec) and the sha256 of stdout.  The file also records the
+Python version, the core count and the commit of each root.
+
+With several roots (say a checkout of the parent commit and the working
+tree) the runs alternate between them, so a drift of the host's speed
+falls on both sides alike.
+
+Example:
+    python scripts/bench_sizes.py --root ../parent --root . > BENCH_21.json
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+from statistics import median
+
+COMMANDS = [
+    ["sc", "3", "4"],
+    ["--force", "sc", "3", "5"],
+    ["--force", "sc", "2", "8"],
+    ["--force", "sc", "4", "4"],
+]
+RUNS = 3
+HWM_TAG = "@@vmhwm "
+# run in the child: the CLI, then its own peak RSS in KiB on stderr
+CHILD = f"""
+import sys
+from shufflesc.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    hwm = next((l.split()[1] for l in status if l.startswith("VmHWM:")), "0")
+print({HWM_TAG!r} + hwm, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def measure(argv, src):
+    """Run `shufflesc argv` in a fresh interpreter importing from `src`;
+    return its exit code, wall seconds, peak RSS in MiB and stdout sha256."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], capture_output=True, env=env, timeout=3600
+    )
+    wall = time.perf_counter() - t0
+    hwm = [l for l in proc.stderr.decode().splitlines() if l.startswith(HWM_TAG)]
+    return {
+        "exit": proc.returncode,
+        "wall_s": wall,
+        "peak_rss_mib": int(hwm[-1][len(HWM_TAG):]) / 1024 if hwm else 0.0,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+    }
+
+
+def commit_of(root):
+    """HEAD of the checkout at `root`, with "-dirty" if it has changes."""
+    proc = subprocess.run(
+        ["git", "-C", str(root), "describe", "--always", "--dirty", "--abbrev=40"],
+        capture_output=True, text=True,
+    )
+    return proc.stdout.strip() or "unknown"
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--root", action="append", type=Path,
+                        help="checkout to measure; repeat for several (default: this one)")
+    args = parser.parse_args()
+    roots = args.root or [Path(__file__).resolve().parent.parent]
+
+    runs = {(i, j): [] for i in range(len(roots)) for j in range(len(COMMANDS))}
+    for _ in range(RUNS):
+        for j, argv in enumerate(COMMANDS):
+            for i, root in enumerate(roots):
+                runs[i, j].append(measure(argv, root.resolve() / "src"))
+                print(f"{' '.join(argv)} [{i}] {runs[i, j][-1]['wall_s']:.3f} s", file=sys.stderr)
+
+    def summary(records):
+        return {
+            "exit": sorted({r["exit"] for r in records}),
+            "wall_s": round(median(r["wall_s"] for r in records), 4),
+            "peak_rss_mib": round(median(r["peak_rss_mib"] for r in records), 1),
+            "stdout_sha256": sorted({r["stdout_sha256"] for r in records}),
+            "wall_s_runs": [round(r["wall_s"], 4) for r in records],
+        }
+
+    report = {
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "cores": os.cpu_count(),
+        "runs": RUNS,
+        "sides": [
+            {
+                "commit": commit_of(root),
+                "commands": {" ".join(argv): summary(runs[i, j]) for j, argv in enumerate(COMMANDS)},
+            }
+            for i, root in enumerate(roots)
+        ],
+    }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
-from itertools import product
+from functools import cache, cached_property
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -372,13 +371,12 @@ class ScResult:
         return self.maximizers[0]
 
 
-def _transition_rows(masks, m, n, letters=None):
-    """Refinement rows (`successor_rows`) of the sorted reachable masks.
-
-    With `letters` None the alphabet is every pair (f, g) of whole-grid
-    maps.  A letter's successor mask is its row variant under f merged with
-    its column variant under g; each variant is computed once per distinct
-    f and g, and each state's successors are then gathered at C level.
+def _transition_rows(masks, m, n, letters):
+    """Refinement rows (`successor_rows`) of the reachable masks under the
+    given letters.  A letter's successor mask is its row variant under f
+    merged with its column variant under g; each variant is computed once
+    per distinct f and g, and each state's successors are then gathered at
+    C level.
     """
     lines = mask_lines(m, n)
     index = {mask: i for i, mask in enumerate(masks)}
@@ -394,10 +392,7 @@ def _transition_rows(masks, m, n, letters=None):
             out.append(acc)
         return out
 
-    if letters is None:
-        maps = [(f, g) for f in product(range(m), repeat=m) for g in product(range(n), repeat=n)]
-    else:
-        maps = [(l.left.images, l.right.images) for l in letters]
+    maps = [(l.left.images, l.right.images) for l in letters]
     if not maps:  # the zips below would yield no rows at all
         return successor_rows([()] * len(masks))
     # fs and gs number the distinct maps; fi and gi name each letter's pair
@@ -425,10 +420,11 @@ def count_distinguishable(
     Reachability is still computed over all letters; only the separating
     words are restricted to the given alphabet, which may be empty (then
     only finality separates).  Every pair of nonempty final sets is refined
-    from finality on its own.  None of the routes of state_complexity_shuffle
-    applies: the support quotient, the shared partition of the proper pairs
-    and the certificate all rest on the full alphabet.  The maximizers are
-    listed in the same order as for state_complexity_shuffle.
+    from finality on its own, on transition rows built once.  Neither
+    shortcut of state_complexity_shuffle applies: the support quotient and
+    the two-letter separation of the proper pairs both rest on the full
+    alphabet.  The maximizers are listed in the same order as for
+    state_complexity_shuffle.
     """
     letters = list(letters)
     for f, g in letters:
@@ -448,16 +444,12 @@ def state_complexity_shuffle(
     meets F1 x F2.  The value is the maximum class count; all maximizing
     pairs are reported, ordered by the bitmasks of F1 then F2 (bit i set
     when state i is final).  Pairs with an empty side make every state
-    equivalent and are skipped.  The full alphabet (m^m n^n letters) is
-    never refined over unless needed; each step is proved in
-    `_final_pair_classes`.  A pair with F1 = Q1 or F2 = Q2 is counted on the
-    supports of the reached tableaux (every pair at 1 x n and n x 1).  All
-    other pairs have one and the same Nerode partition, so one refinement
-    per grid counts them all: from the finality of ({0}, {n-1}), under the
-    (4+m)(4+n) or fewer certificate letters.  If that leaves every reached
-    tableau in a class of its own, the count is the reachable count.  Only
-    otherwise does the refinement go on over the full alphabet, from the
-    certificate's partition; no grid of at most 16 cells takes that route.
+    equivalent and are skipped.  Nothing is refined, and no transition is
+    built; each step is proved in `_final_pair_classes`.  A pair with
+    F1 = Q1 or F2 = Q2 is counted on the supports of the reached tableaux
+    (every pair at 1 x n and n x 1).  Every other pair separates all
+    reached tableaux, by words of length 2, so its count is the reachable
+    count.
     """
     return _max_over_finals(m, n, None, reach, max_cells)
 
@@ -480,19 +472,6 @@ def _max_over_finals(m, n, letters, reach, max_cells):
         elif classes == best:
             arg.append(pair)
     return ScResult(m, n, best, tuple(arg), reach.count)
-
-
-def _certificate_letters(m, n):
-    """G: the letters (f, g) with f and g each the identity, the full cycle,
-    the transposition (0 1), the merge 1 -> 0 or a constant, each map once;
-    at most (4 + m)(4 + n) letters, 49 at 3 x 3."""
-
-    def maps(k):
-        ident = tuple(range(k))
-        moves = [(1, 0) + ident[2:], (0, 0) + ident[2:]] if k >= 2 else []
-        return dict.fromkeys([ident, ident[1:] + ident[:1], *moves, *((c,) * k for c in ident)])
-
-    return [MonsterLetter(Transformation(f), Transformation(g)) for f in maps(m) for g in maps(n)]
 
 
 def _support_classes(supports, width):
@@ -524,10 +503,9 @@ def _final_pair_classes(m, n, letters, reach):
 
     With a fixed letter set every pair is refined from finality under those
     letters.  With the full alphabet (`letters` None) the count is that of
-    the Nerode equivalence, found without refining over the full alphabet
-    where a proof allows.  Q1 and Q2 are the whole state sets, acc(F1, F2)
-    is the set of tableaux that meet F1 x F2, and a pair is proper when
-    neither side is empty or whole:
+    the Nerode equivalence, and nothing is refined: every count follows
+    from the reached masks and their supports.  Q1 and Q2 are the whole
+    state sets, and a pair is proper when neither side is empty or whole:
 
     - Quotient, when F1 = Q1.  Then E meets F1 x F2 iff its column support
       C meets F2, and a letter (f, g) sends C to C | g(C), whatever f is.
@@ -542,67 +520,47 @@ def _final_pair_classes(m, n, letters, reach):
       not.  The count is thus the number of supports missing F2, plus one
       if some support meets F2 (`_support_classes`).  F2 = Q2 is the same
       on row supports, with f acting.
-    - Shared, for every proper pair.  All proper pairs have the same Nerode
-      equivalence.  A letter (f, g) sends E into acc(F1, F2) iff E meets
-      (f^-1(F1) x F2) | (F1 x g^-1(F2)).  Let f be constant at a state
-      outside F1 (one exists, as F1 != Q1), and for a nonempty B let g send
-      B into F2 and every other column outside F2 (possible, as F2 is
-      nonempty and proper).  Then E·(f, g) is in acc(F1, F2) iff E is in
-      acc(F1, B).  A word w that separates two tableaux for (F1, B) makes
-      w (f, g) separate them for (F1, F2), so the equivalence of (F1, F2)
-      refines that of (F1, B).  When B is proper too, the same with F2 and
-      B swapped gives the converse: the two are equal.  The mirror letters
-      (f sending a nonempty proper A into F1 and the rest outside it, g
-      constant outside F2) change F1 the same way, and one change per side
-      takes any proper pair to any other.  So one refinement counts them
-      all, from the finality of ({0}, {n-1}), by the two routes below.
-    - Certified.  Refine under G (`_certificate_letters`).  G is a subset
-      of the full alphabet, so tableaux that G separates are separated by
-      the full alphabet too.  If G leaves every reached tableau in a class
-      of its own, so does the full alphabet, and the count is the
-      reachable count.
-    - Fallback.  Otherwise the refinement goes on over the full alphabet,
-      from the stable partition P of G.  P lies between finality and the
-      Nerode equivalence: it refines finality, and it never separates
-      states that no word separates, since words over G are words.  A Moore
-      round keeps Nerode-equivalent states together, so refinement from P
-      never splits a Nerode class; when it stops, the partition refines
-      finality and is closed under every letter, so each of its classes
-      lies in a Nerode class.  It thus ends at the Nerode equivalence, as
-      refinement from the finality partition does.
+    - Separated, for every proper pair: any two distinct tableaux are
+      separated by a word of length 2, so the count is the reachable
+      count.  A letter acts cell by cell, so a word w accepts from E iff E
+      meets S_w = {c : {c}·w meets F1 x F2}, and reading a letter (f, g)
+      first gives S_(f,g)w = (f x id)^-1(S_w) | (id x g)^-1(S_w).  Take a
+      cell (p, q).  Let a = (f, g) with f constant at a state outside F1
+      and g^-1(F2) = {q} (both exist, as F1 != Q1 and F2 is proper); then
+      S_a = F1 x {q}.  Let b = (f', g') with f'^-1(F1) = {p} and g'
+      constant at a column other than q (both exist, as F1 is proper and
+      F2 proper forces n >= 2); then S_ba = {(p, q)}.  So ba accepts
+      exactly the tableaux that hold (p, q), and a cell in one tableau but
+      not the other separates them.
     """
-    masks = sorted(reach.mask_depths)
     pairs = [(f1, f2) for f1 in range(1, 1 << m) for f2 in range(1, 1 << n)]
-
-    def finality(f1_bits, f2_bits):
-        fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
-        return [int(bool(mk & fmask)) for mk in masks]
-
     if letters is not None:
+        masks = list(reach.mask_depths)
         rows = _transition_rows(masks, m, n, letters)
+
+        def finality(f1_bits, f2_bits):
+            fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
+            return [int(bool(mk & fmask)) for mk in masks]
+
         counts = (len(set(moore_refine(rows, finality(*pair)))) for pair in pairs)
     else:
         q1, q2 = (1 << m) - 1, (1 << n) - 1  # the bits of Q1 and Q2
-        occupied = [mask_lines(m, n).rows(mask) for mask in masks]
-        row_classes = _support_classes({sum(1 << i for i, _ in lines) for lines in occupied}, m)
-        col_classes = _support_classes({reduce(or_, (s for _, s in lines)) for lines in occupied}, n)
-
-        @cache
-        def proper():
-            # the certificate's rows are freed before the full alphabet's,
-            # far larger, are built
-            codes = moore_refine(
-                _transition_rows(masks, m, n, _certificate_letters(m, n)),
-                finality(1, 1 << (n - 1)),
-            )
-            if len(set(codes)) < len(masks):
-                codes = moore_refine(_transition_rows(masks, m, n, None), codes)
-            return len(set(codes))
-
+        row_supports, col_supports = set(), set()
+        numbered_shifts = tuple(enumerate(mask_lines(m, n).row_shifts))
+        for mask in reach.mask_depths:
+            row_bits = col_bits = 0
+            for i, t in numbered_shifts:
+                if line := mask >> t & q2:
+                    row_bits |= 1 << i
+                    col_bits |= line
+            row_supports.add(row_bits)
+            col_supports.add(col_bits)
+        row_classes = _support_classes(row_supports, m)
+        col_classes = _support_classes(col_supports, n)
         counts = (
             col_classes[f2_bits] if f1_bits == q1
             else row_classes[f1_bits] if f2_bits == q2
-            else proper()
+            else reach.count
             for f1_bits, f2_bits in pairs
         )
     for (f1_bits, f2_bits), classes in zip(pairs, counts):

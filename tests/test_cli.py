@@ -521,7 +521,8 @@ class TestPinnedOutputs:
     reach and depth-limited outputs before the search ran on orbits, and
     the benchmark's `graded` outputs before listings were written from
     tuples of part masks, and the reach listings and full witnesses
-    before reach was written from masks and `bits` decoded byte by byte."""
+    before reach was written from masks and `bits` decoded byte by byte,
+    and the sc outputs before sc stopped refining."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -589,6 +590,15 @@ class TestPinnedOutputs:
              "626ae713da25c260260f9a0a8350b77a2d9253c2fb0debf4a4c0be046de3fb85"),
             (["--format", "json", "witness", "full", "3", "8"],
              "1811c46031edf313f4ba07cba3b5c545aa3aa84881ed10c3420d6c4f78e142a6"),
+            # the benchmark's golden digests of the first two
+            (["--format", "json", "sc", "3", "3"],
+             "b1a487049d88ae98505c7f3670251c762c335a040a9d3885f29adac910fd78f4"),
+            (["--format", "json", "sc", "2", "4"],
+             "ac58f412ea27a66b9b2380c3ddc734f7a6a5f766bf204d297eb7a742a5cec103"),
+            (["--format", "json", "sc", "3", "4"],
+             "9da4a92717a72b514b8a708224ee5f0c2077e24e872d6d3907af51a587bd6b40"),
+            (["--force", "--format", "json", "sc", "4", "4"],
+             "04ae0c9a187c3cbf4240a088c11384e12fa1773e0ab90b6939c1d7cd2ab0a339"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):

@@ -461,39 +461,6 @@ class TestStateComplexity:
         assert res.maximizers == tuple(pair for pair, classes in naive if classes == best)
         assert list(_final_pair_classes(m, n, None, reachable_tableaux(m, n))) == naive
 
-    @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
-    def test_forced_fallback_agrees(self, monkeypatch, m, n):
-        # with no certificate letters no pair is certified, so every pair
-        # that the support quotient does not count is refined over the full
-        # alphabet
-        reach = reachable_tableaux(m, n)
-        unforced = list(_final_pair_classes(m, n, None, reach))
-        built = []
-        transition_rows = monster._transition_rows
-
-        def spy(masks, m, n, letters=None):
-            built.append(letters)
-            return transition_rows(masks, m, n, letters)
-
-        monkeypatch.setattr(monster, "_certificate_letters", lambda m, n: [])
-        monkeypatch.setattr(monster, "_transition_rows", spy)
-        forced = list(_final_pair_classes(m, n, None, reach))
-        assert forced == unforced
-        assert (None in built) == (m > 1 and n > 1)  # 1 x n is all quotient
-        if m * n <= 6:
-            assert forced == naive_final_pair_classes(m, n)[0]
-
-    def test_full_alphabet_rows_never_built(self, monkeypatch):
-        transition_rows = monster._transition_rows
-
-        def refuse_full(masks, m, n, letters=None):
-            assert letters is not None, "full-alphabet rows built"
-            return transition_rows(masks, m, n, letters)
-
-        monkeypatch.setattr(monster, "_transition_rows", refuse_full)
-        res = state_complexity_shuffle(3, 3)
-        assert res.value == 400 and len(res.maximizers) == 36
-
     def test_3x4(self):
         # every pair with both final sets proper and nonempty is a maximizer
         res = state_complexity_shuffle(3, 4)
@@ -517,16 +484,55 @@ class TestStateComplexity:
         )
         assert len(res.maximizers) == (2**4 - 2) ** 2 == 196
 
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+    def test_two_letter_separation(self, m, n):
+        # the lemma of `_final_pair_classes`, replayed cell by cell with
+        # tableau_step on every nonempty mask: for a proper pair (F1, F2)
+        # and a cell (p, q), a accepts exactly the tableaux meeting
+        # F1 x {q}, and ba exactly those holding (p, q)
+        tableaux = [Tableau.from_mask(m, n, mask) for mask in range(1, 1 << (m * n))]
+        rows, cols = set(range(m)), set(range(n))
+        finals = dict.fromkeys(
+            (frozenset(f1), frozenset(f2))
+            for f1 in ({0}, {m - 1}, rows - {0}, rows - {m - 1})
+            for f2 in ({0}, {n - 1}, cols - {0}, cols - {n - 1})
+        )
+        assert len(finals) >= 4
+        for f1, f2 in finals:
+            out1, in2, out2 = min(rows - f1), min(f2), min(cols - f2)
+
+            def accepts(t):
+                return any(i in f1 and j in f2 for i, j in t.cells)
+
+            for p in range(m):
+                for q in range(n):
+                    # f constant outside F1, g^-1(F2) = {q}
+                    a = MonsterLetter(
+                        Transformation.constant(m, out1),
+                        Transformation([in2 if j == q else out2 for j in range(n)]),
+                    )
+                    # f'^-1(F1) = {p}, g' constant at a column other than q
+                    b = MonsterLetter(
+                        Transformation([min(f1) if i == p else out1 for i in range(m)]),
+                        Transformation.constant(n, (q + 1) % n),
+                    )
+                    for t in tableaux:
+                        after_a = accepts(tableau_step(t, a))
+                        assert after_a == any(i in f1 and j == q for i, j in t.cells)
+                        after_ba = accepts(tableau_step(tableau_step(t, b), a))
+                        assert after_ba == ((p, q) in t.cells), (f1, f2, p, q, t)
+
     @pytest.mark.parametrize("closed", [False, True], ids=["reached", "all-masks"])
     @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
     def test_proper_pairs_share_one_partition(self, m, n, closed):
-        # the lemma behind the one shared refinement, as partitions and not
-        # only as counts: over the full alphabet, every pair of nonempty
-        # proper final sets refines the reached masks (or all 2^(mn) masks,
-        # also closed under every letter) into the same classes; a pair with
-        # a whole side gives another partition
+        # the two-letter separation lemma checked by refinement over the full
+        # alphabet, as partitions and not only as counts: every pair of
+        # nonempty proper final sets refines the reached masks (or all
+        # 2^(mn) masks, also closed under every letter) into the same
+        # classes, one mask per class; a pair with a whole side gives
+        # another partition
         masks = list(range(1 << (m * n))) if closed else sorted(reachable_tableaux(m, n).mask_depths)
-        rows = _transition_rows(masks, m, n, None)
+        rows = _transition_rows(masks, m, n, all_letters(m, n))
 
         def partition(b1, b2):
             cells = [(i, j) for i in range(m) if b1 >> i & 1 for j in range(n) if b2 >> j & 1]
@@ -537,6 +543,7 @@ class TestStateComplexity:
 
         q1, q2 = (1 << m) - 1, (1 << n) - 1
         shared = partition(1, 1)
+        assert shared == list(range(len(masks)))
         for b1 in range(1, 1 << m):
             for b2 in range(1, 1 << n):
                 if b1 == q1 or b2 == q2:
@@ -544,7 +551,7 @@ class TestStateComplexity:
                 else:
                     assert partition(b1, b2) == shared
 
-    def test_one_refinement_per_grid(self, monkeypatch):
+    def test_no_refinement_per_grid(self, monkeypatch):
         refined, built = [], []
         refine, transition_rows = monster.moore_refine, monster._transition_rows
 
@@ -552,35 +559,21 @@ class TestStateComplexity:
             refined.append(len(codes))
             return refine(rows, codes)
 
-        def rows_spy(masks, m, n, letters=None):
+        def rows_spy(masks, m, n, letters):
             built.append(letters)
             return transition_rows(masks, m, n, letters)
 
         monkeypatch.setattr(monster, "moore_refine", refine_spy)
         monkeypatch.setattr(monster, "_transition_rows", rows_spy)
+        # a proper pair takes the reachable count, any other the supports
         assert state_complexity_shuffle(3, 3).value == 400
-        assert refined == [400] and built == [monster._certificate_letters(3, 3)]
-        # one final side of a single state: every pair is a support quotient
         for m, n in ((1, 1), (1, 3), (1, 4), (3, 1), (4, 1)):
-            refined.clear()
-            built.clear()
             state_complexity_shuffle(m, n)
-            assert refined == built == []
+        assert refined == built == []
         # a fixed letter set refines every pair on its own, on rows built once
-        refined.clear()
-        built.clear()
         letters = distinguishing_letters(2, 3)
         assert count_distinguishable(2, 3, letters).value == 44
         assert refined == [44] * (3 * 7) and built == [letters]
-
-    @pytest.mark.parametrize(
-        "m, n, size", [(1, 3, 7), (2, 2, 16), (2, 5, 36), (3, 3, 49), (3, 4, 56), (4, 4, 64)]
-    )
-    def test_certificate_letters(self, m, n, size):
-        letters = monster._certificate_letters(m, n)
-        assert len(letters) == len(set(letters)) == size
-        for f, g in letters:
-            assert (f.size, g.size) == (m, n)
 
     @pytest.mark.parametrize("m, n", [(1, 5), (2, 3), (2, 4), (3, 3)])
     def test_support_quotient_is_its_moore_count(self, m, n):
@@ -675,9 +668,8 @@ class TestMaskKernel:
             tuple(tableau_step(Tableau.from_mask(m, n, mask), letter).mask for letter in letters)
             for mask in masks
         ]
-        for alphabet in (letters, None):  # explicit letters, and the built-in full alphabet
-            rows = _transition_rows(masks, m, n, alphabet)
-            assert [row(masks) for row in rows] == expected
+        rows = _transition_rows(masks, m, n, letters)
+        assert [row(masks) for row in rows] == expected
 
 
 class TestMonsterDfa:

@@ -117,3 +117,13 @@ def test_witness_gallery_smoke():
     assert proc.returncode == 0, proc.stderr
     assert "grade" in proc.stdout
     assert "erase-cell chain" in proc.stdout
+
+
+def test_bench_sizes_measures_one_command():
+    bench = runpy.run_path(str(SCRIPTS / "bench_sizes.py"))
+    src = Path(shufflesc.__file__).resolve().parent.parent
+    rec = bench["measure"](["bound", "2", "2"], src)
+    assert rec["exit"] == 0 and rec["wall_s"] > 0 and 0 < rec["peak_rss_mib"] < 1024
+    assert rec["stdout_sha256"] == hashlib.sha256(b"10\n").hexdigest()
+    # the size guard's refusal keeps its exit code
+    assert bench["measure"](["sc", "5", "5"], src)["exit"] == 2
