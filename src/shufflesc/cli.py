@@ -46,6 +46,9 @@ EXIT_CHECK_FAILED = 3
 # Limits that --force passes in place of the library's guard defaults.
 FORCED_CELLS = 64
 FORCED_COUNT = 10**9
+# witness full writes every element of both sides as text: 2^23 per side
+# make 132 MB of output at a peak near 1.1 GiB, so --force widens it to that
+FORCED_WITNESS = 1 << 23
 
 # bound and lower-bound print an exact value of about m*n bits, and writing
 # it in decimal takes time quadratic in that: larger grids are refused.
@@ -88,70 +91,79 @@ def _positive(text: str) -> int:
     return _at_least(text, 1, "an integer")
 
 
+class _LazyParser:
+    """A subcommand's parser as `add_parser` registers it: its keywords and
+    the function that adds its arguments.  The parser is built only in
+    `parse_known_args`, the one method argparse calls on a subparser, so a
+    command line builds the parsers it dispatches to and no others."""
+
+    def __init__(self, arguments, **kwargs):
+        self.arguments, self.kwargs = arguments, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        self.arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _add_subcommands(parser, dest: str, table: dict) -> None:
+    """One subcommand per entry `name: (help, arguments function, ...)`."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_LazyParser)
+    for name, (text, arguments, *_) in table.items():
+        sub.add_parser(name, help=text, arguments=arguments)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="shufflesc", description=__doc__)
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--output", help="write the result to this path instead of stdout")
     parser.add_argument("--force", action="store_true", help="widen the size guards")
-    sub = parser.add_subparsers(dest="command", required=True)
+    _add_subcommands(parser, "command", _COMMANDS)
+    return parser
 
-    p = sub.add_parser("bound", help="valid-tableau count f(m, n)")
+
+def _grid(p):
     p.add_argument("m", type=_size)
     p.add_argument("n", type=_size)
 
-    p = sub.add_parser("reach", help="reachable tableaux with minimal depths")
-    p.add_argument("m", type=_size)
-    p.add_argument("n", type=_size)
+
+def _reach_arguments(p):
+    _grid(p)
     p.add_argument("--depth-limit", type=_count, dest="depth_limit")
 
-    p = sub.add_parser("sc", help="exact shuffle state complexity with maximizing finals")
-    p.add_argument("m", type=_size)
-    p.add_argument("n", type=_size)
 
-    p = sub.add_parser("graded", help="grade-k valid vectors of length n")
+def _graded_arguments(p):
     p.add_argument("n", type=_positive)
     p.add_argument("k", type=_count)
     p.add_argument("--count", action="store_true", dest="count_only", help="print only the count")
 
-    p = sub.add_parser("matrix", help="successor-count matrix S_n (optionally a power)")
+
+def _matrix_arguments(p):
     p.add_argument("n", type=_positive)
     p.add_argument("--power", type=_count, default=1)
 
-    p = sub.add_parser("sequence", help="totals r_total(n, k) for k = 0..kmax")
+
+def _sequence_arguments(p):
     p.add_argument("n", type=_positive)
     p.add_argument("kmax", type=_count)
 
-    p = sub.add_parser("coeffs", help="closed-form rational coefficients for the totals")
-    p.add_argument("n", type=_positive)
 
-    p = sub.add_parser("series", help="generating series blocks 0..d, both constructions")
-    p.add_argument("d", type=_positive)
-
-    p = sub.add_parser("succ", help="successor count s(n; l -> l+delta)")
+def _succ_arguments(p):
     p.add_argument("n", type=_positive)
     p.add_argument("l", type=int)
     p.add_argument("delta", type=_count)
     p.add_argument("--oracle", action="store_true", help="also run the brute-force check")
 
-    p = sub.add_parser("conjecture", help="reachability check at (m, n)")
-    p.add_argument("m", type=_size)
-    p.add_argument("n", type=_size)
+
+def _conjecture_arguments(p):
+    _grid(p)
     p.add_argument("--dense", action="store_true", help="check the dense restriction instead")
     p.add_argument("--depth-limit", type=_count, dest="depth_limit")
 
-    p = sub.add_parser("witness", help="explicit witness constructions")
-    wsub = p.add_subparsers(dest="witness_kind", required=True)
-    wp = wsub.add_parser("perm", help="pair hitting the permutation tableau")
-    wp.add_argument("n", type=_positive)
-    wp.add_argument("sigma", help="comma-separated images, e.g. 1,2,0")
-    wf = wsub.add_parser("full", help="pair hitting the full m x n tableau")
-    wf.add_argument("m", type=_size)
-    wf.add_argument("n", type=_size)
 
-    p = sub.add_parser("lower-bound", help="inclusion-exclusion reachability lower bound")
-    p.add_argument("m", type=_size)
-    p.add_argument("n", type=_size)
-    return parser
+def _perm_arguments(p):
+    p.add_argument("n", type=_positive)
+    p.add_argument("sigma", help="comma-separated images, e.g. 1,2,0")
 
 
 def _emit(args, text: str) -> None:
@@ -389,7 +401,7 @@ def _cmd_witness(args):
             )
         pair = witness_permutation(Transformation(images))
     else:
-        pair = witness_full(args.m, args.n, **_forced(args, max_count=FORCED_COUNT))
+        pair = witness_full(args.m, args.n, **_forced(args, max_count=FORCED_WITNESS))
     tableau = s_projection(pair)
     if args.fmt == "json":
         payload = pair.to_json()
@@ -414,19 +426,37 @@ def _cmd_lower_bound(args):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "reach": _cmd_reach,
-    "sc": _cmd_sc,
-    "graded": _cmd_graded,
-    "matrix": _cmd_matrix,
-    "sequence": _cmd_sequence,
-    "coeffs": _cmd_coeffs,
-    "series": _cmd_series,
-    "succ": _cmd_succ,
-    "conjecture": _cmd_conjecture,
-    "witness": _cmd_witness,
-    "lower-bound": _cmd_lower_bound,
+_WITNESS_KINDS = {
+    "perm": ("pair hitting the permutation tableau", _perm_arguments),
+    "full": ("pair hitting the full m x n tableau", _grid),
+}
+
+# subcommand -> (help, the function adding its arguments, handler)
+_COMMANDS = {
+    "bound": ("valid-tableau count f(m, n)", _grid, _cmd_bound),
+    "reach": ("reachable tableaux with minimal depths", _reach_arguments, _cmd_reach),
+    "sc": ("exact shuffle state complexity with maximizing finals", _grid, _cmd_sc),
+    "graded": ("grade-k valid vectors of length n", _graded_arguments, _cmd_graded),
+    "matrix": ("successor-count matrix S_n (optionally a power)", _matrix_arguments, _cmd_matrix),
+    "sequence": ("totals r_total(n, k) for k = 0..kmax", _sequence_arguments, _cmd_sequence),
+    "coeffs": (
+        "closed-form rational coefficients for the totals",
+        lambda p: p.add_argument("n", type=_positive),
+        _cmd_coeffs,
+    ),
+    "series": (
+        "generating series blocks 0..d, both constructions",
+        lambda p: p.add_argument("d", type=_positive),
+        _cmd_series,
+    ),
+    "succ": ("successor count s(n; l -> l+delta)", _succ_arguments, _cmd_succ),
+    "conjecture": ("reachability check at (m, n)", _conjecture_arguments, _cmd_conjecture),
+    "witness": (
+        "explicit witness constructions",
+        lambda p: _add_subcommands(p, "witness_kind", _WITNESS_KINDS),
+        _cmd_witness,
+    ),
+    "lower-bound": ("inclusion-exclusion reachability lower bound", _grid, _cmd_lower_bound),
 }
 
 
@@ -449,7 +479,7 @@ def _run(argv) -> int:
         args = _build_parser().parse_args(argv)
         if args.fmt == "csv" and args.command not in _CSV_COMMANDS:
             raise CliError(f"--format csv is not supported by {args.command}")
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

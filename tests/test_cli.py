@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from shufflesc import cli
-from shufflesc.cli import FORCED_CELLS, FORCED_COUNT, main
+from shufflesc.cli import FORCED_CELLS, FORCED_COUNT, FORCED_WITNESS, main
 from shufflesc.errors import SizeGuardError
 from shufflesc.monster import Tableau, reachable_tableaux
 
@@ -298,6 +298,69 @@ class TestExitCodes:
         assert err == f"error: --format csv is not supported by {argv[0]}\n"
 
 
+def _eager(arguments, **kwargs):
+    """What `cli._LazyParser` defers: the subcommand's parser, built at once."""
+    parser = cli._Parser(**kwargs)
+    arguments(parser)
+    return parser
+
+
+def _outcome(capsys, argv):
+    """stdout, stderr and exit code of `main(argv)`, or its SystemExit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+class TestParser:
+    """Each command line builds only the parsers it dispatches to, and its
+    help and usage errors read as with every parser built at once."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"]]
+        + [[name, "-h"] for name in cli._COMMANDS]
+        + [
+            ["witness", "perm", "-h"],
+            ["witness", "full", "-h"],
+            ["nope"],
+            ["witness", "bogus"],
+            ["sc"],
+            ["sc", "2"],
+            ["sc", "0", "2"],
+            ["sc", "2", "2", "extra"],
+            ["sc", "2", "2", "--format", "json"],
+            ["--form", "json", "sc", "2", "2"],
+            ["--fo", "sc", "2", "2"],
+            ["--output"],
+            ["--format", "xml", "sc", "2", "2"],
+        ],
+    )
+    def test_same_text_as_an_eager_build(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        lazy = _outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_LazyParser", _eager)
+        assert _outcome(capsys, argv) == lazy
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [(["sc", "2", "2"], 2), (["witness", "full", "2", "3"], 3), (["--help"], 1), (["nope"], 1)],
+    )
+    def test_builds_only_the_dispatched_parsers(self, capsys, monkeypatch, argv, built):
+        init, calls = cli._Parser.__init__, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        _outcome(capsys, argv)
+        assert len(calls) == built
+
+
 class TestGuards:
     @pytest.mark.parametrize(
         "argv, message",
@@ -333,7 +396,8 @@ class TestGuards:
     @pytest.mark.parametrize(
         "argv, keyword",
         [(["reach", "9", "9"], "max_cells"), (["graded", "6", "4", "--count"], "max_count"),
-         (["series", "1000000001"], "max_blocks_guard")],
+         (["series", "1000000001"], "max_blocks_guard"),
+         (["witness", "full", "2", "28"], "max_count")],
     )
     def test_hint_kept_under_force(self, capsys, argv, keyword):
         # --force was given and the widened guard still holds: the library's
@@ -354,7 +418,7 @@ class TestGuards:
         "check_conjecture1": (["conjecture", "2", "2"], "max_cells", FORCED_CELLS),
         "check_conjecture2": (["conjecture", "2", "2", "--dense"], "max_cells", FORCED_CELLS),
         "graded_level": (["graded", "2", "2"], "max_count", FORCED_COUNT),
-        "witness_full": (["witness", "full", "2", "2"], "max_count", FORCED_COUNT),
+        "witness_full": (["witness", "full", "2", "2"], "max_count", FORCED_WITNESS),
         "series_direct": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
         "series_closed": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
         "succ_count_oracle": (["succ", "4", "2", "1", "--oracle"], "max_maps", FORCED_COUNT),
