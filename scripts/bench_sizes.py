@@ -35,6 +35,10 @@ COMMANDS = [
     ["--force", "sc", "3", "5"],
     ["--force", "sc", "2", "8"],
     ["--force", "sc", "4", "4"],
+    ["--format", "json", "graded", "5", "3"],
+    ["--format", "json", "graded", "6", "3"],
+    ["graded", "6", "3", "--count"],
+    ["succ", "7", "5", "2", "--oracle"],
 ]
 RUNS = 3
 CHILD_TAG = "@@child "

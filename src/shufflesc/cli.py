@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .automata import Transformation, bits
 from .conjecture import check_conjecture1, check_conjecture2
@@ -30,10 +31,11 @@ from .enumeration import (
 from .errors import SizeGuardError
 from .monster import f_bound, mask_lines, reachable_tableaux, state_complexity_shuffle
 from .upair import (
+    Packing,
     graded_level,
     part_texts,
     s_projection,
-    sort_canonically,
+    stamp_guard,
     witness_full,
     witness_permutation,
 )
@@ -290,18 +292,24 @@ def _cmd_sc(args):
 
 
 def _cmd_graded(args):
+    if args.force and not args.count_only:
+        # a listing writes every element as text, as witness full does
+        stamp_guard(args.k, f"a written graded vector of length {args.n}", FORCED_WITNESS)
     level = graded_level(args.n, args.k, **_forced(args, max_count=FORCED_COUNT))
     if args.count_only:
         _emit(args, str(len(level)))
         return EXIT_OK
-    vectors = sort_canonically(level)
-    # each part is decoded once; the JSON is what _json_dumps would write
-    text = part_texts(vectors, "[]" if args.fmt == "json" else "{}").__getitem__
-    rows = ["[" + ",".join(map(text, v)) + "]" for v in vectors]
+    vectors, parts = Packing(args.n, args.k).ranks(level)
+    del level  # the packed level is not held through the sort
+    vectors.sort()
+    # each part is decoded once, and each vector written from its ranks;
+    # the JSON is what _json_dumps would write
+    text = part_texts(parts, "[]" if args.fmt == "json" else "{}").__getitem__
+    rows = map("[{}]".format, map(",".join, map(partial(map, text), vectors)))
     if args.fmt == "json":
         _emit(
             args,
-            f'{{"count":{len(rows)},"k":{args.k},"n":{args.n},"vectors":[{",".join(rows)}]}}',
+            f'{{"count":{len(vectors)},"k":{args.k},"n":{args.n},"vectors":[{",".join(rows)}]}}',
         )
     else:
         _emit(args, "\n".join(rows))

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import compress, permutations, repeat
+from operator import eq
 from typing import Optional
 
 from .automata import Transformation
@@ -30,6 +31,7 @@ from .monster import (
     valid_masks,
 )
 from .upair import (
+    Packing,
     dense_masks,
     graded_level,
     half_blocks_closed,
@@ -158,25 +160,27 @@ def _left_first_parts(n: int, k: int) -> frozenset:
     parts nonempty is left-valid at grade k once reordered with part j
     first.
 
-    One scan of `graded_level(n, k)`, with no sorting and no `SetVector`.
-    The parts of rho partition {1..2^k}, so exactly one part j holds
-    element 2^k.  Left validity of a reordering is right validity of its
-    mirror, and the mirror's element 1 is element 2^k of the part placed
-    first, so only part j can come first.  The mirror's union is {1..2^k}
-    whatever the order, and the half-block test (`half_blocks_closed`)
-    reads the mirrored parts as a set (see `permutation_min_grade`).  So
-    each rho is tested once, on its mirrored parts, and adds at most j to
-    the set; a rho whose j is already in it needs no test.  Each distinct
-    part is mirrored once for the whole scan.
+    One scan of the packed `graded_level(n, k)`, with no sorting and no
+    `SetVector`.  A vector with an empty part is skipped, by the counts of
+    nonempty fields (`Packing.nonempty_counts`).  The parts of rho
+    partition {1..2^k}, so exactly one part j holds element 2^k
+    (`Packing.top_field`).  Left validity of a reordering is right validity
+    of its mirror, and the mirror's element 1 is element 2^k of the part
+    placed first, so only part j can come first.  The mirror's union is
+    {1..2^k} whatever the order, and the half-block test
+    (`half_blocks_closed`) reads the mirrored parts as a set (see
+    `permutation_min_grade`).  So each rho is tested once, on its mirrored
+    parts, and adds at most j to the set; a rho whose j is already in it
+    is neither unpacked nor tested.  Each distinct part is mirrored once
+    for the whole scan.
     """
-    top = 1 << ((1 << k) - 1)  # element 2^k
+    packing = Packing(n, k)
+    level = graded_level(n, k)
     mirrored = lru_cache(maxsize=None)(lambda part: mirror_part(part, k))
     found = set()
-    for rho in graded_level(n, k):
-        if 0 in rho:
-            continue
-        j = next(i for i, part in enumerate(rho) if part & top)
-        if j not in found and half_blocks_closed(tuple(map(mirrored, rho)), k):
+    for rho in compress(level, map(eq, packing.nonempty_counts(level), repeat(n))):
+        j = packing.top_field(rho)
+        if j not in found and half_blocks_closed(tuple(map(mirrored, packing.unpack(rho))), k):
             found.add(j)
             if len(found) == n:
                 break

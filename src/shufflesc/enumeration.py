@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, prod
-from operator import mul
+from operator import eq, mul
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import SizeGuardError
-from .upair import SetVector, sort_canonically, successors
+from .upair import Packing, SetVector, sort_canonically, successors
 
 
 @lru_cache(maxsize=None)
@@ -123,13 +124,13 @@ def successor_vectors(
 def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
     """Brute-force value of succ_count, the ground truth it is checked
     against: enumerate every map on the l occupied slots of the canonical
-    l-part vector (n^l of them) and count the distinct successor tuples
+    l-part vector (n^l of them), packed, and count the distinct successors
     with l + d nonempty parts."""
     _maps_guard(n, l, max_maps)
-    parts = l + d
-    return sum(
-        len(s) - s.count(0) == parts for s in set(successors(canonical_vector(l, n)))
-    )
+    packing = Packing(n, l)  # the canonical vector has grade l - 1
+    parent = packing.pack(canonical_vector(l, n))
+    distinct = set(packing.successors(parent, 1 << (l - 1)))
+    return sum(map(eq, packing.nonempty_counts(distinct), repeat(l + d)))
 
 
 # --- exact matrices ---------------------------------------------------------

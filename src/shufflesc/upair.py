@@ -20,8 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations, product
-from operator import or_
+from itertools import chain, compress, count, permutations, product, repeat
+from operator import add, and_, lshift, mod, ne, or_, rshift
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automata import Transformation, bits
@@ -174,18 +174,100 @@ def succ_elem(v: SetVector, t: Transformation, side: str = "right") -> SetVector
     raise ValueError("side must be 'left' or 'right'")
 
 
+class Packing:
+    """Length-n set vectors of grade at most k, each held as one int: part t
+    sits in field t, the `width` = 2^k + n.bit_length() bits from bit
+    t * width, with element x at bit x - 1 of its field.  The 2^k low bits
+    of a field hold a part; the n.bit_length() bits of headroom above them
+    keep a sum of n parts, or a part plus 2^(width-1) - 1, inside one
+    field.  So the successor maps, the partition check and the counts of
+    nonempty parts act on whole vectors at once, in C."""
+
+    __slots__ = ("n", "k", "width", "shifts", "field", "full", "fill", "high", "tops")
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.width = width = (1 << k) + n.bit_length()
+        self.shifts = range(0, n * width, width)
+        self.field = (1 << width) - 1
+        self.full = (1 << (1 << k)) - 1  # {1..2^k}
+        ones = ((1 << (n * width)) - 1) // self.field  # bit 0 of every field
+        self.fill = ones * ((1 << (width - 1)) - 1)
+        self.high = ones << (width - 1)
+        self.tops = ones << ((1 << k) - 1)  # element 2^k of every field
+
+    def pack(self, parts: Iterable[int]) -> int:
+        return sum(map(lshift, parts, self.shifts))
+
+    def unpack(self, x: int) -> tuple:
+        """The part masks of a packed vector."""
+        return tuple(map(and_, map(rshift, repeat(x), self.shifts), repeat(self.field)))
+
+    def ranks(self, level: Sequence[int]) -> tuple[list[tuple], list[int]]:
+        """Each packed vector of `level` as the tuple of its parts' ranks in
+        `canonical_parts`, in the level's order, and those parts by rank.
+        Sorting the rank tuples sorts the vectors canonically.  Each field is
+        read from the level once, into a list of its parts."""
+        fields = [list(map(and_, map(rshift, level, repeat(s)), repeat(self.field)))
+                  for s in self.shifts]
+        parts = canonical_parts(fields)
+        rank = dict(zip(parts, count())).__getitem__
+        return list(zip(*(map(rank, f) for f in fields))), parts
+
+    def nonempty_counts(self, level: Iterable[int]) -> Iterator[int]:
+        """The count of nonempty parts of each packed vector: adding
+        2^(width-1) - 1 to a field sets its top bit exactly when the field
+        is nonzero, and carries no further, since a part is below 2^(2^k)
+        <= 2^(width-1)."""
+        return map(int.bit_count, map(and_, map(add, level, repeat(self.fill)), repeat(self.high)))
+
+    def top_field(self, x: int) -> int:
+        """The field holding element 2^k."""
+        return ((x & self.tops).bit_length() - 1) // self.width
+
+    def misfits(self, level: Sequence[int]) -> Iterator[int]:
+        """The packed vectors of `level` whose parts do not partition
+        {1..2^k}, read in three passes of C: the sum of the fields, taken
+        modulo 2^width - 1 since 2^width is 1 there, must be {1..2^k}, the
+        vector must hold 2^k elements, and nothing may lie past field n - 1.
+
+        The three together are exact.  popcount(a + b) <= popcount(a) +
+        popcount(b), with equality only when a & b == 0.  Reducing x modulo
+        2^width - 1 adds up its width-bit chunks, its fields, then the
+        chunks of that sum, and so on, down to {1..2^k} when the first check
+        holds, since that is the one value below 2^width congruent to it.
+        No step raises the popcount, so 2^k = popcount(x) >= popcount(sum of
+        the fields) >= popcount({1..2^k}) = 2^k.  So the fields are pairwise
+        disjoint, their sum is their union, below 2^width, and that sum is
+        {1..2^k} itself."""
+        elements = 1 << self.k
+        return compress(level, map(
+            or_,
+            map(or_, map(ne, map(mod, level, repeat(self.field)), repeat(self.full)),
+                map(ne, map(int.bit_count, level), repeat(elements))),
+            map(rshift, level, repeat(self.n * self.width)),
+        ))
+
+    def successors(self, x: int, r: int) -> Iterator[int]:
+        """The packed succ_right(x, g) for every map g on the occupied parts
+        of the packed vector x, whose elements lie in {1..r}, the others
+        fixed; the successors must fit in grade k (2r <= 2^k).  Each is x
+        plus one placement per occupied part, that part shifted up by r into
+        some field; maps run in `product` order over the occupied parts.
+        Distinct maps give distinct successors."""
+        placements = [
+            list(map(lshift, repeat(part << r), self.shifts)) for part in self.unpack(x) if part
+        ]
+        return map(sum, product(*placements), repeat(x))
+
+
 def successors(p: Sequence[int]) -> Iterator[tuple]:
     """The parts of succ_right(p, g), as a tuple of masks, for every map g
     on the occupied parts of p (a SetVector or its masks), the others
-    fixed; distinct such maps give distinct successors.  Maps run in
-    `product` order over the occupied parts."""
+    fixed: the tuple view of `Packing.successors`."""
     r = reduce(or_, p, 0).bit_length()
-    occupied = [(i, part << r) for i, part in enumerate(p) if part]
-    for images in product(range(len(p)), repeat=len(occupied)):
-        out = list(p)
-        for (i, moved), t in zip(occupied, images):
-            out[t] |= moved
-        yield tuple(out)
+    packing = Packing(len(p), (2 * r - 1).bit_length())  # the least k with 2r <= 2^k
+    return map(packing.unpack, packing.successors(packing.pack(p), r))
 
 
 def mirror_part(part: int, k: int) -> int:
@@ -242,25 +324,28 @@ def is_lvalid(v: SetVector, k: int) -> bool:
     return not v._union() >> (1 << k) and is_rvalid(mirror(v, k), k)
 
 
+def canonical_parts(vectors: Iterable[Sequence[int]]) -> list[int]:
+    """The distinct parts of `vectors`, in the order of their element
+    tuples, which is the order `SetVector.key` compares them in."""
+    return sorted(set(chain.from_iterable(vectors)), key=_elements)
+
+
 def sort_canonically(vectors: Iterable[Sequence[int]]) -> list:
     """`sorted(vectors, key=SetVector.key)`, faster, for `SetVector`s or
-    tuples of part masks alike: each part is compared by its rank among
-    the distinct parts, in the order of their element tuples, which is the
-    order `key` compares them in."""
+    tuples of part masks alike: each part is compared by its rank in
+    `canonical_parts`."""
     vectors = list(vectors)
-    parts = {p for v in vectors for p in v}
-    rank = {p: i for i, p in enumerate(sorted(parts, key=_elements))}
-    return sorted(vectors, key=lambda v: tuple(map(rank.__getitem__, v)))
+    rank = dict(zip(canonical_parts(vectors), count())).__getitem__
+    return sorted(vectors, key=lambda v: tuple(map(rank, v)))
 
 
-def part_texts(vectors: Iterable[Sequence[int]], brackets: str) -> dict[int, str]:
-    """The text of every distinct part of `vectors`, each decoded once:
-    brackets "{}" give the `str` form {1,4}, "[]" the JSON list [1,4]."""
-    parts = {p for v in vectors for p in v}
-    return {p: brackets[0] + ",".join(map(str, _elements(p))) + brackets[1] for p in parts}
+def part_texts(parts: Iterable[int], brackets: str) -> list[str]:
+    """The text of each part, decoded once: brackets "{}" give the `str`
+    form {1,4}, "[]" the JSON list [1,4]."""
+    return [brackets[0] + ",".join(map(str, _elements(p))) + brackets[1] for p in parts]
 
 
-def _stamp_guard(grade: int, what: str, max_count: int) -> None:
+def stamp_guard(grade: int, what: str, max_count: int) -> None:
     """Refuse a vector of `grade`, whose 2^grade stamped elements exceed
     `max_count`, before anything is built; 2^grade itself is never formed."""
     if grade >= max(max_count, 0).bit_length():
@@ -271,26 +356,27 @@ def _stamp_guard(grade: int, what: str, max_count: int) -> None:
         )
 
 
-def graded_level(n: int, k: int, max_count: int = 2_000_000) -> set[tuple]:
-    """The grade-k family of right-valid vectors of length n, as a set of
-    tuples of part masks, in no order.
+def graded_level(n: int, k: int, max_count: int = 2_000_000) -> list[int]:
+    """The grade-k family of right-valid vectors of length n, each packed
+    as by `Packing(n, k)`, in no order.
 
-    Generated by iterating `successors` from the base tuple.  `max_count`
-    bounds the 2^k elements of one vector and the maps tried in each grade,
-    the sum of n^(occupied parts) over the vectors of the grade before.
-    Both are checked before anything is built, the maps from the exact
-    totals (`enumeration.r_totals`).  Every tuple of the result is checked
-    to partition {1..2^k}; a failure is an internal fault and raises
-    `RuntimeError`.
+    Generated by iterating `Packing.successors` from the base vector.
+    `max_count` bounds the 2^k elements of one vector and the maps tried
+    in each grade, the sum of n^(occupied parts) over the vectors of the
+    grade before.  Both are checked before anything is built, the maps from
+    the exact totals (`enumeration.r_totals`).  Every vector of the result
+    is checked to partition {1..2^k} (`Packing.misfits`); a failure is an
+    internal fault and raises `RuntimeError`.
     """
     from .enumeration import r_totals  # enumeration imports this module
 
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    _stamp_guard(k, f"a graded vector of length {n}", max_count)
+    stamp_guard(k, f"a graded vector of length {n}", max_count)
     # The maps tried into a grade are exactly its vectors, r_total(n, grade):
     # distinct maps on a parent's occupied parts give distinct successors,
-    # and a successor's low half is its parent, so no two tries coincide.
+    # and a successor's low half is its parent, so no two tries coincide
+    # and the level needs no set.
     for grade, tries in enumerate(r_totals(n, k)[1:], 1):
         if tries > max_count:
             raise SizeGuardError(
@@ -298,17 +384,14 @@ def graded_level(n: int, k: int, max_count: int = 2_000_000) -> set[tuple]:
                 f"beyond the guard of {max_count}",
                 "max_count",
             )
-    level = {SetVector.base(n).parts}
-    for _ in range(k):
-        level = {s for p in level for s in successors(p)}
-    # popcount(a + b) <= popcount(a) + popcount(b), with equality only when
-    # a & b == 0; so parts summing to {1..2^k} with 2^k set bits in all
-    # are pairwise disjoint and their union is {1..2^k}
-    width = 1 << k
-    full = (1 << width) - 1
-    for parts in level:
-        if sum(parts) != full or sum(map(int.bit_count, parts)) != width:
-            raise RuntimeError(f"grade-{k} successor {parts} does not partition 1..{width}")
+    packing = Packing(n, k)
+    level = [1]
+    for grade in range(k):
+        level = list(chain.from_iterable(map(packing.successors, level, repeat(1 << grade))))
+    for bad in packing.misfits(level):
+        raise RuntimeError(
+            f"grade-{k} successor {packing.unpack(bad)} does not partition 1..{1 << k}"
+        )
     return level
 
 
@@ -316,15 +399,15 @@ def generate_graded(
     n: int, k: int, side: str = "right", max_count: int = 2_000_000
 ) -> list[SetVector]:
     """The full grade-k family of valid vectors of length n, sorted
-    canonically: `graded_level`, mirrored part by part for the left side,
-    sorted, and only then made into `SetVector`s.  `max_count` is the
-    guard of `graded_level`."""
+    canonically: `graded_level` unpacked, mirrored part by part for the
+    left side, sorted, and only then made into `SetVector`s.  `max_count`
+    is the guard of `graded_level`."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    level = graded_level(n, k, max_count)
+    vectors = map(Packing(n, k).unpack, graded_level(n, k, max_count))
     if side == "left":
-        level = [tuple(mirror_part(p, k) for p in parts) for parts in level]
-    return [SetVector.of_masks(parts) for parts in sort_canonically(level)]
+        vectors = (tuple(mirror_part(p, k) for p in parts) for parts in vectors)
+    return [SetVector.of_masks(parts) for parts in sort_canonically(vectors)]
 
 
 @dataclass(frozen=True)
@@ -534,7 +617,7 @@ def witness_full(m: int, n: int, max_count: int = 2_000_000) -> UPair:
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     k = (m - 1).bit_length()  # 2^(k-1) < m <= 2^k
-    _stamp_guard(k + n - 1, f"the full {m}x{n} witness", max_count)
+    stamp_guard(k + n - 1, f"the full {m}x{n} witness", max_count)
     top = 1 << k
     # left: the parts {top}, {top-1}, ..., {top-m+2} and {1..top-m+1}, each
     # repeated every top elements 2^(n-1) times by one product with a repunit

@@ -411,6 +411,19 @@ class TestGuards:
         assert run_cli(capsys, "graded", "1", "22", "--count")[:2] == (2, "")
         assert run_cli(capsys, "--force", "graded", "1", "22", "--count") == (0, "1\n", "")
 
+    @pytest.mark.parametrize("k", ["24", "28"])
+    def test_forced_listing_bounds_the_elements(self, capsys, monkeypatch, k):
+        # a listing writes every element as text, so under --force it is
+        # bounded as witness full is, before any vector is built; --count
+        # writes one number and keeps the wider bound
+        monkeypatch.setattr(cli, "graded_level", lambda *a, **kw: pytest.fail("built"))
+        code, out, err = run_cli(capsys, "--force", "graded", "1", k)
+        assert code == 2 and out == ""
+        assert err == (
+            f"size guard: a written graded vector of length 1 has grade {k}, so 2^{k} "
+            f"elements, beyond the guard of {FORCED_WITNESS}; raise max_count to override\n"
+        )
+
     # CLI name of each guarded call -> (a cheap command, its limit keyword, the --force value)
     GUARDED = {
         "reachable_tableaux": (["reach", "2", "2"], "max_cells", FORCED_CELLS),
@@ -586,7 +599,8 @@ class TestPinnedOutputs:
     the benchmark's `graded` outputs before listings were written from
     tuples of part masks, and the reach listings and full witnesses
     before reach was written from masks and `bits` decoded byte by byte,
-    and the sc outputs before sc stopped refining."""
+    and the sc outputs before sc stopped refining, and more graded and
+    succ --oracle outputs before set vectors were packed into one int."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -663,6 +677,14 @@ class TestPinnedOutputs:
              "9da4a92717a72b514b8a708224ee5f0c2077e24e872d6d3907af51a587bd6b40"),
             (["--force", "--format", "json", "sc", "4", "4"],
              "04ae0c9a187c3cbf4240a088c11384e12fa1773e0ab90b6939c1d7cd2ab0a339"),
+            (["--format", "json", "graded", "6", "3"],
+             "2f9b4d615161a16842bfa0a4d5e6bbd70428ee5b2ac6132aaf5bc1a278c0b2a8"),
+            (["graded", "5", "3"],
+             "2c007b50782b03164ba692f27f0c52303ccd98b3817d7bc51de1a27a8d7e0db0"),
+            (["succ", "8", "6", "1", "--oracle"],
+             "602b80a0802c0a5f0803e045a1f82977dd365ba84eccbe431106f1de832dc908"),
+            (["--format", "json", "succ", "7", "4", "2", "--oracle"],
+             "294cae36a6d1c6d602e4434c22b5fef8e071c4c5d957768656453c2537696a0f"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):
@@ -672,6 +694,7 @@ class TestPinnedOutputs:
 
     def test_graded_count(self, capsys):
         assert run_cli(capsys, "graded", "5", "3", "--count") == (0, "23005\n", "")
+        assert run_cli(capsys, "graded", "6", "3", "--count") == (0, "100266\n", "")
 
     @pytest.mark.parametrize(
         "argv, digest",

@@ -19,7 +19,14 @@ from shufflesc import (
 from shufflesc import conjecture
 from shufflesc.conjecture import expected_permutation_grade, permutation_min_grade
 from shufflesc.monster import all_valid_tableaux
-from shufflesc.upair import SetVector, enumerate_dense, generate_graded, graded_level, is_lvalid
+from shufflesc.upair import (
+    Packing,
+    SetVector,
+    enumerate_dense,
+    generate_graded,
+    graded_level,
+    is_lvalid,
+)
 
 
 @cache
@@ -281,9 +288,11 @@ class TestMinGrade:
         # of its left-valid reorderings: none when the mirror fails the
         # half-block test, which most of these vectors do
         scan = conjecture._left_first_parts.__wrapped__
-        for rho in graded_level(n, k):
+        packing = Packing(n, k)
+        for x in graded_level(n, k):
+            rho = packing.unpack(x)
             if 0 not in rho:
-                monkeypatch.setattr(conjecture, "graded_level", lambda *_, level={rho}: level)
+                monkeypatch.setattr(conjecture, "graded_level", lambda *_, level=[x]: level)
                 assert scan(n, k) == reference_left_first_parts([rho], n, k), rho
 
     def test_min_grade_matches_bfs(self):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -31,7 +33,7 @@ from shufflesc import (
 )
 from shufflesc.automata import bits
 from shufflesc import upair
-from shufflesc.upair import _elements, graded_level, sort_canonically, successors
+from shufflesc.upair import Packing, _elements, graded_level, sort_canonically, successors
 
 
 def sv(*parts):
@@ -400,25 +402,133 @@ class TestGenerateGraded:
     def test_guard_bounds_the_elements(self):
         # at n = 1 each grade tries one map, but a grade-k vector holds 2^k
         # elements; the guard refuses 2^k > max_count before building any
-        assert graded_level(1, 3, max_count=8) == {(255,)}
+        assert graded_level(1, 3, max_count=8) == [255]
         with pytest.raises(SizeGuardError, match="has grade 3, so 2\\^3 elements"):
             graded_level(1, 3, max_count=7)
         with pytest.raises(SizeGuardError, match="grade 0"):
             graded_level(2, 0, max_count=0)
 
     def test_level_is_the_family(self):
+        # the packed level, unpacked, is the family, with no vector twice
         for n in range(1, 5):
             for k in range(4):
-                assert graded_level(n, k) == {v.parts for v in generate_graded(n, k)}
+                level = list(map(Packing(n, k).unpack, graded_level(n, k)))
+                assert len(set(level)) == len(level)
+                assert set(level) == {v.parts for v in generate_graded(n, k)}
 
-    @pytest.mark.parametrize("bad", [(1, 4), (1, 1, 1)])
+    @pytest.mark.parametrize("bad", [(1, 4), (1, 1, 1), (1, 0), (1, 1), (3, 1)])
     def test_construction_check(self, monkeypatch, bad):
-        # a grade-1 tuple must partition {1, 2}: (1, 4) has two elements but
-        # misses 2; the masks of (1, 1, 1) sum to that of {1, 2}, but they
-        # repeat 1
-        monkeypatch.setattr(upair, "successors", lambda p: iter([bad]))
-        with pytest.raises(RuntimeError, match="does not partition"):
+        # a grade-1 vector must partition {1, 2}: (1, 4) has two elements but
+        # misses 2, its 3 in the headroom of field 1; the masks of (1, 1, 1)
+        # sum to that of {1, 2}, but they repeat 1; (1, 0) misses 2; (1, 1)
+        # holds two elements but repeats 1; in (3, 1) the sum carries
+        packed = Packing(len(bad), 1).pack(bad)
+        monkeypatch.setattr(upair.Packing, "successors", lambda self, x, r: iter([packed]))
+        with pytest.raises(RuntimeError, match=f"successor {re.escape(str(bad))} does not partition"):
             graded_level(len(bad), 1)
+
+    # sha256 of repr(sorted level as tuples of part masks), recorded before
+    # the levels were packed
+    LEVEL_DIGESTS = {
+        (1, 0): "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
+        (1, 1): "9d1803cfcfb10fed88d8efdc2b0320705e0f329726a6587849f3fa141c265500",
+        (1, 2): "a8ffcdd48813623ca31cefbb64bff801a9ac180a51fe89c263cb60f9e4d0198f",
+        (1, 3): "0e106d18633f9cd2826a5a2edf48f3ea4dc21428ef56d236b98ed107c52117dc",
+        (2, 0): "fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963",
+        (2, 1): "9424ad6f913d0810df1f7c0aa8947452bbf5925d2560d52819a1a56677353e5a",
+        (2, 2): "528560466b9efe982c15cae206a23a0dbc226d451c0a3f46e6d85be96878d77f",
+        (2, 3): "ee411fd2dda5c28cff4391c923bd1fd2527854a91c3b5606ec270d55c5940a47",
+        (3, 0): "21c7e30459d5023955ac3a41c8088d363c412830991c1a320cec4894e1fea4e4",
+        (3, 1): "42d6cedc36e77ad8a94fbd622a1c90be492142f9c7399b11be2fd1006822dc64",
+        (3, 2): "3e6c3d7ea4195cf35662b5d5b05248841d7af233514b28e32df5812a6a00ea38",
+        (3, 3): "1eec9509eae56ec1eb343e8703ebe63469771de3537799ba447649a74d488e6d",
+        (4, 0): "622ccf915757e314e643599111b8974d269e6315f487b7134e21253472609fd1",
+        (4, 1): "1fcccc5b63cbae0eb5023db5cba13ee852482e58c46b84887c295b513c8884cf",
+        (4, 2): "fbafdb12ec655e18346aaaa6bce0c65794b9354a95e1e32b81036fff3193a75f",
+        (4, 3): "f190943ceee72e22e070c1f037ded276e6febf2649790041770ceda32bb6cb0c",
+        (5, 0): "6af224e6f8d6d8eb782436b3e3d96689dda1ba843b3271d35807e8355c44e9d7",
+        (5, 1): "1c10f3b4083f7ce749972df42f85623d9d0fb90f88d0b290e005b5d927582bbf",
+        (5, 2): "d156c409a52a750595b33ebf299a2a4d5783e714ee5f91f04b409b6857ec4461",
+        (5, 3): "f8ca81e211688c9f0c910f3de86d11bc895b2d5b76b96c111c5fe8b0b21fdce3",
+        (6, 0): "34a97d88a2724c57adba36fe9043363d0a4239b95715cb3ab77ed3574ac65333",
+        (6, 1): "5e5bf73aeccb06e6429f940a29eb464327fd047756b3498c20fc3a4accb62719",
+        (6, 2): "f6238948d7aee814c72e670300f594e61f408c6c683c0791dc74afe8e764907b",
+        (6, 3): "0b35ca4fb0517cbeee6e41ebadc773e8722080431950937832c942f2004be521",
+        (3, 4): "300b9bc79e7f97e0c9f475527b32e2fecccebb27e07afa4298c6d1dbebb3260f",
+        (2, 5): "2ad1c19dfa5254cc394d1339f8781bfe2cc79916918a7b506a5d29d3b0260d41",
+        (1, 6): "34185ec183022599da95ec7d6d8efd4d02df83dfb39d3f73a76f6c52d38047f6",
+    }
+
+    @pytest.mark.parametrize("n, k", sorted(LEVEL_DIGESTS))
+    def test_level_digest(self, n, k):
+        level = sorted(map(Packing(n, k).unpack, graded_level(n, k)))
+        assert hashlib.sha256(repr(level).encode()).hexdigest() == self.LEVEL_DIGESTS[n, k]
+
+
+class TestPacking:
+    """The packed layout: part t in field t of `width` = 2^k + n.bit_length()
+    bits, and the whole-vector operations on it."""
+
+    def random_parts(self, rng, n, k):
+        # fields from empty to full (2^W - 1, W = 2^k), mostly at the ends
+        w = 1 << k
+        return tuple(
+            rng.choice([0, (1 << w) - 1, rng.randrange(1 << w)]) for _ in range(n)
+        )
+
+    def test_pack_round_trip(self):
+        rng = random.Random(21)
+        for n in range(1, 7):
+            for k in range(5):
+                packing = Packing(n, k)
+                for _ in range(20):
+                    parts = self.random_parts(rng, n, k)
+                    x = packing.pack(parts)
+                    assert packing.unpack(x) == parts
+                    assert x == sum(p << (t * packing.width) for t, p in enumerate(parts))
+
+    def test_nonempty_counts(self):
+        rng = random.Random(22)
+        for n in range(1, 7):
+            for k in range(5):
+                packing = Packing(n, k)
+                vectors = [self.random_parts(rng, n, k) for _ in range(40)]
+                full = (1 << (1 << k)) - 1
+                vectors += [(full,) * n, (0,) * n, (full,) + (0,) * (n - 1)]
+                counts = list(packing.nonempty_counts(list(map(packing.pack, vectors))))
+                assert counts == [len(s) - s.count(0) for s in vectors]
+
+    def test_top_field(self):
+        # element 2^k in every field position, the rest of {1..2^k} spread
+        rng = random.Random(23)
+        for n in range(1, 7):
+            for k in range(5):
+                packing = Packing(n, k)
+                top = 1 << ((1 << k) - 1)
+                for t in range(n):
+                    parts = disjoint_masks(rng, n, (1 << k) - 1)
+                    parts[t] |= top
+                    assert packing.top_field(packing.pack(parts)) == t
+
+    def test_misfits(self):
+        # width 4 + 2 = 6, so each field holds a part of {1..4} and 2 bits of
+        # headroom; the comments say which of the three checks fails
+        packing = Packing(3, 2)
+        good = [packing.pack(p) for p in [(0b1111, 0, 0), (0b0101, 0b1010, 0), (1, 2, 12)]]
+        bad = [
+            packing.pack((0b0111, 0, 0)),  # 4 missing: the count and the sum
+            packing.pack((0b0011, 0b0001, 0b1000)),  # 1 repeated, 4 elements: the sum
+            packing.pack((0b0001, 0b0001, 0b1101)),  # 1 repeated, sum {1..4}: the count
+            packing.pack((0b1100, 0b0100, 0b0001)),  # 3 repeated, the sum carries
+            # into the headroom, 4 elements: the sum
+            packing.pack((0b0111, 0b10000, 0)),  # element 5, in the headroom: the sum
+            packing.pack((0b0111, 0, 0)) | 1 << (3 * packing.width + 3),  # element 4 past
+            # the last field, both congruences hold: only the bound
+            0,
+        ]
+        assert list(packing.misfits(good)) == []
+        assert list(packing.misfits(good + bad + good)) == bad
+        assert list(packing.misfits(bad)) == bad
 
 
 class TestSuccessors:
@@ -436,6 +546,25 @@ class TestSuccessors:
                         expected.append(succ_right(v, Transformation(g)).parts)
                     assert list(successors(v)) == expected
                     assert list(successors(v.parts)) == expected
+
+    def test_masks_match_succ_right_off_the_grades(self):
+        # vectors whose largest element is no power of two, so the packed
+        # fields of the successors are sized from it, not from a grade
+        rng = random.Random(4)
+        for _ in range(60):
+            n = rng.randrange(1, 5)
+            v = SetVector.of_masks(disjoint_masks(rng, n, rng.randrange(1, 12)))
+            occupied = [i for i, part in enumerate(v) if part]
+            if not occupied:
+                assert list(successors(v)) == [v.parts]
+                continue
+            expected = []
+            for images in product(range(n), repeat=len(occupied)):
+                g = list(range(n))
+                for i, t in zip(occupied, images):
+                    g[i] = t
+                expected.append(succ_right(v, Transformation(g)).parts)
+            assert list(successors(v)) == expected
 
     def test_sort_canonically_matches_key_order(self):
         rng = random.Random(3)
