@@ -78,7 +78,6 @@ from .upair import (
     s_projection,
     settableau_of_pair,
     shift_up,
-    succ_elem,
     succ_left,
     succ_right,
     union_vec,

@@ -21,7 +21,7 @@ from operator import eq, mul
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import SizeGuardError
-from .upair import Packing, SetVector, sort_canonically, successors
+from .upair import Packing, SetVector
 
 
 @lru_cache(maxsize=None)
@@ -104,32 +104,38 @@ def _maps_guard(n: int, l: int, max_maps: int) -> None:
         raise SizeGuardError(f"{n}^{l} maps exceed the guard of {max_maps}", "max_maps")
 
 
+def _canonical_successors(n: int, l: int, max_maps: int) -> tuple[Packing, set[int]]:
+    """The packing of grade l and the distinct packed successors of the
+    canonical l-part vector (grade l - 1), over every map on its l occupied
+    slots (n^l of them)."""
+    _maps_guard(n, l, max_maps)
+    packing = Packing(n, l)
+    parent = packing.pack(canonical_vector(l, n))
+    return packing, set(packing.successors(parent, 1 << (l - 1)))
+
+
 def successor_vectors(
     n: int, l: int, max_maps: int = 2_000_000
 ) -> dict[int, list[SetVector]]:
     """All distinct one-step successors of the canonical l-part vector,
     bucketed by their count of nonempty parts, each bucket sorted
-    canonically.
-
-    Enumerates every map on the l occupied slots (n^l of them).
-    """
-    _maps_guard(n, l, max_maps)
+    canonically: the rank tuples of `Packing.ranks` are sorted once, so
+    every bucket fills in order."""
+    packing, distinct = _canonical_successors(n, l, max_maps)
+    vectors, parts = packing.ranks(list(distinct))
+    vectors.sort()
     buckets: dict[int, list[SetVector]] = {}
-    for parts in set(successors(canonical_vector(l, n))):
-        v = SetVector.of_masks(parts)
+    for ranks in vectors:
+        v = SetVector.of_masks(map(parts.__getitem__, ranks))
         buckets.setdefault(v.nonempty_count(), []).append(v)
-    return {key: sort_canonically(vs) for key, vs in sorted(buckets.items())}
+    return dict(sorted(buckets.items()))
 
 
 def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
     """Brute-force value of succ_count, the ground truth it is checked
-    against: enumerate every map on the l occupied slots of the canonical
-    l-part vector (n^l of them), packed, and count the distinct successors
-    with l + d nonempty parts."""
-    _maps_guard(n, l, max_maps)
-    packing = Packing(n, l)  # the canonical vector has grade l - 1
-    parent = packing.pack(canonical_vector(l, n))
-    distinct = set(packing.successors(parent, 1 << (l - 1)))
+    against: count the distinct successors of the canonical l-part vector
+    with l + d nonempty parts, over all n^l maps."""
+    packing, distinct = _canonical_successors(n, l, max_maps)
     return sum(map(eq, packing.nonempty_counts(distinct), repeat(l + d)))
 
 

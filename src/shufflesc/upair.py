@@ -166,14 +166,6 @@ def succ_left(lam: SetVector, f: Transformation) -> SetVector:
     return union_vec(act(lam, f), shift_up(lam))
 
 
-def succ_elem(v: SetVector, t: Transformation, side: str = "right") -> SetVector:
-    if side == "right":
-        return succ_right(v, t)
-    if side == "left":
-        return succ_left(v, t)
-    raise ValueError("side must be 'left' or 'right'")
-
-
 class Packing:
     """Length-n set vectors of grade at most k, each held as one int: part t
     sits in field t, the `width` = 2^k + n.bit_length() bits from bit
@@ -261,15 +253,6 @@ class Packing:
         return map(sum, product(*placements), repeat(x))
 
 
-def successors(p: Sequence[int]) -> Iterator[tuple]:
-    """The parts of succ_right(p, g), as a tuple of masks, for every map g
-    on the occupied parts of p (a SetVector or its masks), the others
-    fixed: the tuple view of `Packing.successors`."""
-    r = reduce(or_, p, 0).bit_length()
-    packing = Packing(len(p), (2 * r - 1).bit_length())  # the least k with 2r <= 2^k
-    return map(packing.unpack, packing.successors(packing.pack(p), r))
-
-
 def mirror_part(part: int, k: int) -> int:
     """Replace every element x of a part mask by 2^k + 1 - x, that is,
     reverse its low 2^k bits; the part must lie inside {1..2^k}."""
@@ -328,15 +311,6 @@ def canonical_parts(vectors: Iterable[Sequence[int]]) -> list[int]:
     """The distinct parts of `vectors`, in the order of their element
     tuples, which is the order `SetVector.key` compares them in."""
     return sorted(set(chain.from_iterable(vectors)), key=_elements)
-
-
-def sort_canonically(vectors: Iterable[Sequence[int]]) -> list:
-    """`sorted(vectors, key=SetVector.key)`, faster, for `SetVector`s or
-    tuples of part masks alike: each part is compared by its rank in
-    `canonical_parts`."""
-    vectors = list(vectors)
-    rank = dict(zip(canonical_parts(vectors), count())).__getitem__
-    return sorted(vectors, key=lambda v: tuple(map(rank, v)))
 
 
 def part_texts(parts: Iterable[int], brackets: str) -> list[str]:
@@ -399,15 +373,21 @@ def generate_graded(
     n: int, k: int, side: str = "right", max_count: int = 2_000_000
 ) -> list[SetVector]:
     """The full grade-k family of valid vectors of length n, sorted
-    canonically: `graded_level` unpacked, mirrored part by part for the
-    left side, sorted, and only then made into `SetVector`s.  `max_count`
-    is the guard of `graded_level`."""
+    canonically: the rank tuples of `graded_level` (`Packing.ranks`),
+    sorted, and only then made into `SetVector`s.  The left side mirrors
+    each distinct part once and ranks the mirrored parts again.
+    `max_count` is the guard of `graded_level`."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    vectors = map(Packing(n, k).unpack, graded_level(n, k, max_count))
+    vectors, parts = Packing(n, k).ranks(graded_level(n, k, max_count))
     if side == "left":
-        vectors = (tuple(mirror_part(p, k) for p in parts) for parts in vectors)
-    return [SetVector.of_masks(parts) for parts in sort_canonically(vectors)]
+        mirrored = [mirror_part(p, k) for p in parts]
+        parts = canonical_parts([mirrored])
+        # the new rank of each mirrored part, indexed by its old rank
+        rank = list(map(dict(zip(parts, count())).__getitem__, mirrored)).__getitem__
+        vectors = [tuple(map(rank, v)) for v in vectors]
+    vectors.sort()
+    return [SetVector.of_masks(map(parts.__getitem__, v)) for v in vectors]
 
 
 @dataclass(frozen=True)

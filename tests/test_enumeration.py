@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -5,6 +6,7 @@ import pytest
 
 from shufflesc import (
     ExactMatrix,
+    SetVector,
     SizeGuardError,
     closed_form_coeffs,
     f_bound,
@@ -453,3 +455,39 @@ class TestSuccessorVectors:
             succ_count(4, 2, 1),
             succ_count(4, 2, 2),
         ]
+
+    # sha256 of repr([(count, [v.parts for v in bucket]) ...]) over the
+    # buckets of successor_vectors(n, l) in the order returned, recorded
+    # before the buckets were sorted by the ranks of `Packing.ranks`
+    ORDER_DIGESTS = {
+        (1, 1): "1ee925e3572eb7230ac5be30ccb5052b2a1eac8d5c6e06222d0917651a9505d2",
+        (2, 1): "2d4e6daa3208a4c197055908da6438319ed83c7752b81650aaa4f318cc53665d",
+        (2, 2): "1693e66595fa6b4c5da869a2888e06a21808130df84f7d7abf981bccc53c424b",
+        (3, 1): "a4cac31b45bbd5f5fa1883e233f9e54a3d0ff63f9891220f407bc36d65c48950",
+        (3, 2): "9334d1bd82c64d78b88c5a75fcff58d9c652389964474a19024bf068ff6cfdbf",
+        (3, 3): "b7beff708972e945c9e3896cf2c108a1568e134eea77d1e8aa5be59f40b51f8f",
+        (4, 1): "afcc2812fb44ef25903606d196df43e822b671d8bba58bc59ce46d6f567d6c94",
+        (4, 2): "6de0486dfa57bfbb564a2761a6aaab33eb2e6fde7a9534f8706852d06fc03728",
+        (4, 3): "708e72e988f6836d2e7961957aab32ca32d2c37762a6f44f8ce775899b3f96f8",
+        (4, 4): "b73ee606de5c41a84a5a8e00ecd54446b687693706b473e2da14d57edb1ab844",
+        (5, 1): "a46607c20ee391c675473efd5fd481625755f2b42c8358ad224aed7a7e724560",
+        (5, 2): "25830102a993d4d2e1033fd41a49db5bfb9399a094cd9eae00e661087c4cbd70",
+        (5, 3): "8d6fc5dc918c493f229468d0d2e18ebc2f928c28a6187b2101f021c2a8632341",
+        (5, 4): "08c28a7712c7c2879613fa275bfc2dc05dc63d6bb23fe17291e07f52f84fc074",
+        (5, 5): "71a0375f2f1efc534487478f1d93527d2e41f3309bbe6b465221b775af817842",
+        (6, 1): "33e2a9a043897f7b44391dc207785d4b358baee8a204b4a09fc3e602d0281966",
+        (6, 2): "af758d3d18530ca162362da52045b8968394fac6c7040c143d6f8551b07a8dd2",
+        (6, 3): "92eea63045ae0b6259467f85bed069189f36e2ce9e57e8286c22b46caea307f7",
+        (6, 4): "c6b43049c5b4bd1c399c0831a049352eb3cc61ede50b62d75c3d4334a2103f62",
+        (6, 5): "78fccd7040346b1c8b29865e57f839d5e673b10f2ec2ea3403e21a06ede4cff7",
+        (6, 6): "c5af22ca628b3369cd820a3eaeffd6c526c0ad2a5b1ed306dcd4030c9a2b7b54",
+    }
+
+    @pytest.mark.parametrize("n, l", sorted(ORDER_DIGESTS))
+    def test_order_digest(self, n, l):
+        buckets = successor_vectors(n, l)
+        for bucket in buckets.values():
+            assert bucket == sorted(set(bucket), key=SetVector.key)
+        listing = [(count, [v.parts for v in bucket]) for count, bucket in buckets.items()]
+        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+        assert digest == self.ORDER_DIGESTS[n, l]

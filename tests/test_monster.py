@@ -450,10 +450,10 @@ class TestStateComplexity:
 
     @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_naive_refinement(self, m, n):
-        # the support quotient, the shared partition of the proper pairs and
-        # the certificate change nothing: the same class count for every
-        # final pair, hence the same value and the same maximizers in the
-        # same order
+        # the support quotient (a side of F whole) and the two-letter
+        # separation (every proper pair counts the reachable tableaux)
+        # change nothing: the same class count for every final pair, hence
+        # the same value and the same maximizers in the same order
         naive, reachable = naive_final_pair_classes(m, n)
         best = max(classes for _, classes in naive)
         res = state_complexity_shuffle(m, n)
@@ -473,8 +473,8 @@ class TestStateComplexity:
         assert len(res.maximizers) == (2**3 - 2) * (2**4 - 2) == 84
 
     def test_4x4(self):
-        # one refinement under the certificate letters counts all 196 proper
-        # pairs, and each is a maximizer
+        # by the two-letter separation each of the 196 proper pairs counts
+        # every reachable tableau, with no refinement, and each is a maximizer
         res = state_complexity_shuffle(4, 4, max_cells=16)
         assert res.value == res.reachable_count == f_bound(4, 4) == 57856
         assert res.maximizers == tuple(

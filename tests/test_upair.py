@@ -25,7 +25,6 @@ from shufflesc import (
     s_projection,
     settableau_of_pair,
     shift_up,
-    succ_elem,
     succ_left,
     succ_right,
     tableau_step,
@@ -33,7 +32,7 @@ from shufflesc import (
 )
 from shufflesc.automata import bits
 from shufflesc import upair
-from shufflesc.upair import Packing, _elements, graded_level, sort_canonically, successors
+from shufflesc.upair import Packing, _elements, graded_level
 
 
 def sv(*parts):
@@ -101,6 +100,21 @@ def decoded(mask):
     return tuple(b + 1 for b in bits(mask))
 
 
+def rank_order(packing, vectors):
+    """`vectors`, tuples of part masks, packed and sorted by their rank
+    tuples from `Packing.ranks`, then decoded back to part masks."""
+    ranks, parts = packing.ranks(list(map(packing.pack, vectors)))
+    return [tuple(map(parts.__getitem__, r)) for r in sorted(ranks)]
+
+
+def successor_parts(v):
+    """`Packing.successors` of v, unpacked, in the least grade k that holds
+    them (2r <= 2^k, r the largest element of v)."""
+    r = max(v.parts).bit_length()
+    packing = Packing(len(v), (2 * r - 1).bit_length())
+    return list(map(packing.unpack, packing.successors(packing.pack(v.parts), r)))
+
+
 def disjoint_masks(rng, length, width):
     """`length` pairwise-disjoint random masks within the low `width` bits."""
     parts = [0] * length
@@ -113,7 +127,7 @@ def disjoint_masks(rng, length, width):
 
 class TestPartDecoding:
     """`_elements` is the one decode path of `key`, `to_lists`, `str` and the
-    rank order of `sort_canonically`; each must agree with the set bits."""
+    rank order of `Packing.ranks`; each must agree with the set bits."""
 
     def check(self, v):
         expected = tuple(map(decoded, v.parts))
@@ -146,17 +160,25 @@ class TestPartDecoding:
         self.check(SetVector.of_masks([masks[0], masks[-1] << 14]))
 
     def test_rank_order_on_mask_tuples(self):
-        # one order for vectors and for their tuples of part masks
+        # the rank tuples decode back to the level in its own order, and the
+        # parts they index are distinct, in the order of their elements
         rng = random.Random(13)
-        vectors = [SetVector.of_masks(disjoint_masks(rng, 3, 12)) for _ in range(400)]
-        assert sort_canonically([v.parts for v in vectors]) == [
-            v.parts for v in sort_canonically(vectors)
+        vectors = [tuple(disjoint_masks(rng, 3, 12)) for _ in range(400)]
+        packing = Packing(3, 4)  # elements up to 12 <= 2^4
+        ranks, parts = packing.ranks(list(map(packing.pack, vectors)))
+        assert [tuple(map(parts.__getitem__, r)) for r in ranks] == vectors
+        assert len(set(parts)) == len(parts)
+        assert list(map(_elements, parts)) == sorted(map(_elements, parts))
+        assert rank_order(packing, vectors) == [
+            v.parts for v in sorted(map(SetVector.of_masks, vectors), key=SetVector.key)
         ]
 
     def test_rank_order_on_random_vectors(self):
         rng = random.Random(12)
         vectors = [SetVector.of_masks(disjoint_masks(rng, 3, 12)) for _ in range(400)]
-        assert sort_canonically(vectors) == sorted(vectors, key=SetVector.key)
+        assert rank_order(Packing(3, 4), [v.parts for v in vectors]) == [
+            v.parts for v in sorted(vectors, key=SetVector.key)
+        ]
         assert sorted(vectors, key=SetVector.key) == sorted(
             vectors, key=lambda v: tuple(map(decoded, v.parts)))
 
@@ -214,14 +236,6 @@ class TestOperations:
         assert succ_left(sv({1}, set(), set(), set()), Transformation.from_map(4, {0: 2})) == sv(
             {2}, set(), {1}, set()
         )
-
-    def test_succ_elem_dispatch(self):
-        v = sv({1}, set())
-        g = Transformation([1, 1])
-        assert succ_elem(v, g) == succ_right(v, g)
-        assert succ_elem(v, g, side="left") == succ_left(v, g)
-        with pytest.raises(ValueError):
-            succ_elem(v, g, side="middle")
 
 
 class TestValidity:
@@ -464,6 +478,73 @@ class TestGenerateGraded:
         level = sorted(map(Packing(n, k).unpack, graded_level(n, k)))
         assert hashlib.sha256(repr(level).encode()).hexdigest() == self.LEVEL_DIGESTS[n, k]
 
+    # sha256 of repr([v.parts for v in generate_graded(n, k, side)]), in the
+    # order returned, recorded before the listing was sorted by the ranks of
+    # `Packing.ranks`
+    ORDER_DIGESTS = {
+        ("right", 1, 0): "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
+        ("right", 1, 1): "9d1803cfcfb10fed88d8efdc2b0320705e0f329726a6587849f3fa141c265500",
+        ("right", 1, 2): "a8ffcdd48813623ca31cefbb64bff801a9ac180a51fe89c263cb60f9e4d0198f",
+        ("right", 1, 3): "0e106d18633f9cd2826a5a2edf48f3ea4dc21428ef56d236b98ed107c52117dc",
+        ("right", 2, 0): "fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963",
+        ("right", 2, 1): "9424ad6f913d0810df1f7c0aa8947452bbf5925d2560d52819a1a56677353e5a",
+        ("right", 2, 2): "8a39169250beacf4ae12468eaaf000753ef1e839dec5f73676ebb22b4e79bd6b",
+        ("right", 2, 3): "a2547b309ec71d2e5773e15b987d4695c732ce91b0c0233d29cc10f4507792cc",
+        ("right", 3, 0): "21c7e30459d5023955ac3a41c8088d363c412830991c1a320cec4894e1fea4e4",
+        ("right", 3, 1): "42d6cedc36e77ad8a94fbd622a1c90be492142f9c7399b11be2fd1006822dc64",
+        ("right", 3, 2): "c09b5e4e0885946ad68ef16c38b8c39931c15bfe16aa8b22483772aa0e86a2e9",
+        ("right", 3, 3): "2a8044405e01819f1983b4249c5289a77626c8fb264c6ce3ee1133653fcc7cd9",
+        ("right", 4, 0): "622ccf915757e314e643599111b8974d269e6315f487b7134e21253472609fd1",
+        ("right", 4, 1): "1fcccc5b63cbae0eb5023db5cba13ee852482e58c46b84887c295b513c8884cf",
+        ("right", 4, 2): "7600a0789310014a6c6667bb9b639bba68c5b69cbe8f6d63eb146bedebb4d976",
+        ("right", 4, 3): "c79f82778ec53d5698c4e2b44d673948e5307ab61b52535ecdee0e5269a8c350",
+        ("right", 5, 0): "6af224e6f8d6d8eb782436b3e3d96689dda1ba843b3271d35807e8355c44e9d7",
+        ("right", 5, 1): "1c10f3b4083f7ce749972df42f85623d9d0fb90f88d0b290e005b5d927582bbf",
+        ("right", 5, 2): "e729137f10c637a5937c26aae2e166ca76bbea67f452a9e06d53a8c397ef6ed7",
+        ("right", 5, 3): "a63590b20fdda98f73e3d60efdf0e21966b69d07d1d9a79a52b6f964b7ba4924",
+        ("right", 6, 0): "34a97d88a2724c57adba36fe9043363d0a4239b95715cb3ab77ed3574ac65333",
+        ("right", 6, 1): "5e5bf73aeccb06e6429f940a29eb464327fd047756b3498c20fc3a4accb62719",
+        ("right", 6, 2): "89fde59ac79ce0128b701016b34908c825004dea926b9e7adf3cbe2d7363aadb",
+        ("right", 6, 3): "ffa2a478741afb42b3a3f525704ce9dfe5ebf825dd73622d04ec17fd8c70aa0a",
+        ("right", 3, 4): "4092aef362ce1d4dd78bfd1f05c44917aa669452be2b5dac6d2ad7d1360ab88a",
+        ("right", 2, 5): "2572a170bdbe02dbea68c3483f07b48a2448a578cbb552b913659061a51bd867",
+        ("right", 1, 6): "34185ec183022599da95ec7d6d8efd4d02df83dfb39d3f73a76f6c52d38047f6",
+        ("left", 1, 0): "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
+        ("left", 1, 1): "9d1803cfcfb10fed88d8efdc2b0320705e0f329726a6587849f3fa141c265500",
+        ("left", 1, 2): "a8ffcdd48813623ca31cefbb64bff801a9ac180a51fe89c263cb60f9e4d0198f",
+        ("left", 1, 3): "0e106d18633f9cd2826a5a2edf48f3ea4dc21428ef56d236b98ed107c52117dc",
+        ("left", 2, 0): "fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963",
+        ("left", 2, 1): "444854e181566b1d313976391a1fdfdfdf0078a54000f0fc6a3b2817d58cc5e5",
+        ("left", 2, 2): "0c74093faa2d5dac4dffd94ecdeeb92e8c2f3bb057ab1db7e4e0a82d1d80841a",
+        ("left", 2, 3): "b3478df3ab700292dbc3d1cd846d2376cdd88144e948638dc0463af57b878b70",
+        ("left", 3, 0): "21c7e30459d5023955ac3a41c8088d363c412830991c1a320cec4894e1fea4e4",
+        ("left", 3, 1): "54b7c72a6f3a7aec02a47d1a210646d323e71b72f132026815571e7a8953cf47",
+        ("left", 3, 2): "d299581bc7a5e2fbe2aebcdb29d396bfee8ded8f6b9d129f65ed062a12666314",
+        ("left", 3, 3): "110e4175b403501b892e4432b1fbd44b4ed131c4548cb7b5d7a5e7d6730c0bfa",
+        ("left", 4, 0): "622ccf915757e314e643599111b8974d269e6315f487b7134e21253472609fd1",
+        ("left", 4, 1): "51f7d5b7cb0f18928fd6397085c58321bb65f5be00d92e5a1d32a7aa278d75df",
+        ("left", 4, 2): "0f6ebd03eacc209b3708c050a84ce8b18a40d96296aaab06bd04ad9307ded06d",
+        ("left", 4, 3): "2070959f1cd485673df5f67ed65b98a3b5fcdda2ae3cf9391ae9c770786ed327",
+        ("left", 5, 0): "6af224e6f8d6d8eb782436b3e3d96689dda1ba843b3271d35807e8355c44e9d7",
+        ("left", 5, 1): "23349fbdaf908d3d04f96f54f859ec0e2bc38d4939a43814da838585387081ab",
+        ("left", 5, 2): "80d3eaa00297347472cdb2eb8e76e41c19654ecfcef451f8fc7b9f14921842b2",
+        ("left", 5, 3): "4584b8c23d9dd860e40f53dd156e107588cf5d4e3c5e9abd36bc05afe07b87cf",
+        ("left", 6, 0): "34a97d88a2724c57adba36fe9043363d0a4239b95715cb3ab77ed3574ac65333",
+        ("left", 6, 1): "a659c259ebdb05904c9805c8b5ded32d3b0455f4aab8f954223c5797b5e62479",
+        ("left", 6, 2): "b444c3a3f3b5c2e16093c35a719d5e29b3fc7376852b8919c7ef903b3ee32594",
+        ("left", 6, 3): "cf16e407c72d590897d6998f03cdd021eda3590791c1e674bfd0e20cd3dc55a3",
+        ("left", 3, 4): "3140463baa3a7479c6dc50cdbf4084257575b6fd9ed58203aa7961da95b79167",
+        ("left", 2, 5): "cddbe9d77b7b621526d4ed2777dc99ad9ca4e0f008dc4c047ec316cc9b7ab53f",
+        ("left", 1, 6): "34185ec183022599da95ec7d6d8efd4d02df83dfb39d3f73a76f6c52d38047f6",
+    }
+
+    @pytest.mark.parametrize("side, n, k", sorted(ORDER_DIGESTS))
+    def test_order_digest(self, side, n, k):
+        vectors = generate_graded(n, k, side)
+        assert vectors == sorted(set(vectors), key=SetVector.key)
+        digest = hashlib.sha256(repr([v.parts for v in vectors]).encode()).hexdigest()
+        assert digest == self.ORDER_DIGESTS[side, n, k]
+
 
 class TestPacking:
     """The packed layout: part t in field t of `width` = 2^k + n.bit_length()
@@ -544,8 +625,7 @@ class TestSuccessors:
                         for i, t in zip(occupied, images):
                             g[i] = t
                         expected.append(succ_right(v, Transformation(g)).parts)
-                    assert list(successors(v)) == expected
-                    assert list(successors(v.parts)) == expected
+                    assert successor_parts(v) == expected
 
     def test_masks_match_succ_right_off_the_grades(self):
         # vectors whose largest element is no power of two, so the packed
@@ -556,7 +636,7 @@ class TestSuccessors:
             v = SetVector.of_masks(disjoint_masks(rng, n, rng.randrange(1, 12)))
             occupied = [i for i, part in enumerate(v) if part]
             if not occupied:
-                assert list(successors(v)) == [v.parts]
+                assert successor_parts(v) == [v.parts]
                 continue
             expected = []
             for images in product(range(n), repeat=len(occupied)):
@@ -564,14 +644,17 @@ class TestSuccessors:
                 for i, t in zip(occupied, images):
                     g[i] = t
                 expected.append(succ_right(v, Transformation(g)).parts)
-            assert list(successors(v)) == expected
+            assert successor_parts(v) == expected
 
-    def test_sort_canonically_matches_key_order(self):
+    def test_rank_order_matches_key_order(self):
         rng = random.Random(3)
-        vectors = generate_graded(4, 2) + generate_graded(3, 2) + generate_graded(2, 3, side="left")
-        rng.shuffle(vectors)
-        assert sort_canonically(vectors) == sorted(vectors, key=SetVector.key)
-        assert sort_canonically([]) == []
+        for n, k, side in [(4, 2, "right"), (3, 2, "right"), (2, 3, "left")]:
+            vectors = generate_graded(n, k, side)
+            rng.shuffle(vectors)
+            assert rank_order(Packing(n, k), [v.parts for v in vectors]) == [
+                v.parts for v in sorted(vectors, key=SetVector.key)
+            ]
+        assert Packing(2, 1).ranks([]) == ([], [])
 
 
 class TestPOfPath:
