@@ -39,6 +39,7 @@ COMMANDS = [
     ["--format", "json", "graded", "6", "3"],
     ["graded", "6", "3", "--count"],
     ["succ", "7", "5", "2", "--oracle"],
+    ["series", "64"],
 ]
 RUNS = 3
 CHILD_TAG = "@@child "

@@ -29,7 +29,6 @@ from .conjecture import (
 )
 from .enumeration import (
     ExactMatrix,
-    TruncatedSeries,
     closed_form_coeffs,
     graded_count,
     hadamard,

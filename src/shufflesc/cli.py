@@ -350,7 +350,7 @@ def _cmd_series(args):
     direct = series_direct(args.d, **guard)
     closed = series_closed(args.d, **guard)
     agree = direct == closed
-    blocks = [list(map(str, direct.y_block(i))) for i in range(args.d + 1)]
+    blocks = [list(map(str, block)) for block in direct]
     if args.fmt == "json":
         _emit(args, _json_dumps({"d": args.d, "constructions_agree": agree, "y_blocks": blocks}))
     else:

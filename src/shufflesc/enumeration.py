@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import eq, mul
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import SizeGuardError
 from .upair import Packing, SetVector
@@ -41,19 +41,26 @@ def stirling2(a: int, b: int) -> int:
     return sum((-1) ** j * comb(b, j) * (b - j) ** a for j in range(b)) // factorial(b)
 
 
-@lru_cache(maxsize=None)
 def r_stirling2(np: int, kp: int, r: int) -> int:
     """r-Stirling number: partitions of {1..np} into kp nonempty blocks with
-    the first r elements in pairwise distinct blocks."""
+    the first r elements in pairwise distinct blocks.  Read from the row
+    `_r_stirling_row(np, r)`, built by a loop and not by a recursion as
+    deep as np."""
     if np < 0 or kp < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    if np < r:
+    if np < r or kp > np:
         return 0
-    if np == r:
-        return 1 if kp == r else 0
-    if kp == 0:
-        return 0
-    return kp * r_stirling2(np - 1, kp, r) + r_stirling2(np - 1, kp - 1, r)
+    return _r_stirling_row(np, r)[kp]
+
+
+def _r_stirling_row(np: int, r: int) -> list[int]:
+    """[r_stirling2(np, kp, r) for kp in 0..np], for np >= r: filled row by
+    row from np = r (1 at kp = r) with the recurrence
+    {np+1, kp}_r = kp {np, kp}_r + {np, kp-1}_r."""
+    row = [0] * r + [1]
+    for _ in range(r, np):
+        row = [kp * a + b for kp, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
 
 
 def succ_count(n: int, l: int, d: int) -> int:
@@ -365,114 +372,29 @@ def lower_bound_ie(m: int, n: int) -> int:
     )
 
 
-# --- truncated bivariate series ---------------------------------------------
+# --- bivariate series -------------------------------------------------------
 
 
-def _exact(c) -> Fraction:
-    """c as a Fraction; a float is refused rather than stored as its binary
-    fraction."""
-    if isinstance(c, float):
-        raise TypeError(f"series coefficients must be exact, not the float {c!r}")
-    return Fraction(c)
-
-
-class TruncatedSeries:
-    """The bivariate power series that both constructions return: exact
-    rational coefficients, truncated to the rectangle x-degree <= max_x,
-    y-degree <= max_y.  It holds and compares coefficients; it has no
-    arithmetic.
-
-    The grading variable is y: the block of y-degree i is a polynomial in x
-    of degree between i and 2i, so a rectangle with max_x = 2 max_y holds
-    complete blocks.
-    """
-
-    __slots__ = ("max_x", "max_y", "coeffs")
-
-    def __init__(self, max_x: int, max_y: int, coeffs: Optional[Mapping] = None):
-        self.max_x = max_x
-        self.max_y = max_y
-        self.coeffs: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (ex, ey), c in coeffs.items():
-                c = _exact(c)
-                if c and ex <= max_x and ey <= max_y:
-                    self.coeffs[(ex, ey)] = c
-
-    def coefficient(self, ex: int, ey: int) -> Fraction:
-        return self.coeffs.get((ex, ey), Fraction(0))
-
-    def y_block(self, ey: int) -> list[Fraction]:
-        """Coefficients of y^ey as a dense list indexed by x-degree."""
-        return [self.coefficient(ex, ey) for ex in range(self.max_x + 1)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and (self.max_x, self.max_y) == (other.max_x, other.max_y)
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        terms = sorted(self.coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        body = " + ".join(f"{c}*x^{ex}*y^{ey}" for (ex, ey), c in terms[:12])
-        more = " + ..." if len(terms) > 12 else ""
-        return f"TruncatedSeries({body}{more})"
-
-
-def series_direct(d: int, max_blocks_guard: int = 64) -> TruncatedSeries:
-    """The double generating function of the Stirling-type factor, assembled
-    termwise: sum over i, j of {2i over j}_i x^j y^i / i!, complete through
-    the y^d block (x-degree up to 2d).  Each block i reads its r-Stirling
-    numbers from one table (`_r_stirling_row`); `series_closed` uses none."""
+def _blocks_guard(d: int, max_blocks_guard: int) -> None:
     if d < 1:
         raise ValueError("d must be at least 1")
     if d > max_blocks_guard:
         raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}", "max_blocks_guard")
-    coeffs = {(0, 0): Fraction(1)}
-    for i in range(1, d + 1):
-        row = _r_stirling_row(2 * i, i)
-        for j in range(i, 2 * i + 1):
-            coeffs[(j, i)] = Fraction(row[j], factorial(i))
-    return TruncatedSeries(2 * d, d, coeffs)
 
 
-def _r_stirling_row(np: int, r: int) -> list[int]:
-    """[r_stirling2(np, kp, r) for kp in 0..np], for np >= r: one table
-    filled row by row from np = r with the recurrence of `r_stirling2`."""
-    row = [0] * r + [1]
-    for _ in range(r, np):
-        row = [kp * a + b for kp, (a, b) in enumerate(zip(row + [0], [0] + row))]
-    return row
-
-
-def _lambert_w_xy(d: int) -> dict[int, Fraction]:
-    """Diagonal coefficients of W(-x y): term i is c_i (x y)^i with
-    c_i = (-i)^(i-1) (-1)^i / i!, from the Lambert W series
-    W(z) = sum (-i)^(i-1) z^i / i!."""
-    return {
-        i: Fraction((-i) ** (i - 1) * (-1) ** i, factorial(i)) for i in range(1, d + 1)
-    }
-
-
-def _scaled_blocks(blocks: list[dict[int, Fraction]]) -> list[dict[int, int]]:
-    """Block k (x-degree -> coefficient of x^e y^k) times k!, as integers.
-
-    The recurrences of `series_closed` stay in integers only if every such
-    product is one; a coefficient for which it is not is an internal fault,
-    not bad input, hence RuntimeError."""
-    scaled = []
-    for k, block in enumerate(blocks):
-        out = {}
-        for ex, c in block.items():
-            n = Fraction(c) * factorial(k)
-            if n.denominator != 1:
-                raise RuntimeError(
-                    f"the x^{ex} y^{k} coefficient {c} is not integral at {k}!"
-                )
-            out[ex] = n.numerator
-        scaled.append(out)
-    return scaled
+def series_direct(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
+    """The double generating function of the Stirling-type factor, assembled
+    termwise: sum over i, j of {2i over j}_i x^j y^i / i!, complete through
+    the y^d block.  Both routes return its d + 1 y-blocks: block i is the
+    dense list of the coefficients of x^0..x^(2d) y^i, nonzero only at
+    x-degrees i..2i.  Block i is the row `_r_stirling_row(2i, i)` over i!,
+    padded with zeros; `series_closed` uses no r-Stirling number."""
+    _blocks_guard(d, max_blocks_guard)
+    return [
+        [Fraction(c, factorial(i)) for c in _r_stirling_row(2 * i, i)]
+        + [Fraction(0)] * (2 * (d - i))
+        for i in range(d + 1)
+    ]
 
 
 def _add_product(acc: dict, scale: int, p: dict, q: dict, max_x: int) -> None:
@@ -512,39 +434,27 @@ def _product_blocks(p: list[dict], q: list[dict], max_x: int) -> list[dict]:
     return out
 
 
-def series_closed(d: int, max_blocks_guard: int = 64) -> TruncatedSeries:
-    """The same generating function from its closed form
+def series_closed(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
+    """The same y-blocks from the closed form
 
         exp(-(W(-x y)/y + x)) / (1 + W(-x y)).
 
-    W(-x y)/y has the single y-degree-0 term -x, cancelled exactly by the +x,
-    so the exponent argument and W both live in positive y-degrees and the
-    truncated algebra is exact blockwise.  Each y-block k is carried as
-    integers scaled by k!, through the generic exp, reciprocal and product
-    recurrences on the W coefficients alone; the result divides block n by
-    n! once per coefficient.
+    By the Lambert W series W(z) = sum (-k)^(k-1) z^k / k!, block k of
+    W(-x y), times k!, is the single integer term -k^(k-1) x^k.  W(-x y)/y
+    has the one y-degree-0 term -x, cancelled exactly by the +x, so block k
+    of the exponent, times k!, is (k+1)^(k-1) x^(k+1), and the truncated
+    algebra is exact blockwise.  Each block k is carried as integers scaled
+    by k!, through the generic exp, reciprocal and product recurrences; the
+    result divides block n by n! once per coefficient.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if d > max_blocks_guard:
-        raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}", "max_blocks_guard")
-    max_x, max_y = 2 * d, d
-    w_diag = _lambert_w_xy(d + 1)
-
-    # -(W(-xy)/y + x): the i-th W term contributes at (x^i, y^(i-1)), i >= 2.
-    exponent = [{}] + [{k + 1: -w_diag[k + 1]} for k in range(1, max_y + 1)]
-    w = [{}] + [{k: w_diag[k]} for k in range(1, max_y + 1)]
-    numerator = _recurrence_blocks(
-        _scaled_blocks(exponent), lambda n, k: comb(n - 1, k - 1), max_x
-    )
-    inverse = _recurrence_blocks(_scaled_blocks(w), lambda n, k: -comb(n, k), max_x)
-    blocks = _product_blocks(numerator, inverse, max_x)
-    return TruncatedSeries(
-        max_x,
-        max_y,
-        {
-            (ex, n): Fraction(c, factorial(n))
-            for n, block in enumerate(blocks)
-            for ex, c in block.items()
-        },
-    )
+    _blocks_guard(d, max_blocks_guard)
+    max_x = 2 * d
+    w = [{}] + [{k: -(k ** (k - 1))} for k in range(1, d + 1)]
+    exponent = [{}] + [{k + 1: (k + 1) ** (k - 1)} for k in range(1, d + 1)]
+    numerator = _recurrence_blocks(exponent, lambda n, k: comb(n - 1, k - 1), max_x)
+    inverse = _recurrence_blocks(w, lambda n, k: -comb(n, k), max_x)
+    blocks = []
+    for n, block in enumerate(_product_blocks(numerator, inverse, max_x)):
+        scale = factorial(n)
+        blocks.append([Fraction(block.get(ex, 0), scale) for ex in range(max_x + 1)])
+    return blocks

@@ -449,7 +449,8 @@ def state_complexity_shuffle(
     F1 = Q1 or F2 = Q2 is counted on the supports of the reached tableaux
     (every pair at 1 x n and n x 1).  Every other pair separates all
     reached tableaux, by words of length 2, so its count is the reachable
-    count.
+    count.  A given `reach` must be a complete search of the m x n grid,
+    or ValueError is raised.
     """
     return _max_over_finals(m, n, None, reach, max_cells)
 
@@ -464,6 +465,10 @@ def _max_over_finals(m, n, letters, reach, max_cells):
         )
     if reach is None:
         reach = reachable_tableaux(m, n, max_cells=max_cells)
+    elif (reach.m, reach.n) != (m, n):
+        raise ValueError(f"reach is of a {reach.m}x{reach.n} grid, not {m}x{n}")
+    elif not reach.complete:
+        raise ValueError("reach is incomplete, so reachable tableaux may be missing from it")
     best = 0
     arg: list[tuple[frozenset, frozenset]] = []
     for pair, classes in _final_pair_classes(m, n, letters, reach):

@@ -204,8 +204,8 @@ def test_07_series_constructions_agree():
     closed = series_closed(6)
     assert direct == closed
     expected_y4 = [Fraction(c, 24) for c in (256, 369, 151, 22, 1)]
-    assert direct.y_block(4)[4:9] == expected_y4
-    assert all(c == 0 for c in direct.y_block(4)[:4])
+    assert direct[4][4:9] == expected_y4
+    assert all(c == 0 for c in direct[4][:4])
     report(7, "series_direct(6) = series_closed(6); y^4 block = x^4(256+369x+...)/24")
 
 

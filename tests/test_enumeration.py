@@ -141,7 +141,8 @@ class TestRStirling:
         assert r_stirling2(4, 4, 2) == 1
 
     def test_r0_and_r1_reduce_to_stirling(self):
-        # r_stirling2 is the recursive reference for stirling2's explicit sum
+        # r_stirling2, read from the recurrence's rows, is the reference
+        # for stirling2's explicit sum
         for a in range(0, 41):
             for b in range(0, 41):
                 assert r_stirling2(a, b, 0) == stirling2(a, b)
@@ -160,13 +161,15 @@ class TestRStirling:
                     )
                     assert r_stirling2(a, b, r) == count
 
-    def test_table_rows_match_the_recursion(self):
-        # the rows series_direct reads, against the recursive definition
-        for r in range(0, 9):
-            for np in range(r, 2 * r + 9):
-                assert enumeration._r_stirling_row(np, r) == [
-                    r_stirling2(np, kp, r) for kp in range(np + 1)
-                ]
+    def test_no_deep_recursion(self):
+        # one row of 1100 entries, where a recursion per element overflowed
+        assert r_stirling2(1100, 2, 1) == stirling2(1100, 2)
+
+    def test_out_of_range(self):
+        assert r_stirling2(2, 3, 3) == 0  # np < r
+        assert r_stirling2(4, 5, 1) == 0  # kp > np
+        with pytest.raises(ValueError):
+            r_stirling2(3, -1, 1)
 
 
 class TestSuccCount:

@@ -448,6 +448,20 @@ class TestStateComplexity:
         with pytest.raises(SizeGuardError):
             state_complexity_shuffle(4, 4)
 
+    def test_given_reach(self):
+        # a complete reach of the same grid is used as it is
+        assert state_complexity_shuffle(3, 3, reach=reachable_tableaux(3, 3)).value == 400
+
+    def test_reach_of_another_grid_refused(self):
+        with pytest.raises(ValueError, match="2x2 grid, not 3x3"):
+            state_complexity_shuffle(3, 3, reach=reachable_tableaux(2, 2))
+
+    def test_incomplete_reach_refused(self):
+        reach = reachable_tableaux(3, 3, depth_limit=2)
+        assert not reach.complete
+        with pytest.raises(ValueError, match="incomplete"):
+            state_complexity_shuffle(3, 3, reach=reach)
+
     @pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (2, 4)])
     def test_matches_naive_refinement(self, m, n):
         # the support quotient (a side of F whole) and the two-letter
