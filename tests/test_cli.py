@@ -642,10 +642,6 @@ class TestPinnedOutputs:
              "1ca008f80c7b0e66bee6174e3c5ba0042feeaa90d3c019a606d5a91a25eedde1"),
             (["--format", "json", "series", "12"],
              "67812fb9c47e9336de2fc5b2d2d54a54ec7903a8f639402735ebe6f82ef2d60d"),
-            (["series", "64"],
-             "643c657eec8cfca3dbece552f656857b25d5b58fd104787fac34d48ba1f04c94"),
-            (["--format", "json", "series", "1"],
-             "fdcd0300e7d93ba4b04aa447e3c1aaba080f7c8506e3861812b7343560026ca2"),
             (["--format", "json", "reach", "3", "4"],
              "d2eff5bc995e925f841d218e7ec6a9e93bcfdf21e015f2986b1a25263185d712"),
             (["--format", "csv", "reach", "2", "6"],
@@ -690,6 +686,10 @@ class TestPinnedOutputs:
              "602b80a0802c0a5f0803e045a1f82977dd365ba84eccbe431106f1de832dc908"),
             (["--format", "json", "succ", "7", "4", "2", "--oracle"],
              "294cae36a6d1c6d602e4434c22b5fef8e071c4c5d957768656453c2537696a0f"),
+            (["series", "64"],
+             "643c657eec8cfca3dbece552f656857b25d5b58fd104787fac34d48ba1f04c94"),
+            (["--format", "json", "series", "1"],
+             "fdcd0300e7d93ba4b04aa447e3c1aaba080f7c8506e3861812b7343560026ca2"),
         ],
     )
     def test_output_digest(self, capsys, argv, digest):
