@@ -53,7 +53,6 @@ from .monster import (
     ReachResult,
     ScResult,
     Tableau,
-    count_distinguishable,
     distinguishing_letters,
     f_bound,
     is_valid_tableau,

@@ -288,6 +288,8 @@ def verify_witnesses(
     be a complete reach of the n x n grid).  The full m x n tableau must be
     hit by its pair as well.
     """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be at least 1")
     if n > max_permutation_size:
         raise SizeGuardError(
             f"verifying {n}! permutations exceeds the guard of {max_permutation_size}!",

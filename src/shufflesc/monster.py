@@ -14,10 +14,9 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .automata import Dfa, Transformation, bits, moore_refine, successor_rows
+from .automata import Dfa, Transformation, bits
 from .errors import SizeGuardError
 
 
@@ -371,68 +370,6 @@ class ScResult:
         return self.maximizers[0]
 
 
-def _transition_rows(masks, m, n, letters):
-    """Refinement rows (`successor_rows`) of the reachable masks under the
-    given letters.  A letter's successor mask is its row variant under f
-    merged with its column variant under g; each variant is computed once
-    per distinct f and g, and each state's successors are then gathered at
-    C level.
-    """
-    lines = mask_lines(m, n)
-    index = {mask: i for i, mask in enumerate(masks)}
-    row_lines = list(map(lines.rows, masks))
-    col_lines = list(map(lines.cols, masks))
-
-    def variants(state_lines, shift):
-        out = []
-        for occupied in state_lines:
-            acc = 0
-            for k, s in occupied:
-                acc |= s << shift[k]
-            out.append(acc)
-        return out
-
-    maps = [(l.left.images, l.right.images) for l in letters]
-    if not maps:  # the zips below would yield no rows at all
-        return successor_rows([()] * len(masks))
-    # fs and gs number the distinct maps; fi and gi name each letter's pair
-    fs: dict = {}
-    gs: dict = {}
-    fi = [fs.setdefault(f, len(fs)) for f, _ in maps]
-    gi = [gs.setdefault(g, len(gs)) for _, g in maps]
-    # per state: its row variant under each f and column variant under each g
-    rvs = zip(*(variants(row_lines, [lines.row_shifts[t] for t in f]) for f in fs))
-    cvs = zip(*(variants(col_lines, g) for g in gs))
-    return successor_rows(
-        tuple(map(index.__getitem__, map(or_, map(rv.__getitem__, fi), map(cv.__getitem__, gi))))
-        for rv, cv in zip(rvs, cvs)
-    )
-
-
-def count_distinguishable(
-    m: int,
-    n: int,
-    letters: Iterable[MonsterLetter],
-    max_cells: int = 12,
-) -> ScResult:
-    """Like state_complexity_shuffle but refining with a fixed letter set.
-
-    Reachability is still computed over all letters; only the separating
-    words are restricted to the given alphabet, which may be empty (then
-    only finality separates).  Every pair of nonempty final sets is refined
-    from finality on its own, on transition rows built once.  Neither
-    shortcut of state_complexity_shuffle applies: the support quotient and
-    the two-letter separation of the proper pairs both rest on the full
-    alphabet.  The maximizers are listed in the same order as for
-    state_complexity_shuffle.
-    """
-    letters = list(letters)
-    for f, g in letters:
-        if f.size != m or g.size != n:
-            raise ValueError(f"letter sizes ({f.size}, {g.size}) do not match tableau ({m}, {n})")
-    return _max_over_finals(m, n, letters, None, max_cells)
-
-
 def state_complexity_shuffle(
     m: int, n: int, reach: Optional[ReachResult] = None, max_cells: int = 12
 ) -> ScResult:
@@ -452,12 +389,6 @@ def state_complexity_shuffle(
     count.  A given `reach` must be a complete search of the m x n grid,
     or ValueError is raised.
     """
-    return _max_over_finals(m, n, None, reach, max_cells)
-
-
-def _max_over_finals(m, n, letters, reach, max_cells):
-    """Largest class count of `_final_pair_classes` and every pair that
-    reaches it, in bitmask order."""
     if m * n > max_cells:
         raise SizeGuardError(
             f"state-complexity search on a {m}x{n} grid exceeds the {max_cells}-cell guard",
@@ -471,7 +402,7 @@ def _max_over_finals(m, n, letters, reach, max_cells):
         raise ValueError("reach is incomplete, so reachable tableaux may be missing from it")
     best = 0
     arg: list[tuple[frozenset, frozenset]] = []
-    for pair, classes in _final_pair_classes(m, n, letters, reach):
+    for pair, classes in _final_pair_classes(m, n, reach):
         if classes > best:
             best, arg = classes, [pair]
         elif classes == best:
@@ -502,15 +433,14 @@ def _support_classes(supports, width):
     ]
 
 
-def _final_pair_classes(m, n, letters, reach):
+def _final_pair_classes(m, n, reach):
     """Yield ((F1, F2), class count) for every pair of nonempty final sets,
     ordered by the bitmask of F1 then of F2.
 
-    With a fixed letter set every pair is refined from finality under those
-    letters.  With the full alphabet (`letters` None) the count is that of
-    the Nerode equivalence, and nothing is refined: every count follows
-    from the reached masks and their supports.  Q1 and Q2 are the whole
-    state sets, and a pair is proper when neither side is empty or whole:
+    The count is that of the Nerode equivalence over the full alphabet, and
+    nothing is refined: every count follows from the reached masks and
+    their supports.  Q1 and Q2 are the whole state sets, and a pair is
+    proper when neither side is empty or whole:
 
     - Quotient, when F1 = Q1.  Then E meets F1 x F2 iff its column support
       C meets F2, and a letter (f, g) sends C to C | g(C), whatever f is.
@@ -538,38 +468,27 @@ def _final_pair_classes(m, n, letters, reach):
       exactly the tableaux that hold (p, q), and a cell in one tableau but
       not the other separates them.
     """
-    pairs = [(f1, f2) for f1 in range(1, 1 << m) for f2 in range(1, 1 << n)]
-    if letters is not None:
-        masks = list(reach.mask_depths)
-        rows = _transition_rows(masks, m, n, letters)
-
-        def finality(f1_bits, f2_bits):
-            fmask = sum(f2_bits << (i * n) for i in range(m) if f1_bits >> i & 1)
-            return [int(bool(mk & fmask)) for mk in masks]
-
-        counts = (len(set(moore_refine(rows, finality(*pair)))) for pair in pairs)
-    else:
-        q1, q2 = (1 << m) - 1, (1 << n) - 1  # the bits of Q1 and Q2
-        row_supports, col_supports = set(), set()
-        numbered_shifts = tuple(enumerate(mask_lines(m, n).row_shifts))
-        for mask in reach.mask_depths:
-            row_bits = col_bits = 0
-            for i, t in numbered_shifts:
-                if line := mask >> t & q2:
-                    row_bits |= 1 << i
-                    col_bits |= line
-            row_supports.add(row_bits)
-            col_supports.add(col_bits)
-        row_classes = _support_classes(row_supports, m)
-        col_classes = _support_classes(col_supports, n)
-        counts = (
-            col_classes[f2_bits] if f1_bits == q1
-            else row_classes[f1_bits] if f2_bits == q2
-            else reach.count
-            for f1_bits, f2_bits in pairs
-        )
-    for (f1_bits, f2_bits), classes in zip(pairs, counts):
-        yield (frozenset(bits(f1_bits)), frozenset(bits(f2_bits))), classes
+    q1, q2 = (1 << m) - 1, (1 << n) - 1  # the bits of Q1 and Q2
+    row_supports, col_supports = set(), set()
+    numbered_shifts = tuple(enumerate(mask_lines(m, n).row_shifts))
+    for mask in reach.mask_depths:
+        row_bits = col_bits = 0
+        for i, t in numbered_shifts:
+            if line := mask >> t & q2:
+                row_bits |= 1 << i
+                col_bits |= line
+        row_supports.add(row_bits)
+        col_supports.add(col_bits)
+    row_classes = _support_classes(row_supports, m)
+    col_classes = _support_classes(col_supports, n)
+    for f1_bits in range(1, q1 + 1):
+        for f2_bits in range(1, q2 + 1):
+            classes = (
+                col_classes[f2_bits] if f1_bits == q1
+                else row_classes[f1_bits] if f2_bits == q2
+                else reach.count
+            )
+            yield (frozenset(bits(f1_bits)), frozenset(bits(f2_bits))), classes
 
 
 def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLetter], side: str) -> Dfa:

@@ -379,7 +379,8 @@ def generate_graded(
     `max_count` is the guard of `graded_level`."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    vectors, parts = Packing(n, k).ranks(graded_level(n, k, max_count))
+    level = graded_level(n, k, max_count)  # first: Packing(n, k) does not check n and k
+    vectors, parts = Packing(n, k).ranks(level)
     if side == "left":
         mirrored = [mirror_part(p, k) for p in parts]
         parts = canonical_parts([mirrored])

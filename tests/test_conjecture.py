@@ -244,6 +244,12 @@ class TestWitnessVerification:
         with pytest.raises(SizeGuardError):
             verify_witnesses(7, 7)
 
+    @pytest.mark.parametrize("m, n", [(2, 0), (0, 2), (-1, 2)])
+    def test_sizes_below_one_refused(self, m, n):
+        # refused before any permutation case is built
+        with pytest.raises(ValueError, match="m and n must be at least 1"):
+            verify_witnesses(m, n)
+
     def test_report_json(self):
         rep = verify_witnesses(2, 2)
         obj = rep.to_json()

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -7,7 +8,6 @@ from shufflesc import (
     SizeGuardError,
     Tableau,
     Transformation,
-    count_distinguishable,
     distinguishing_letters,
     f_bound,
     is_valid_tableau,
@@ -15,13 +15,12 @@ from shufflesc import (
     state_complexity_shuffle,
     tableau_step,
 )
-from shufflesc import monster
+from shufflesc import automata, monster
 from shufflesc.automata import moore_refine, successor_rows
 from shufflesc.monster import (
     ReachResult,
     _expand_mask,
     _final_pair_classes,
-    _transition_rows,
     all_valid_tableaux,
     mask_lines,
     monster_dfa,
@@ -38,6 +37,29 @@ def all_letters(m, n):
         MonsterLetter(Transformation(f), Transformation(g))
         for f in product(range(m), repeat=m)
         for g in product(range(n), repeat=n)
+    ]
+
+
+def letter_rows(masks, m, n):
+    """Each mask's successor masks under every letter, in `all_letters`
+    order: the images of its row lines under f merged with the images of
+    its column lines under g, both read through `mask_lines`."""
+    lines = mask_lines(m, n)
+    fs = [[lines.row_shifts[t] for t in f] for f in product(range(m), repeat=m)]
+    gs = list(product(range(n), repeat=n))
+
+    def images(occupied, placements):
+        out = []
+        for place in placements:
+            acc = 0
+            for k, s in occupied:
+                acc |= s << place[k]
+            out.append(acc)
+        return out
+
+    return [
+        tuple(rv | cv for rv in images(lines.rows(mask), fs) for cv in images(lines.cols(mask), gs))
+        for mask in masks
     ]
 
 
@@ -77,25 +99,29 @@ def relabellings(m, n):
             yield (0, *s), (0, *t)
 
 
-def naive_final_pair_classes(m, n):
+def naive_final_pair_classes(m, n, letters=None):
     """Class counts straight from the definition: the tableaux reachable
     from {(0, 0)} under every whole-grid letter, by tableau_step, then plain
     Moore refinement (every state, every letter, every round) for each pair
     of nonempty final sets, in bitmask order.  Also returns the reachable
-    count."""
-    letters = all_letters(m, n)
+    count.  Given `letters`, the reach still takes every letter, but the
+    refinement takes only those."""
+    every = all_letters(m, n)
     states = [T(m, n, {(0, 0)})]
     index = {states[0]: 0}
     succ = []
     for t in states:  # the list grows while it is walked
         row = []
-        for a in letters:
+        for a in every:
             u = tableau_step(t, a)
             if u not in index:
                 index[u] = len(states)
                 states.append(u)
             row.append(index[u])
         succ.append(row)
+    if letters is not None:
+        columns = [every.index(a) for a in letters]
+        succ = [[row[k] for k in columns] for row in succ]
     out = []
     for b1 in range(1, 1 << m):
         for b2 in range(1, 1 << n):
@@ -405,9 +431,11 @@ class TestDistinguishingLetters:
             distinguishing_letters(1, 3)
 
     def test_three_letters_distinguish_everything(self):
+        # refining under the three letters alone, some pair of final sets
+        # separates every reachable tableau
         for m, n in ((2, 2), (2, 3), (3, 2)):
-            res = count_distinguishable(m, n, distinguishing_letters(m, n))
-            assert res.value == res.reachable_count == f_bound(m, n)
+            counts, reachable = naive_final_pair_classes(m, n, distinguishing_letters(m, n))
+            assert max(classes for _, classes in counts) == reachable == f_bound(m, n)
 
 
 class TestStateComplexity:
@@ -473,7 +501,7 @@ class TestStateComplexity:
         res = state_complexity_shuffle(m, n)
         assert res.value == best and res.reachable_count == reachable
         assert res.maximizers == tuple(pair for pair, classes in naive if classes == best)
-        assert list(_final_pair_classes(m, n, None, reachable_tableaux(m, n))) == naive
+        assert list(_final_pair_classes(m, n, reachable_tableaux(m, n))) == naive
 
     def test_3x4(self):
         # every pair with both final sets proper and nonempty is a maximizer
@@ -546,7 +574,8 @@ class TestStateComplexity:
         # classes, one mask per class; a pair with a whole side gives
         # another partition
         masks = list(range(1 << (m * n))) if closed else sorted(reachable_tableaux(m, n).mask_depths)
-        rows = _transition_rows(masks, m, n, all_letters(m, n))
+        index = {mask: i for i, mask in enumerate(masks)}
+        rows = successor_rows(tuple(map(index.__getitem__, row)) for row in letter_rows(masks, m, n))
 
         def partition(b1, b2):
             cells = [(i, j) for i in range(m) if b1 >> i & 1 for j in range(n) if b2 >> j & 1]
@@ -566,28 +595,28 @@ class TestStateComplexity:
                     assert partition(b1, b2) == shared
 
     def test_no_refinement_per_grid(self, monkeypatch):
-        refined, built = [], []
-        refine, transition_rows = monster.moore_refine, monster._transition_rows
+        # every binding of moore_refine in the package is spied on, so a
+        # refinement called from any module, under any name, is seen
+        refined = []
+        refine = automata.moore_refine
 
         def refine_spy(rows, codes):
             refined.append(len(codes))
             return refine(rows, codes)
 
-        def rows_spy(masks, m, n, letters):
-            built.append(letters)
-            return transition_rows(masks, m, n, letters)
-
-        monkeypatch.setattr(monster, "moore_refine", refine_spy)
-        monkeypatch.setattr(monster, "_transition_rows", rows_spy)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "shufflesc" or name.startswith("shufflesc.")):
+                for attr, value in list(vars(module).items()):
+                    if value is refine:
+                        monkeypatch.setattr(module, attr, refine_spy)
         # a proper pair takes the reachable count, any other the supports
         assert state_complexity_shuffle(3, 3).value == 400
         for m, n in ((1, 1), (1, 3), (1, 4), (3, 1), (4, 1)):
             state_complexity_shuffle(m, n)
-        assert refined == built == []
-        # a fixed letter set refines every pair on its own, on rows built once
-        letters = distinguishing_letters(2, 3)
-        assert count_distinguishable(2, 3, letters).value == 44
-        assert refined == [44] * (3 * 7) and built == [letters]
+        assert refined == []
+        # the spy does see a refinement: minimize runs one
+        automata.minimize(monster_dfa(2, {1}, all_letters(2, 2), "left"))
+        assert refined == [2]
 
     @pytest.mark.parametrize("m, n", [(1, 5), (2, 3), (2, 4), (3, 3)])
     def test_support_quotient_is_its_moore_count(self, m, n):
@@ -618,31 +647,6 @@ class TestStateComplexity:
         for final in range(1, 1 << width):
             missing = sum(1 for s in supports if not s & final)
             assert table[final] == missing + (missing < len(supports))
-
-    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
-    def test_explicit_full_alphabet_agrees(self, m, n):
-        # the fixed-letter path takes no shortcut
-        letters = all_letters(m, n)
-        assert count_distinguishable(m, n, letters) == state_complexity_shuffle(m, n)
-        reach = reachable_tableaux(m, n)
-        assert list(_final_pair_classes(m, n, letters, reach)) == list(
-            _final_pair_classes(m, n, None, reach)
-        )
-
-    def test_empty_letter_set(self):
-        # no letters: only finality separates, into at most two classes
-        res = count_distinguishable(2, 2, [])
-        assert res.value == 2 and res.reachable_count == 10
-
-    @pytest.mark.parametrize(
-        "left, right",
-        [([1, 0, 2], [0, 0]), ([0, 0], [0, 1, 2]), ([0], [0, 0]), ([0, 0, 0], [1, 1, 1])],
-    )
-    def test_letter_size_mismatch(self, left, right):
-        letter = MonsterLetter(Transformation(left), Transformation(right))
-        with pytest.raises(ValueError, match=rf"letter sizes \({len(left)}, {len(right)}\) "
-                           r"do not match tableau \(2, 2\)"):
-            count_distinguishable(2, 2, [distinguishing_letters(2, 2)[0], letter])
 
 
 KERNEL_SIZES = [(1, 3), (2, 2), (2, 3), (3, 2)]
@@ -682,8 +686,7 @@ class TestMaskKernel:
             tuple(tableau_step(Tableau.from_mask(m, n, mask), letter).mask for letter in letters)
             for mask in masks
         ]
-        rows = _transition_rows(masks, m, n, letters)
-        assert [row(masks) for row in rows] == expected
+        assert letter_rows(masks, m, n) == expected
 
 
 class TestMonsterDfa:

@@ -404,6 +404,11 @@ class TestGenerateGraded:
         with pytest.raises(SizeGuardError):
             generate_graded(3, 3, max_count=100)
 
+    @pytest.mark.parametrize("n, k", [(0, 1), (2, -1), (-2, 1)])
+    def test_bad_sizes_refused(self, n, k):
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+            generate_graded(n, k)
+
     def test_guard_bounds_the_maps_tried(self):
         # grade k tries n^(occupied parts) maps per vector of grade k - 1:
         # 3, 21 and 363 maps at n = 3, counted here from the vectors
