@@ -4,8 +4,10 @@
 Each command runs three times in a fresh interpreter, with the package
 imported from `<root>/src`, and the median is kept.  Per command it records
 the wall time of the whole process (interpreter start included), the time
-of the `main(...)` call alone (`main_s`: parsing, the work and the output,
-without the interpreter's start and imports), the child's own peak RSS
+of the child's `from shufflesc.cli import main` (`import_s`: the package's
+set-up, compiling its source when no bytecode is cached), the time of the
+`main(...)` call alone (`main_s`: parsing, the work and the output, without
+the interpreter's start and imports), the child's own peak RSS
 (VmHWM: `ru_maxrss` would carry the parent's resident set across exec) and
 the sha256 of stdout.  The file also records the
 Python version, the core count and the commit of each root.
@@ -15,7 +17,7 @@ tree) the runs alternate between them, so a drift of the host's speed
 falls on both sides alike.
 
 Example:
-    python scripts/bench_sizes.py --root ../parent --root . > BENCH_22.json
+    python scripts/bench_sizes.py --root ../parent --root . > BENCH_27.json
 """
 
 import argparse
@@ -43,26 +45,28 @@ COMMANDS = [
 ]
 RUNS = 3
 CHILD_TAG = "@@child "
-# run in the child: the CLI, then its own peak RSS in KiB and the seconds
-# of the main call on stderr
+# run in the child: the CLI, then its own peak RSS in KiB, the seconds of
+# the main call and the seconds of the import on stderr
 CHILD = f"""
 import sys, time
+t0 = time.perf_counter()
 from shufflesc.cli import main
+import_s = time.perf_counter() - t0
 t0 = time.perf_counter()
 code = main(sys.argv[1:])
 sys.stdout.flush()
 main_s = time.perf_counter() - t0
 with open("/proc/self/status") as status:
     hwm = next((l.split()[1] for l in status if l.startswith("VmHWM:")), "0")
-print({CHILD_TAG!r} + hwm, main_s, file=sys.stderr)
+print({CHILD_TAG!r} + hwm, main_s, import_s, file=sys.stderr)
 sys.exit(code)
 """
 
 
 def measure(argv, src):
     """Run `shufflesc argv` in a fresh interpreter importing from `src`;
-    return its exit code, wall seconds, seconds of the main call, peak RSS
-    in MiB and stdout sha256."""
+    return its exit code, wall seconds, seconds of the import and of the
+    main call, peak RSS in MiB and stdout sha256."""
     env = dict(os.environ, PYTHONPATH=str(src))
     t0 = time.perf_counter()
     proc = subprocess.run(
@@ -70,10 +74,11 @@ def measure(argv, src):
     )
     wall = time.perf_counter() - t0
     tags = [l for l in proc.stderr.decode().splitlines() if l.startswith(CHILD_TAG)]
-    hwm, main_s = tags[-1][len(CHILD_TAG):].split() if tags else (0, 0)
+    hwm, main_s, import_s = tags[-1][len(CHILD_TAG):].split() if tags else (0, 0, 0)
     return {
         "exit": proc.returncode,
         "wall_s": wall,
+        "import_s": float(import_s),
         "main_s": float(main_s),
         "peak_rss_mib": int(hwm) / 1024,
         "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
@@ -109,10 +114,12 @@ def main():
         return {
             "exit": sorted({r["exit"] for r in records}),
             "wall_s": round(median(r["wall_s"] for r in records), 4),
+            "import_s": round(median(r["import_s"] for r in records), 5),
             "main_s": round(median(r["main_s"] for r in records), 5),
             "peak_rss_mib": round(median(r["peak_rss_mib"] for r in records), 1),
             "stdout_sha256": sorted({r["stdout_sha256"] for r in records}),
             "wall_s_runs": [round(r["wall_s"], 4) for r in records],
+            "import_s_runs": [round(r["import_s"], 5) for r in records],
             "main_s_runs": [round(r["main_s"], 5) for r in records],
         }
 

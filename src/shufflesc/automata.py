@@ -12,12 +12,54 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 from typing import Hashable, Iterable, Iterator, Mapping
 
 Letter = Hashable
+
+
+def record(cls):
+    """Make `cls` a frozen record over its annotated fields, in order, as
+    `dataclass(frozen=True)` does but with closures, not `exec`, for methods.
+    A method the class writes itself, `__hash__ = None` included, is kept."""
+    names = tuple(cls.__annotations__)
+    values = attrgetter(*names)  # the tuple of the fields: a record has two or more
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        rest = names[len(args) :]  # the fields not given by position
+        if len(args) > len(names) or kwargs.keys() != set(rest):
+            raise TypeError(
+                f"{cls.__name__}() takes {', '.join(names)}, got {len(args)} by position"
+                f" and {sorted(kwargs)} by keyword"
+            )
+        self.__dict__.update(zip(names, (*args, *map(kwargs.get, rest))))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    return cls
 
 
 # the set bits of each byte value, increasing
@@ -129,7 +171,7 @@ def _check_table(table, state_count, alphabet, bound, name):
             raise ValueError(f"letter {a!r} is repeated in the alphabet with different columns")
 
 
-@dataclass(frozen=True, eq=True, init=False)
+@record
 class Dfa:
     """Complete deterministic automaton: delta is total on states x alphabet.
 
@@ -216,7 +258,7 @@ def _mask(states: Iterable[int]) -> int:
     return sum(1 << q for q in states)
 
 
-@dataclass(frozen=True, eq=True, init=False)
+@record
 class Nfa:
     """Nondeterministic automaton without epsilon transitions.
 

@@ -14,13 +14,12 @@ against the exhaustive enumerations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations, repeat
 from operator import eq
 from typing import Optional
 
-from .automata import Transformation
+from .automata import Transformation, record
 from .errors import SizeGuardError
 from .monster import (
     ReachResult,
@@ -42,7 +41,7 @@ from .upair import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ConjectureReport:
     """Outcome of one reachability check at (m, n).
 
@@ -227,7 +226,7 @@ def expected_permutation_grade(sigma: Transformation) -> int:
     return n.bit_length() if sigma(0) == 0 else (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
+@record
 class WitnessCase:
     kind: str
     detail: str
@@ -255,7 +254,7 @@ class WitnessCase:
         }
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     m: int
     n: int

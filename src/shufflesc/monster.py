@@ -12,11 +12,10 @@ pairwise-distinguishable reachable states over all choices of final sets.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .automata import Dfa, Transformation, bits
+from .automata import Dfa, Transformation, bits, record
 from .errors import SizeGuardError
 
 
@@ -27,7 +26,7 @@ class MonsterLetter(NamedTuple):
     right: Transformation
 
 
-@dataclass(frozen=True)
+@record
 class Tableau:
     """A subset of {0..m-1} x {0..n-1}; cell (i, j) means row i, column j."""
 
@@ -57,9 +56,7 @@ class Tableau:
         if mask < 0 or mask >> (m * n):
             raise ValueError(f"mask {mask} out of {m}x{n} range")
         t = object.__new__(cls)
-        object.__setattr__(t, "m", m)
-        object.__setattr__(t, "n", n)
-        object.__setattr__(t, "cells", frozenset(divmod(b, n) for b in bits(mask)))
+        t.__dict__.update(m=m, n=n, cells=frozenset(divmod(b, n) for b in bits(mask)))
         return t
 
     def occupied_rows(self) -> tuple:
@@ -123,7 +120,10 @@ def f_bound(m: int, n: int) -> int:
 
 
 def scan_guard(m: int, n: int, max_cells: int) -> None:
-    """Refuse a scan over all 2^(mn) masks of an m x n grid beyond max_cells."""
+    """Refuse a side below 1, and a scan over all 2^(mn) masks of an m x n
+    grid beyond max_cells."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be at least 1")
     if m * n > max_cells:
         raise SizeGuardError(
             f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}", "max_cells"
@@ -172,7 +172,7 @@ def all_valid_tableaux(m: int, n: int, max_cells: int = 20) -> Iterator[Tableau]
         yield Tableau.from_mask(m, n, mask)
 
 
-@dataclass(frozen=True)
+@record
 class ReachResult:
     """Reachable tableaux of the m x n shuffle state space with the minimal
     number of steps needed to reach each of them from {(0, 0)}.
@@ -355,7 +355,7 @@ def distinguishing_letters(m: int, n: int) -> list[MonsterLetter]:
     return [a, b, c]
 
 
-@dataclass(frozen=True)
+@record
 class ScResult:
     """Exact shuffle state complexity at (m, n) with every maximizing pair of
     final sets and the size of the reachable tableau space."""

@@ -18,13 +18,12 @@ tableaux (permutation tableaux, the full tableau, single-cell erasure).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, lshift, mod, ne, or_, rshift
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .automata import Transformation, bits
+from .automata import Transformation, bits, record
 from .errors import SizeGuardError
 from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
 
@@ -391,7 +390,7 @@ def generate_graded(
     return [SetVector.of_masks(map(parts.__getitem__, v)) for v in vectors]
 
 
-@dataclass(frozen=True)
+@record
 class UPair:
     """A pair (left, right) of valid vectors of equal grade.
 

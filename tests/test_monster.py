@@ -211,6 +211,12 @@ class TestValidity:
         with pytest.raises(SizeGuardError, match=r"guard of 2\^20"):
             next(all_valid_tableaux(5, 5))
 
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (-1, 2), (2, -1)])
+    def test_valid_enumeration_refuses_nonpositive_sizes(self, m, n):
+        # (0, 2) once gave no tableau and (-1, 2) a negative shift count
+        with pytest.raises(ValueError, match="^m and n must be at least 1$"):
+            list(all_valid_tableaux(m, n))
+
 
 class TestFBound:
     def test_known_values(self):

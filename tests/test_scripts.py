@@ -124,8 +124,9 @@ def test_bench_sizes_measures_one_command():
     src = Path(shufflesc.__file__).resolve().parent.parent
     rec = bench["measure"](["bound", "2", "2"], src)
     assert rec["exit"] == 0 and rec["wall_s"] > 0 and 0 < rec["peak_rss_mib"] < 1024
-    # the main call alone is timed inside the whole process
+    # the import and the main call are timed apart inside the whole process
     assert 0 < rec["main_s"] <= rec["wall_s"]
+    assert 0 < rec["import_s"] and rec["import_s"] + rec["main_s"] <= rec["wall_s"]
     assert rec["stdout_sha256"] == hashlib.sha256(b"10\n").hexdigest()
     # the size guard's refusal keeps its exit code
     assert bench["measure"](["sc", "5", "5"], src)["exit"] == 2

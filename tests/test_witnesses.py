@@ -237,3 +237,9 @@ class TestDense:
         with pytest.raises(SizeGuardError, match=r"guard of 2\^20"):
             enumerate_dense(5, 5)
         assert enumerate_dense(3, 3, max_cells=9) == enumerate_dense(3, 3)
+
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (-1, 2), (2, -1)])
+    def test_nonpositive_sizes_refused(self, m, n):
+        # (0, 2) once gave an empty list and (-1, 2) a negative shift count
+        with pytest.raises(ValueError, match="^m and n must be at least 1$"):
+            enumerate_dense(m, n)
