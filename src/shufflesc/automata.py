@@ -177,9 +177,10 @@ class Dfa:
 
     `table[q][i]` is the successor of state q under `alphabet[i]`, one tuple
     per state in alphabet order; the constructions of this module read and
-    build tables.  `delta` is the same function keyed by (state, letter),
-    kept as given to the constructor or built on first use; `step`, `run`
-    and `accepts` read it.
+    build tables.  The constructor freezes the alphabet, the finals and the
+    rows, and checks the states and the table (`_check_table`).  `delta` is
+    the same function keyed by (state, letter), built on first use; `step`,
+    `run` and `accepts` read it.
     """
 
     state_count: int
@@ -188,49 +189,15 @@ class Dfa:
     finals: frozenset
     table: tuple
 
-    def __init__(
-        self, state_count, alphabet, initial, finals, delta: Mapping[tuple[int, Letter], int]
-    ):
-        """Check that `delta` is defined exactly on range(state_count) x
-        alphabet and within range, and read it into the table."""
-        alphabet = tuple(alphabet)
-        delta = dict(delta)
-        table = []
-        for q in range(state_count):
-            row = tuple(delta.get((q, a)) for a in alphabet)
-            if None in row:
-                raise ValueError(f"delta undefined at ({q}, {alphabet[row.index(None)]!r})")
-            table.append(row)
-        # every key of range(state_count) x alphabet is present, so any
-        # further key lies outside it
-        if len(delta) > state_count * len(set(alphabet)):
-            keys = {(q, a) for q in range(state_count) for a in alphabet}
-            stray = next(key for key in delta if key not in keys)
-            raise ValueError(f"delta key {stray!r} outside range({state_count}) x alphabet")
-        self._init(state_count, alphabet, initial, finals, tuple(table))
-        self.__dict__["delta"] = delta
-
-    @classmethod
-    def of_table(cls, state_count, alphabet, initial, finals, table) -> "Dfa":
-        """The DFA whose successor of state q under alphabet[i] is table[q][i];
-        a letter repeated in the alphabet must have equal columns."""
-        d = object.__new__(cls)
-        d._init(state_count, tuple(alphabet), initial, finals, tuple(map(tuple, table)))
-        return d
-
-    def _init(self, state_count, alphabet, initial, finals, table):
-        self.__dict__.update(
-            state_count=state_count,
-            alphabet=alphabet,
-            initial=initial,
-            finals=frozenset(finals),
-            table=table,
-        )
-        if not 0 <= initial < state_count:
-            raise ValueError(f"initial state {initial} out of range")
-        if any(not 0 <= q < state_count for q in self.finals):
+    def __post_init__(self):
+        alphabet, table = tuple(self.alphabet), tuple(map(tuple, self.table))
+        finals = frozenset(self.finals)
+        self.__dict__.update(alphabet=alphabet, finals=finals, table=table)
+        if not 0 <= self.initial < self.state_count:
+            raise ValueError(f"initial state {self.initial} out of range")
+        if any(not 0 <= q < self.state_count for q in finals):
             raise ValueError("final state out of range")
-        _check_table(table, state_count, alphabet, state_count, "delta")
+        _check_table(table, self.state_count, alphabet, self.state_count, "delta")
 
     @cached_property
     def delta(self) -> Mapping[tuple[int, Letter], int]:
@@ -264,11 +231,12 @@ class Nfa:
 
     `table[q][i]` is the successor mask of state q under `alphabet[i]`, bit d
     for successor d and 0 for none, one tuple per state in alphabet order;
-    the constructions of this module read and build tables.  `delta` is the
-    same relation keyed by (state, letter), with frozenset values and a
-    missing entry meaning the empty set.  It is kept as given to the
-    constructor or built on first use (nonempty sets only); `step_set`,
-    `run_subset` and `accepts` read it.
+    the constructions of this module read and build tables.  The
+    constructor freezes the alphabet, the state sets and the rows, and
+    checks the states and the table (`_check_table`).  `delta` is the same
+    relation keyed by (state, letter), with frozenset values for the
+    nonempty sets only, built on first use; `step_set`, `run_subset` and
+    `accepts` read it.
     """
 
     state_count: int
@@ -277,48 +245,14 @@ class Nfa:
     finals: frozenset
     table: tuple
 
-    def __init__(
-        self, state_count, alphabet, initials, finals, delta: Mapping[tuple[int, Letter], Iterable]
-    ):
-        """Check that every key of `delta` is in range(state_count) x alphabet
-        and every successor in range, and read it into the table."""
-        alphabet = tuple(alphabet)
-        delta = {k: frozenset(v) for k, v in dict(delta).items()}
-        letters = set(alphabet)
-        for (q, a), dsts in delta.items():
-            if not 0 <= q < state_count:
+    def __post_init__(self):
+        alphabet, table = tuple(self.alphabet), tuple(map(tuple, self.table))
+        initials, finals = frozenset(self.initials), frozenset(self.finals)
+        self.__dict__.update(alphabet=alphabet, initials=initials, finals=finals, table=table)
+        for q in initials | finals:
+            if not 0 <= q < self.state_count:
                 raise ValueError(f"state {q} out of range")
-            if a not in letters:
-                raise ValueError(f"delta key {(q, a)!r}: letter {a!r} not in the alphabet")
-            if any(not 0 <= d < state_count for d in dsts):
-                raise ValueError(f"successor set {set(dsts)} out of range")
-        table = tuple(
-            tuple(_mask(delta.get((q, a), ())) for a in alphabet) for q in range(state_count)
-        )
-        self._init(state_count, alphabet, initials, finals, table)
-        self.__dict__["delta"] = delta
-
-    @classmethod
-    def of_table(cls, state_count, alphabet, initials, finals, table) -> "Nfa":
-        """The NFA whose successor mask of state q under alphabet[i] is
-        table[q][i]; a letter repeated in the alphabet must have equal
-        columns."""
-        n = object.__new__(cls)
-        n._init(state_count, tuple(alphabet), initials, finals, tuple(map(tuple, table)))
-        return n
-
-    def _init(self, state_count, alphabet, initials, finals, table):
-        self.__dict__.update(
-            state_count=state_count,
-            alphabet=alphabet,
-            initials=frozenset(initials),
-            finals=frozenset(finals),
-            table=table,
-        )
-        for q in self.initials | self.finals:
-            if not 0 <= q < state_count:
-                raise ValueError(f"state {q} out of range")
-        _check_table(table, state_count, alphabet, 1 << state_count, "mask of delta")
+        _check_table(table, self.state_count, alphabet, 1 << self.state_count, "mask of delta")
 
     @cached_property
     def delta(self) -> Mapping[tuple[int, Letter], frozenset]:
@@ -363,7 +297,7 @@ def shuffle_nfa(k: Dfa, l: Dfa) -> Nfa:
         for p, krow in enumerate(k.table)
         for q, lrow in enumerate(l.table)
     ]
-    return Nfa.of_table(
+    return Nfa(
         k.state_count * width,
         k.alphabet,
         {k.initial * width + l.initial},
@@ -431,7 +365,7 @@ def determinize(n: Nfa) -> Dfa:
             row = map(or_, row, [w << s for w in fields(plane, members)])
         table.append(tuple(map(index.__getitem__, row)))
     finals = _mask(n.finals)
-    return Dfa.of_table(
+    return Dfa(
         len(order), n.alphabet, 0, [i for i, s in enumerate(order) if s & finals], table
     )
 
@@ -520,7 +454,7 @@ def minimize(d: Dfa) -> Dfa:
     for c in renum.order:
         table.append(tuple(map(renum.__getitem__, map(codes.__getitem__, succ[rep[c]]))))
     finals = [renum[c] for c, q in zip(codes, order) if q in d.finals]
-    return Dfa.of_table(len(table), d.alphabet, 0, finals, table)
+    return Dfa(len(table), d.alphabet, 0, finals, table)
 
 
 # --- JSON forms -------------------------------------------------------------
@@ -562,14 +496,28 @@ def dfa_to_json(d: Dfa) -> dict:
 
 
 def dfa_from_json(obj: Mapping) -> Dfa:
-    delta = {(src, _freeze(a)): dst for src, a, dst in obj["delta"]}
-    return Dfa(
-        state_count=obj["states"],
-        alphabet=tuple(_freeze(a) for a in obj["alphabet"]),
-        initial=obj["initial"],
-        finals=obj["finals"],
-        delta=delta,
-    )
+    """The DFA of a JSON form, which gives every (state, letter) of
+    range(states) x alphabet exactly once."""
+    state_count = obj["states"]
+    alphabet = tuple(_freeze(a) for a in obj["alphabet"])
+    delta: dict = {}
+    for src, a, dst in obj["delta"]:
+        key = (src, _freeze(a))
+        if delta.setdefault(key, dst) != dst:
+            raise ValueError(f"delta gives {key!r} two successors, {delta[key]} and {dst}")
+    table = []
+    for q in range(state_count):
+        row = tuple(delta.get((q, a)) for a in alphabet)
+        if None in row:
+            raise ValueError(f"delta undefined at ({q}, {alphabet[row.index(None)]!r})")
+        table.append(row)
+    # every key of range(state_count) x alphabet is present, so any further
+    # key lies outside it
+    if len(delta) > state_count * len(set(alphabet)):
+        keys = {(q, a) for q in range(state_count) for a in alphabet}
+        stray = next(key for key in delta if key not in keys)
+        raise ValueError(f"delta key {stray!r} outside range({state_count}) x alphabet")
+    return Dfa(state_count, alphabet, obj["initial"], obj["finals"], table)
 
 
 def nfa_to_json(n: Nfa) -> dict:
@@ -588,13 +536,20 @@ def nfa_to_json(n: Nfa) -> dict:
 
 
 def nfa_from_json(obj: Mapping) -> Nfa:
+    """The NFA of a JSON form, whose triples lie in range(states) x
+    alphabet x range(states)."""
+    state_count = obj["states"]
+    alphabet = tuple(_freeze(a) for a in obj["alphabet"])
     delta: dict = {}
     for src, a, dst in obj["delta"]:
         delta.setdefault((src, _freeze(a)), set()).add(dst)
-    return Nfa(
-        state_count=obj["states"],
-        alphabet=tuple(_freeze(a) for a in obj["alphabet"]),
-        initials=obj["initial"],
-        finals=obj["finals"],
-        delta=delta,
-    )
+    letters = set(alphabet)
+    for (q, a), dsts in delta.items():
+        if not 0 <= q < state_count:
+            raise ValueError(f"state {q} out of range")
+        if a not in letters:
+            raise ValueError(f"delta key {(q, a)!r}: letter {a!r} not in the alphabet")
+        if any(not 0 <= d < state_count for d in dsts):
+            raise ValueError(f"successor set {dsts} out of range")
+    table = [[_mask(delta.get((q, a), ())) for a in alphabet] for q in range(state_count)]
+    return Nfa(state_count, alphabet, obj["initial"], obj["finals"], table)

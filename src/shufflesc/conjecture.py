@@ -31,9 +31,9 @@ from .monster import (
 )
 from .upair import (
     Packing,
-    dense_masks,
     graded_level,
     half_blocks_closed,
+    is_dense_mask,
     mirror_part,
     s_projection,
     witness_full,
@@ -84,12 +84,13 @@ class ConjectureReport:
 
 
 def _survey(m, n, conjecture, max_cells, depth_limit, reach) -> ConjectureReport:
-    """Diff the reached tableaux against the 2^(mn) scans of the valid and
-    the dense masks.  When the search reached f(m, n) tableaux, both scans
-    are skipped: every letter keeps a tableau valid, so reached is a subset
-    of valid, and with f(m, n) members it is all of valid; dense tableaux
-    are valid, so none is unreached either.  A given `reach` of the same
-    grid stands in for the search, and then `depth_limit` must be None."""
+    """Diff the reached tableaux against the 2^(mn) scan of the valid
+    masks; dense tableaux are valid, so the dense unreached are the dense
+    ones among the missing.  When the search reached f(m, n) tableaux, the
+    scan is skipped: every letter keeps a tableau valid, so reached is a
+    subset of valid, and with f(m, n) members it is all of valid.  A given
+    `reach` of the same grid stands in for the search, and then
+    `depth_limit` must be None."""
     if reach is None:
         reach = reachable_tableaux(m, n, depth_limit=depth_limit, max_cells=max_cells)
     elif (reach.m, reach.n) != (m, n):
@@ -101,12 +102,10 @@ def _survey(m, n, conjecture, max_cells, depth_limit, reach) -> ConjectureReport
     reached = reach.mask_depths
     missing = dense_unreached = ()
     if reach.count < f_bound(m, n):
-        missing = tuple(
-            Tableau.from_mask(m, n, mask) for mask in valid_masks(m, n) if mask not in reached
-        )
-        dense_unreached = tuple(
-            Tableau.from_mask(m, n, mask) for mask in dense_masks(m, n) if mask not in reached
-        )
+        masks = [mask for mask in valid_masks(m, n) if mask not in reached]
+        missing = tuple(Tableau.from_mask(m, n, mask) for mask in masks)
+        dense = (is_dense_mask(m, n, mask) for mask in masks)
+        dense_unreached = tuple(compress(missing, dense))
     relevant = missing if conjecture == 1 else dense_unreached
     if not reach.complete:
         status = "holds" if not relevant else "incomplete"

@@ -502,4 +502,4 @@ def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLette
         if t.size != size:
             raise ValueError(f"letter {letter} does not act on {size} states")
     table = list(zip(*(t.images for t in maps))) if maps else [()] * size
-    return Dfa.of_table(size, letters, 0, finals, table)
+    return Dfa(size, letters, 0, finals, table)

@@ -661,13 +661,8 @@ def is_dense(e: Tableau) -> bool:
     return is_dense_mask(e.m, e.n, e.mask)
 
 
-def dense_masks(m: int, n: int) -> Iterator[int]:
-    """Masks of the dense m x n tableaux, increasing.  Scans 2^(mn) masks
-    with no guard; `enumerate_dense` is the guarded Tableau view."""
-    return (mask for mask in range(1, 1 << (m * n)) if is_dense_mask(m, n, mask))
-
-
 def enumerate_dense(m: int, n: int, max_cells: int = 20) -> list[Tableau]:
     """All dense m x n tableaux in increasing mask order (2^(mn) scan)."""
     scan_guard(m, n, max_cells)
-    return [Tableau.from_mask(m, n, mask) for mask in dense_masks(m, n)]
+    masks = range(1, 1 << (m * n))
+    return [Tableau.from_mask(m, n, mask) for mask in masks if is_dense_mask(m, n, mask)]

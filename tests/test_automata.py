@@ -27,6 +27,27 @@ from shufflesc.automata import bits, moore_refine, successor_rows
 from shufflesc.monster import f_bound, monster_dfa
 
 
+def dfa_of(state_count, alphabet, initial, finals, delta):
+    """The DFA whose successor of state q under letter a is delta[(q, a)]."""
+    table = [[delta[(q, a)] for a in alphabet] for q in range(state_count)]
+    return Dfa(state_count, alphabet, initial, finals, table)
+
+
+def nfa_of(state_count, alphabet, initials, finals, delta):
+    """The NFA whose successors of state q under letter a are the set
+    delta[(q, a)], none where the key is missing."""
+    table = [
+        [sum(1 << d for d in set(delta.get((q, a), ()))) for a in alphabet]
+        for q in range(state_count)
+    ]
+    return Nfa(state_count, alphabet, initials, finals, table)
+
+
+def dfa_json(states, alphabet, triples):
+    """The JSON form of an automaton with initial state 0 and final state 1."""
+    return {"states": states, "alphabet": alphabet, "initial": 0, "finals": [1], "delta": triples}
+
+
 def single_word_dfa(word, alphabet):
     """Complete DFA accepting exactly `word`, with a sink."""
     n = len(word)
@@ -37,12 +58,12 @@ def single_word_dfa(word, alphabet):
             delta[(q, a)] = sink
     for i, a in enumerate(word):
         delta[(i, a)] = i + 1
-    return Dfa(n + 2, alphabet, 0, {n}, delta)
+    return dfa_of(n + 2, alphabet, 0, {n}, delta)
 
 
 def eps_dfa(alphabet):
     delta = {(q, a): 1 for q in range(2) for a in alphabet}
-    return Dfa(2, alphabet, 0, {0}, delta)
+    return dfa_of(2, alphabet, 0, {0}, delta)
 
 
 def language(d, max_len):
@@ -136,8 +157,8 @@ class TestShuffleNfa:
     def test_two_successors_per_letter(self, fig1_letters):
         a, b, c = fig1_letters
         letters = (a, b, c)
-        k = Dfa(4, letters, 0, {3}, {(q, x): x.left(q) for q in range(4) for x in letters})
-        l = Dfa(3, letters, 0, {2}, {(q, x): x.right(q) for q in range(3) for x in letters})
+        k = dfa_of(4, letters, 0, {3}, {(q, x): x.left(q) for q in range(4) for x in letters})
+        l = dfa_of(3, letters, 0, {2}, {(q, x): x.right(q) for q in range(3) for x in letters})
         nfa = shuffle_nfa(k, l)
         for (src, letter), dsts in nfa.delta.items():
             p, q = divmod(src, 3)
@@ -148,8 +169,8 @@ class TestShuffleNfa:
         # visit the worked example's tableaux.
         a, b, c = fig1_letters
         letters = (a, b, c)
-        k = Dfa(4, letters, 0, {3}, {(q, x): x.left(q) for q in range(4) for x in letters})
-        l = Dfa(3, letters, 0, {2}, {(q, x): x.right(q) for q in range(3) for x in letters})
+        k = dfa_of(4, letters, 0, {3}, {(q, x): x.left(q) for q in range(4) for x in letters})
+        l = dfa_of(3, letters, 0, {2}, {(q, x): x.right(q) for q in range(3) for x in letters})
         nfa = shuffle_nfa(k, l)
         expected = [
             {(0, 1), (2, 0)},
@@ -164,19 +185,19 @@ class TestShuffleNfa:
 
 class TestDeterminize:
     def test_no_transitions(self):
-        nfa = Nfa(1, ("a",), {0}, {0}, {})
+        nfa = nfa_of(1, ("a",), {0}, {0}, {})
         d = determinize(nfa)
         assert d.state_count == 2  # initial subset plus the empty sink
         assert language(d, 3) == {()}
 
     def test_initial_is_state_zero(self):
-        nfa = Nfa(2, ("a",), {1}, {0}, {(1, "a"): {0}})
+        nfa = nfa_of(2, ("a",), {1}, {0}, {(1, "a"): {0}})
         d = determinize(nfa)
         assert d.initial == 0
 
     def test_idempotent_on_deterministic(self):
         k = single_word_dfa("ab", ("a", "b"))
-        nfa = Nfa(
+        nfa = nfa_of(
             k.state_count,
             k.alphabet,
             {k.initial},
@@ -196,7 +217,7 @@ def random_dfa(draw, max_states=4, letters=("a", "b", "c")):
         for a in alphabet:
             delta[(q, a)] = draw(st.integers(0, n - 1))
     finals = {q for q in range(n) if draw(st.booleans())}
-    return Dfa(n, alphabet, draw(st.integers(0, n - 1)), finals, delta)
+    return dfa_of(n, alphabet, draw(st.integers(0, n - 1)), finals, delta)
 
 
 @st.composite
@@ -250,7 +271,7 @@ def reference_determinize(n):
                 queue.append(dst)
             delta[(src, a)] = index[dst]
     finals = {index[s] for s in order if s & n.finals}
-    return Dfa(len(order), n.alphabet, 0, finals, delta)
+    return dfa_of(len(order), n.alphabet, 0, finals, delta)
 
 
 def first_occurrence(codes):
@@ -307,7 +328,7 @@ def reference_minimize(d):
         for a, i in zip(d.alphabet, succ[rep]):
             delta[(c, a)] = renum[codes[i]]
     finals = {renum[codes[pos[q]]] for q in order if q in d.finals}
-    return Dfa(len(renum), d.alphabet, 0, finals, delta)
+    return dfa_of(len(renum), d.alphabet, 0, finals, delta)
 
 
 def assert_same_dfa(got, want):
@@ -337,7 +358,7 @@ def drawn_nfas(draw):
         for a in dict.fromkeys(alphabet):
             if draw(st.booleans()):
                 delta[(q, a)] = draw(states)
-    return Nfa(n, alphabet, draw(states), draw(states), delta)
+    return nfa_of(n, alphabet, draw(states), draw(states), delta)
 
 
 @st.composite
@@ -346,17 +367,17 @@ def drawn_dfas(draw):
     alphabet = draw(alphabets)
     delta = {(q, a): draw(st.integers(0, n - 1)) for q in range(n) for a in dict.fromkeys(alphabet)}
     finals = draw(st.frozensets(st.integers(0, n - 1)))
-    return Dfa(n, alphabet, draw(st.integers(0, n - 1)), finals, delta)
+    return dfa_of(n, alphabet, draw(st.integers(0, n - 1)), finals, delta)
 
 
 def nfa_examples(test):
     """The drawn NFAs plus an empty alphabet, states with no successors, a
     repeated letter and unreachable states."""
     for n in (
-        Nfa(2, (), {0}, {0}, {}),
-        Nfa(3, ("a", "b"), {0}, {2}, {(0, "a"): {1}}),
-        Nfa(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}}),
-        Nfa(4, ("a",), {1}, {3}, {(1, "a"): {1}, (3, "a"): {0}}),  # 0, 2, 3 unreachable
+        nfa_of(2, (), {0}, {0}, {}),
+        nfa_of(3, ("a", "b"), {0}, {2}, {(0, "a"): {1}}),
+        nfa_of(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}}),
+        nfa_of(4, ("a",), {1}, {3}, {(1, "a"): {1}, (3, "a"): {0}}),  # 0, 2, 3 unreachable
     ):
         test = example(n)(test)
     return given(drawn_nfas())(settings(max_examples=150, deadline=None)(test))
@@ -371,23 +392,22 @@ class TestAgainstReference:
 
     @nfa_examples
     def test_nfa_table_route(self, n):
-        t = Nfa.of_table(n.state_count, n.alphabet, n.initials, n.finals, n.table)
-        assert t == n and t.table == n.table
+        t = Nfa(n.state_count, n.alphabet, n.initials, n.finals, n.table)
+        assert t == n and t.table == n.table and t.delta == n.delta
         for q, a in product(range(n.state_count), n.alphabet):
-            dsts = n.delta.get((q, a), frozenset())
-            assert t.delta.get((q, a), frozenset()) == dsts
+            dsts = t.delta.get((q, a), frozenset())
             assert n.table[q][n.alphabet.index(a)] == sum(1 << d for d in dsts)
-        # the built view holds the nonempty sets only
-        assert t.delta == {key: dsts for key, dsts in n.delta.items() if dsts}
-        assert Nfa(t.state_count, t.alphabet, t.initials, t.finals, t.delta) == n
+        # the view holds the nonempty sets only, and reads back as the table
+        assert all(t.delta.values())
+        assert nfa_of(t.state_count, t.alphabet, t.initials, t.finals, t.delta) == n
         assert nfa_to_json(t) == nfa_to_json(n)
         assert nfa_from_json(json.loads(json.dumps(nfa_to_json(t)))) == n
 
     @settings(max_examples=150, deadline=None)
     @given(drawn_dfas())
-    @example(Dfa(3, (), 2, {0, 2}, {}))
-    @example(Dfa(2, ("a", "a"), 0, {1}, {(0, "a"): 1, (1, "a"): 1}))
-    @example(Dfa(4, ("a", "b"), 0, {3}, {(q, a): 0 for q in range(4) for a in "ab"}))
+    @example(dfa_of(3, (), 2, {0, 2}, {}))
+    @example(dfa_of(2, ("a", "a"), 0, {1}, {(0, "a"): 1, (1, "a"): 1}))
+    @example(dfa_of(4, ("a", "b"), 0, {3}, {(q, a): 0 for q in range(4) for a in "ab"}))
     def test_minimize(self, d):
         assert_same_dfa(minimize(d), reference_minimize(d))
 
@@ -407,7 +427,7 @@ def hub_nfa(size, seed):
         for a in alphabet
     }
     initials = rng.sample(range(size), min(size, 5))
-    return Nfa(size, alphabet, initials, rng.sample(range(size), size // 2), delta)
+    return nfa_of(size, alphabet, initials, rng.sample(range(size), size // 2), delta)
 
 
 class TestDeterminizeWidths:
@@ -428,7 +448,7 @@ class TestDeterminizeWidths:
 
     @pytest.mark.parametrize("size", [1, 65, 129])
     def test_empty_alphabet(self, size):
-        n = Nfa(size, (), {0, size - 1}, {size - 1}, {})
+        n = nfa_of(size, (), {0, size - 1}, {size - 1}, {})
         d = determinize(n)
         assert (d.state_count, d.table, d.finals) == (1, ((),), frozenset({0}))
         assert_same_dfa(d, reference_determinize(n))
@@ -436,7 +456,7 @@ class TestDeterminizeWidths:
     @pytest.mark.parametrize("size", [1, 65, 129])
     def test_no_initial_states(self, size):
         n = hub_nfa(size, 0)
-        n = Nfa(size, n.alphabet, (), n.finals, n.delta)
+        n = Nfa(size, n.alphabet, (), n.finals, n.table)
         d = determinize(n)
         assert (d.state_count, d.table, d.finals) == (1, ((0, 0, 0),), frozenset())
         assert_same_dfa(d, reference_determinize(n))
@@ -444,42 +464,45 @@ class TestDeterminizeWidths:
 
 class TestTable:
     def test_rows_in_alphabet_order(self):
-        d = Dfa(2, ("b", "a"), 0, {1}, {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1})
+        triples = [[0, "a", 1], [0, "b", 0], [1, "a", 1], [1, "b", 1]]
+        d = dfa_from_json(dfa_json(2, ["b", "a"], triples))
         assert d.table == ((0, 1), (1, 1))
-        assert Dfa.of_table(2, ("b", "a"), 0, {1}, d.table) == d
+        # an alphabet, finals and rows given as lists are frozen
+        assert Dfa(2, ["b", "a"], 0, [1], [[0, 1], [1, 1]]) == d
 
     def test_stray_dfa_keys_rejected(self):
-        delta = {(0, "a"): 1, (1, "a"): 0}
+        triples = [[0, "a", 1], [1, "a", 0]]
         with pytest.raises(ValueError, match=r"delta key \(5, 'a'\) outside range\(2\)"):
-            Dfa(2, ("a",), 0, {0}, {**delta, (5, "a"): 0})
+            dfa_from_json(dfa_json(2, ["a"], triples + [[5, "a", 0]]))
         with pytest.raises(ValueError, match=r"delta key \(0, 'b'\) outside range\(2\)"):
-            Dfa(2, ("a",), 0, {0}, {**delta, (0, "b"): 1})
-        assert Dfa(2, ("a",), 0, {0}, delta).step(1, "a") == 0
+            dfa_from_json(dfa_json(2, ["a"], triples + [[0, "b", 1]]))
+        assert dfa_from_json(dfa_json(2, ["a"], triples)).step(1, "a") == 0
 
     def test_stray_nfa_letters_rejected(self):
+        obj = {**dfa_json(2, ["a"], [[0, "a", 1], [1, "b", 0]]), "initial": [0]}
         with pytest.raises(ValueError, match="letter 'b' not in the alphabet"):
-            Nfa(2, ("a",), {0}, {1}, {(0, "a"): {1}, (1, "b"): {0}})
+            nfa_from_json(obj)
 
     def test_of_table_checks_range_and_shape(self):
         with pytest.raises(ValueError, match=r"delta\(1, 'b'\) = 2 out of range"):
-            Dfa.of_table(2, ("a", "b"), 0, {0}, [(0, 1), (1, 2)])
+            Dfa(2, ("a", "b"), 0, {0}, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match=r"delta\(0, 'a'\) = -1 out of range"):
-            Dfa.of_table(2, ("a",), 0, {0}, [(-1,), (0,)])
+            Dfa(2, ("a",), 0, {0}, [(-1,), (0,)])
         with pytest.raises(ValueError, match="table is not 2 rows of 1 successors"):
-            Dfa.of_table(2, ("a",), 0, {0}, [(0,), (0, 1)])
+            Dfa(2, ("a",), 0, {0}, [(0,), (0, 1)])
         with pytest.raises(ValueError, match="table is not 2 rows"):
-            Dfa.of_table(2, ("a",), 0, {0}, [(0,)])
+            Dfa(2, ("a",), 0, {0}, [(0,)])
         with pytest.raises(ValueError, match="final state out of range"):
-            Dfa.of_table(1, ("a",), 0, {1}, [(0,)])
+            Dfa(1, ("a",), 0, {1}, [(0,)])
 
     def test_of_table_checks_repeated_letters(self):
         with pytest.raises(ValueError, match="letter 'a' is repeated in the alphabet with diff"):
-            Dfa.of_table(2, ("a", "a"), 0, {1}, [(1, 0), (1, 1)])
+            Dfa(2, ("a", "a"), 0, {1}, [(1, 0), (1, 1)])
         with pytest.raises(ValueError, match="letter 'a' is repeated"):
-            Nfa.of_table(2, ("a", "b", "a"), {0}, {1}, [(1, 2, 2), (0, 0, 0)])
-        d = Dfa.of_table(2, ("a", "b", "a"), 0, {1}, [(1, 0, 1), (1, 1, 1)])
+            Nfa(2, ("a", "b", "a"), {0}, {1}, [(1, 2, 2), (0, 0, 0)])
+        d = Dfa(2, ("a", "b", "a"), 0, {1}, [(1, 0, 1), (1, 1, 1)])
         assert d.delta == {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1} and d.run("ab") == 1
-        n = Nfa.of_table(2, ("a", "b", "a"), {0}, {1}, [(3, 0, 3), (0, 1, 0)])
+        n = Nfa(2, ("a", "b", "a"), {0}, {1}, [(3, 0, 3), (0, 1, 0)])
         assert n.delta == {(0, "a"): {0, 1}, (1, "b"): {0}}
 
     def test_of_table_hashes_each_letter_once(self):
@@ -498,30 +521,30 @@ class TestTable:
 
         # once per letter position, a repeated letter included
         letters = [Letter(c) for c in "abca"]
-        Dfa.of_table(5, letters, 0, {1}, [(1, 2, 3, 1)] * 5)
+        Dfa(5, letters, 0, {1}, [(1, 2, 3, 1)] * 5)
         assert Letter.hashes == 4
-        Nfa.of_table(5, letters, {0}, {1}, [(1, 2, 3, 1)] * 5)
+        Nfa(5, letters, {0}, {1}, [(1, 2, 3, 1)] * 5)
         assert Letter.hashes == 8
 
     def test_nfa_of_table_checks_range_and_shape(self):
         with pytest.raises(ValueError, match="table is not 2 rows of 1 successors"):
-            Nfa.of_table(2, ("a",), {0}, {1}, [(1,), (1, 2)])
+            Nfa(2, ("a",), {0}, {1}, [(1,), (1, 2)])
         with pytest.raises(ValueError, match="table is not 2 rows"):
-            Nfa.of_table(2, ("a",), {0}, {1}, [(1,)])
+            Nfa(2, ("a",), {0}, {1}, [(1,)])
         with pytest.raises(ValueError, match=r"mask of delta\(1, 'b'\) = -1 out of range"):
-            Nfa.of_table(2, ("a", "b"), {0}, {1}, [(1, 2), (0, -1)])
+            Nfa(2, ("a", "b"), {0}, {1}, [(1, 2), (0, -1)])
         with pytest.raises(ValueError, match=r"mask of delta\(0, 'a'\) = 4 out of range"):
-            Nfa.of_table(2, ("a",), {0}, {1}, [(4,), (3,)])
+            Nfa(2, ("a",), {0}, {1}, [(4,), (3,)])
         with pytest.raises(ValueError, match="state 2 out of range"):
-            Nfa.of_table(2, ("a",), {2}, {1}, [(1,), (0,)])
+            Nfa(2, ("a",), {2}, {1}, [(1,), (0,)])
         with pytest.raises(ValueError, match="state -1 out of range"):
-            Nfa.of_table(2, ("a",), {0}, {-1}, [(1,), (0,)])
-        n = Nfa.of_table(2, ("a",), {0}, {1}, [(3,), (0,)])
+            Nfa(2, ("a",), {0}, {-1}, [(1,), (0,)])
+        n = Nfa(2, ("a",), {0}, {1}, [(3,), (0,)])
         assert n.delta == {(0, "a"): {0, 1}} and n.step_set({0, 1}, "a") == {0, 1}
-        assert Nfa.of_table(0, ("a",), (), (), ()).table == ()
+        assert Nfa(0, ("a",), (), (), ()).table == ()
 
     def test_nfa_json_unchanged(self):
-        n = Nfa(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}, (1, "a"): ()})
+        n = nfa_of(2, ("a", "a", "b"), {0}, {1}, {(0, "a"): {0, 1}, (1, "b"): {0}, (1, "a"): ()})
         assert nfa_to_json(n) == {
             "states": 2,
             "alphabet": ["a", "a", "b"],
@@ -529,10 +552,11 @@ class TestTable:
             "finals": [1],
             "delta": [[0, "a", 0], [0, "a", 1], [0, "a", 0], [0, "a", 1], [1, "b", 0]],
         }
-        assert n.delta[(1, "a")] == frozenset() and nfa_from_json(nfa_to_json(n)) == n
+        # the view is built from the table, so it holds no empty set
+        assert (1, "a") not in n.delta and nfa_from_json(nfa_to_json(n)) == n
 
     def test_delta_view_built_from_table(self):
-        d = Dfa.of_table(2, ("a", "b"), 0, {1}, [(1, 0), (1, 1)])
+        d = Dfa(2, ("a", "b"), 0, {1}, [(1, 0), (1, 1)])
         assert d.delta == {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 1}
         assert d.run("ba") == 1 and d.accepts("ba") and not d.accepts("bb")
 
@@ -617,7 +641,7 @@ class TestPinnedClassical:
     def test_minimal_input_with_an_unreachable_state(self):
         case = (2, 3, (1,), (1,))
         det = determinize(shuffle_nfa(*self.sides(*case)))
-        extra = Dfa.of_table(
+        extra = Dfa(
             det.state_count + 1,
             det.alphabet,
             0,
@@ -632,7 +656,7 @@ class TestPinnedClassical:
         case = (2, 3, (1,), (1,))
         det = determinize(shuffle_nfa(*self.sides(*case)))
         last = det.state_count - 1
-        reversed_ = Dfa.of_table(
+        reversed_ = Dfa(
             det.state_count,
             det.alphabet,
             last,
@@ -724,8 +748,8 @@ class TestMooreRefine:
 class TestMinimize:
     def test_parity_language(self):
         # two different 3-state machines for "even number of a's"
-        d1 = Dfa(3, ("a",), 0, {0, 2}, {(0, "a"): 1, (1, "a"): 2, (2, "a"): 1})
-        d2 = Dfa(3, ("a",), 0, {0}, {(0, "a"): 1, (1, "a"): 0, (2, "a"): 2})
+        d1 = dfa_of(3, ("a",), 0, {0, 2}, {(0, "a"): 1, (1, "a"): 2, (2, "a"): 1})
+        d2 = dfa_of(3, ("a",), 0, {0}, {(0, "a"): 1, (1, "a"): 0, (2, "a"): 2})
         m1, m2 = minimize(d1), minimize(d2)
         assert m1.state_count == m2.state_count == 2
         assert (m1.initial, m1.finals, m1.delta) == (m2.initial, m2.finals, m2.delta)
@@ -738,14 +762,14 @@ class TestMinimize:
 
     def test_empty_alphabet(self):
         # no letters: only the initial state is accessible
-        d = Dfa(3, (), 1, {1, 2}, {})
+        d = dfa_of(3, (), 1, {1, 2}, {})
         m = minimize(d)
         assert (m.state_count, m.alphabet, m.finals) == (1, (), frozenset({0}))
 
     @settings(max_examples=60, deadline=None)
     @given(small_dfas())
     def test_language_preserved_and_idempotent(self, d):
-        nfa = Nfa(
+        nfa = nfa_of(
             d.state_count,
             d.alphabet,
             {d.initial},
@@ -774,7 +798,7 @@ def _force_alphabet(d, alphabet):
     for q in range(d.state_count):
         for a in alphabet:
             delta[(q, a)] = d.delta.get((q, a), d.delta[(q, d.alphabet[0])])
-    return Dfa(d.state_count, alphabet, d.initial, d.finals, delta)
+    return dfa_of(d.state_count, alphabet, d.initial, d.finals, delta)
 
 
 class TestJson:
@@ -786,7 +810,7 @@ class TestJson:
 
     def test_nfa_roundtrip_with_structured_letters(self):
         x = ((1, 0), (0, 1))  # a pair of image tuples as one letter
-        nfa = Nfa(2, (x,), {0}, {1}, {(0, x): {0, 1}})
+        nfa = nfa_of(2, (x,), {0}, {1}, {(0, x): {0, 1}})
         obj = json.loads(json.dumps(nfa_to_json(nfa)))
         back = nfa_from_json(obj)
         assert back == nfa
@@ -797,3 +821,24 @@ class TestJson:
         assert set(obj) == {"states", "alphabet", "initial", "finals", "delta"}
         assert obj["states"] == 2 and obj["initial"] == 0
         assert all(len(triple) == 3 for triple in obj["delta"])
+
+    def test_dfa_pair_given_twice_refused(self):
+        # a second, different successor of (0, 'a') is refused, not kept
+        triples = [[0, "a", 1], [1, "a", 1], [0, "a", 0]]
+        with pytest.raises(ValueError, match=r"\(0, 'a'\) .* 1 and 0"):
+            dfa_from_json(dfa_json(2, ["a"], triples))
+        # the same triple twice is one transition
+        d = dfa_from_json(dfa_json(2, ["a"], triples[:2] + triples[:1]))
+        assert d.table == ((1,), (1,))
+
+    def test_dfa_undefined_pair_refused(self):
+        with pytest.raises(ValueError, match=r"delta undefined at \(1, 'b'\)"):
+            dfa_from_json(dfa_json(2, ["a", "b"], [[0, "a", 1], [0, "b", 1], [1, "a", 0]]))
+
+    def test_nfa_refusals(self):
+        obj = {**dfa_json(2, ["a"], [[0, "a", 1], [0, "a", 2]]), "initial": [0]}
+        with pytest.raises(ValueError, match=r"successor set \{1, 2\} out of range"):
+            nfa_from_json(obj)
+        obj = {**dfa_json(2, ["a"], [[0, "a", 1], [2, "a", 0]]), "initial": [0]}
+        with pytest.raises(ValueError, match="state 2 out of range"):
+            nfa_from_json(obj)

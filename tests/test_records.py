@@ -33,8 +33,6 @@ from shufflesc.conjecture import WitnessCase
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 F = frozenset
-DFA_DELTA = {(0, "a"): 1, (1, "a"): 0, (0, "b"): 0, (1, "b"): 1}
-NFA_DELTA = {(0, "a"): {0, 1}, (1, "b"): {0}}
 REPORT_VALUES = (2, 2, 1, 6, 6, (), (), {0: 1, 1: 2, 2: 3}, 2, "holds")
 CASE_VALUES = ("full", "k=2", 2, 2, None, True)
 
@@ -68,16 +66,16 @@ RECORDS = {
     ),
     WitnessReport: (("m", "n", "cases"), (2, 2, (WitnessCase(*CASE_VALUES),))),
     UPair: (("left", "right"), (SetVector.base(2), SetVector.base(3))),
+    Dfa: (
+        ("state_count", "alphabet", "initial", "finals", "table"),
+        (2, ("a", "b"), 0, F({1}), ((1, 0), (0, 1))),
+    ),
+    Nfa: (
+        ("state_count", "alphabet", "initials", "finals", "table"),
+        (2, ("a", "b"), F({0}), F({1}), ((3, 0), (0, 1))),
+    ),
 }
-GENERATED = list(RECORDS)
-
-
-def dfa():
-    return Dfa(2, "ab", 0, {1}, DFA_DELTA)
-
-
-def nfa():
-    return Nfa(2, "ab", {0}, {1}, NFA_DELTA)
+CLASSES = list(RECORDS)
 
 
 def instance(cls):
@@ -85,14 +83,10 @@ def instance(cls):
 
 
 def every_instance():
-    return [instance(cls) for cls in GENERATED] + [dfa(), nfa()]
+    return [instance(cls) for cls in CLASSES]
 
 
 def field_names(obj):
-    if isinstance(obj, Dfa):
-        return ("state_count", "alphabet", "initial", "finals", "table")
-    if isinstance(obj, Nfa):
-        return ("state_count", "alphabet", "initials", "finals", "table")
     return RECORDS[type(obj)][0]
 
 
@@ -101,7 +95,7 @@ def field_values(obj):
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("cls", GENERATED, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_positional_and_keyword(self, cls):
         names, values = RECORDS[cls]
         by_position = cls(*values)
@@ -110,28 +104,6 @@ class TestConstruction:
         assert field_values(by_position) == values
         assert by_keyword == by_position == mixed
         assert field_values(by_keyword) == field_values(mixed) == values
-
-    def test_dfa_positional_and_keyword(self):
-        by_keyword = Dfa(
-            state_count=2, alphabet="ab", initial=0, finals={1}, delta=DFA_DELTA
-        )
-        assert by_keyword == dfa()
-        assert field_values(by_keyword) == (2, ("a", "b"), 0, F({1}), ((1, 0), (0, 1)))
-
-    def test_nfa_positional_and_keyword(self):
-        by_keyword = Nfa(
-            state_count=2, alphabet="ab", initials={0}, finals={1}, delta=NFA_DELTA
-        )
-        assert by_keyword == nfa()
-        assert field_values(by_keyword) == (2, ("a", "b"), F({0}), F({1}), ((3, 0), (0, 1)))
-
-    def test_own_init_is_kept(self):
-        # Dfa and Nfa read a delta mapping, not their fields: a table given
-        # in its place is read as a mapping and found wanting
-        with pytest.raises(ValueError, match="delta undefined"):
-            Dfa(2, ("a", "b"), 0, F({1}), ((1, 0), (0, 1)))
-        with pytest.raises(ValueError, match="delta undefined"):
-            Dfa(2, "ab", 0, {1}, {(0, "a"): 1})
 
     def test_missing_argument_refused(self):
         with pytest.raises(TypeError, match="cells"):
@@ -195,14 +167,14 @@ class TestFrozen:
 
 
 class TestEquality:
-    @pytest.mark.parametrize("cls", GENERATED, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_equal_over_the_fields(self, cls):
         values = RECORDS[cls][1]
         a, b = cls(*values), cls(*values)
         assert a is not b
         assert a == b and not a != b
 
-    @pytest.mark.parametrize("cls", GENERATED, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
     def test_not_equal_to_a_tuple_of_the_fields(self, cls):
         a = instance(cls)
         values = field_values(a)
@@ -223,13 +195,15 @@ class TestEquality:
         assert t != report and report != t
 
     def test_automata_equal_over_the_fields(self):
-        assert dfa() == Dfa.of_table(2, "ab", 0, {1}, ((1, 0), (0, 1)))
-        assert dfa() != Dfa(2, "ab", 0, {0}, DFA_DELTA)
-        assert nfa() == Nfa.of_table(2, "ab", {0}, {1}, ((3, 0), (0, 1)))
-        assert nfa() != Nfa(2, "ab", {0, 1}, {1}, NFA_DELTA)
-        # the delta cached on a DFA built from a table is no field
-        built = Dfa.of_table(2, "ab", 0, {1}, ((1, 0), (0, 1)))
-        assert built.delta == DFA_DELTA and built == dfa()
+        # the alphabet, the state sets and the rows are frozen on the way in
+        assert instance(Dfa) == Dfa(2, "ab", 0, [1], [[1, 0], [0, 1]])
+        assert instance(Dfa) != Dfa(2, "ab", 0, {0}, ((1, 0), (0, 1)))
+        assert instance(Nfa) == Nfa(2, "ab", [0], [1], [[3, 0], [0, 1]])
+        assert instance(Nfa) != Nfa(2, "ab", {0, 1}, {1}, ((3, 0), (0, 1)))
+        # the delta cached on first use is no field
+        built = instance(Dfa)
+        assert built.delta == {(0, "a"): 1, (1, "a"): 0, (0, "b"): 0, (1, "b"): 1}
+        assert "delta" in vars(built) and built == instance(Dfa)
 
 
 class TestHash:
@@ -254,7 +228,7 @@ class TestHash:
     @pytest.mark.parametrize("cls", [Dfa, Nfa], ids=lambda c: c.__name__)
     def test_automata_unhashable(self, cls):
         assert cls.__hash__ is None
-        obj = dfa() if cls is Dfa else nfa()
+        obj = instance(cls)
         with pytest.raises(TypeError, match=f"unhashable type: '{cls.__name__}'"):
             hash(obj)
 
@@ -299,11 +273,11 @@ class TestRepr:
         )
 
     def test_automata(self):
-        assert repr(dfa()) == (
+        assert repr(instance(Dfa)) == (
             "Dfa(state_count=2, alphabet=('a', 'b'), initial=0, finals=frozenset({1}),"
             " table=((1, 0), (0, 1)))"
         )
-        assert repr(nfa()) == (
+        assert repr(instance(Nfa)) == (
             "Nfa(state_count=2, alphabet=('a', 'b'), initials=frozenset({0}),"
             " finals=frozenset({1}), table=((3, 0), (0, 1)))"
         )
@@ -322,7 +296,7 @@ class TestCachedProperty:
         assert len(depths) == reach.count
 
     def test_automaton_delta_built_once(self):
-        built = Nfa.of_table(2, "ab", {0}, {1}, ((3, 0), (0, 1)))
+        built = instance(Nfa)
         assert "delta" not in vars(built)
         assert built.delta is built.delta
         assert built.delta == {(0, "a"): F({0, 1}), (1, "b"): F({0})}
