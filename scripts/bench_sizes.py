@@ -17,7 +17,7 @@ tree) the runs alternate between them, so a drift of the host's speed
 falls on both sides alike.
 
 Example:
-    python scripts/bench_sizes.py --root ../parent --root . > BENCH_27.json
+    python scripts/bench_sizes.py --root ../parent --root . > BENCH_29.json
 """
 
 import argparse
@@ -37,6 +37,8 @@ COMMANDS = [
     ["--force", "sc", "3", "5"],
     ["--force", "sc", "2", "8"],
     ["--force", "sc", "4", "4"],
+    ["--format", "json", "reach", "3", "4"],
+    ["--force", "reach", "4", "4"],
     ["--format", "json", "graded", "5", "3"],
     ["--format", "json", "graded", "6", "3"],
     ["graded", "6", "3", "--count"],

@@ -46,7 +46,9 @@ EXIT_GUARD = 2
 EXIT_CHECK_FAILED = 3
 
 # Limits that --force passes in place of the library's guard defaults.
-FORCED_CELLS = 64
+# reach, sc and conjecture keep a depth table of one byte per mask, 2^(mn)
+# bytes, so their forced grids stop at 25 cells: 32 MiB at 5x5
+FORCED_CELLS = 25
 FORCED_COUNT = 10**9
 # witness full writes every element of both sides as text: 2^23 per side
 # make 132 MB of output at a peak near 1.1 GiB, so --force widens it to that
@@ -241,30 +243,36 @@ def _cmd_reach(args):
         args.m, args.n, depth_limit=args.depth_limit, **_forced(args, max_cells=FORCED_CELLS)
     )
     m, n = args.m, args.n
-    order = reach.sorted_masks()
     width = (1 << n) - 1
-    columns = []
-    for i, t in enumerate(mask_lines(m, n).row_shifts):
-        texts = _RowTexts(args.fmt, i, n)
-        columns.append([texts[mask >> t & width] for _, mask in order])
-    # a tableau is its m row texts joined, less the last separator; every
-    # reached tableau is valid, so it has a cell and the join is not empty
-    tableaux = map("".join, zip(*columns))
-    listing = [(d, text[:-1]) for (d, _), text in zip(order, tableaux)]
+    rows = [(t, _RowTexts(args.fmt, i, n)) for i, t in enumerate(mask_lines(m, n).row_shifts)]
+    # one block per depth, each written from the masks of that depth, in
+    # increasing mask order; a tableau is its m row texts joined, less the
+    # last separator: every reached tableau is valid, so it has a cell and
+    # the join is not empty
+    blocks = []
+    for d in reach.depth_histogram():
+        masks = reach.level(d)
+        columns = [[texts[mask >> t & width] for mask in masks] for t, texts in rows]
+        tableaux = [text[:-1] for text in map("".join, zip(*columns))]
+        if args.fmt == "json":
+            # the text _json_dumps would write, keys sorted
+            tail = f'],"depth":{d},"m":{m},"n":{n}}}'
+            blocks.append('{"cells":[' + f'{tail},{{"cells":['.join(tableaux) + tail)
+        elif args.fmt == "csv":
+            blocks.append(f"{d}," + f"\n{d},".join(tableaux))
+        else:
+            blocks.append(f"depth {d}\n" + f"\n\ndepth {d}\n".join(tableaux))
     if args.fmt == "json":
-        # the text _json_dumps would write, keys sorted
-        items = ",".join(f'{{"cells":[{c}],"depth":{d},"m":{m},"n":{n}}}' for d, c in listing)
         _emit(
             args,
             f'{{"complete":{_json_dumps(reach.complete)},"count":{reach.count},'
-            f'"m":{m},"n":{n},"tableaux":[{items}]}}',
+            f'"m":{m},"n":{n},"tableaux":[{",".join(blocks)}]}}',
         )
     elif args.fmt == "csv":
-        _emit(args, "\n".join(["depth,cells"] + [f"{d},{c}" for d, c in listing]))
+        _emit(args, "\n".join(["depth,cells"] + blocks))
     else:
-        blocks = [f"{reach.count} reachable tableaux (complete={reach.complete})"]
-        blocks += [f"depth {d}\n{grid}" for d, grid in listing]
-        _emit(args, "\n\n".join(blocks))
+        head = f"{reach.count} reachable tableaux (complete={reach.complete})"
+        _emit(args, "\n\n".join([head] + blocks))
     return EXIT_OK
 
 

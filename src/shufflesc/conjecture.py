@@ -99,10 +99,10 @@ def _survey(m, n, conjecture, max_cells, depth_limit, reach) -> ConjectureReport
         raise ValueError("depth_limit applies to a new search; pass it or reach, not both")
     else:
         scan_guard(m, n, max_cells)
-    reached = reach.mask_depths
+    table = reach.table
     missing = dense_unreached = ()
     if reach.count < f_bound(m, n):
-        masks = [mask for mask in valid_masks(m, n) if mask not in reached]
+        masks = [mask for mask in valid_masks(m, n) if not table[mask]]
         missing = tuple(Tableau.from_mask(m, n, mask) for mask in masks)
         dense = (is_dense_mask(m, n, mask) for mask in masks)
         dense_unreached = tuple(compress(missing, dense))

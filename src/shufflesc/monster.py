@@ -12,8 +12,10 @@ pairwise-distinguishable reachable states over all choices of final sets.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .automata import Dfa, Transformation, bits, record
 from .errors import SizeGuardError
@@ -172,50 +174,100 @@ def all_valid_tableaux(m: int, n: int, max_cells: int = 20) -> Iterator[Tableau]
         yield Tableau.from_mask(m, n, mask)
 
 
+# the deepest depth a table byte holds, as depth + 1
+MAX_DEPTH = 254
+
+
+class _MaskDepths(Mapping):
+    """The read-only map {mask: depth} of a depth table, in increasing mask
+    order."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, mask):
+        if isinstance(mask, int) and 0 <= mask < len(self.table) and self.table[mask]:
+            return self.table[mask] - 1
+        raise KeyError(mask)
+
+    def __iter__(self):
+        return compress(range(len(self.table)), self.table)
+
+    def __len__(self):
+        return len(self.table) - self.table.count(0)
+
+
 @record
 class ReachResult:
     """Reachable tableaux of the m x n shuffle state space with the minimal
     number of steps needed to reach each of them from {(0, 0)}.
 
-    `mask_depths` maps each reached mask (`Tableau.mask`) to its depth, in
-    the order the search found them, orbit by orbit (see
-    `reachable_tableaux`); `depths` is the same map keyed by `Tableau`,
-    built on first use.  Nothing reads that order: `sorted_masks` sorts.
+    `table` has one byte per mask of the grid (`Tableau.mask`): depth + 1
+    for a reached mask, 0 for the others, so it costs 2^(mn) bytes.  Every
+    view reads it in increasing mask order: `mask_depths` maps each reached
+    mask to its depth, `depths` is the same map keyed by `Tableau`, built
+    on first use, and `level(d)` lists the masks of one depth.  A breadth-
+    first search leaves no depth empty below its deepest, and the depth
+    views stop at the first empty depth.
     """
 
     m: int
     n: int
-    mask_depths: Mapping[int, int]
+    table: bytearray
     complete: bool
+
+    def __post_init__(self):
+        if len(self.table) != 1 << (self.m * self.n):
+            raise ValueError(f"a {self.m}x{self.n} depth table has 2^{self.m * self.n} bytes")
+
+    @property
+    def mask_depths(self) -> Mapping[int, int]:
+        return _MaskDepths(self.table)
 
     @cached_property
     def depths(self) -> Mapping[Tableau, int]:
         m, n = self.m, self.n
         return {Tableau.from_mask(m, n, mask): d for mask, d in self.mask_depths.items()}
 
-    @property
+    @cached_property
     def count(self) -> int:
         return len(self.mask_depths)
 
+    def level(self, depth: int) -> list[int]:
+        """The masks at `depth`, increasing: one scan of the table."""
+        select = bytearray(256)  # a translation to 1 at depth + 1 and 0 elsewhere
+        select[depth + 1] = 1
+        return list(compress(range(len(self.table)), self.table.translate(select)))
+
     def sorted_masks(self) -> list[tuple[int, int]]:
         """(depth, mask) sorted; the canonical listing order."""
-        return sorted((d, mask) for mask, d in self.mask_depths.items())
+        return [(d, mask) for d in self.depth_histogram() for mask in self.level(d)]
 
     def listing(self) -> list[tuple[Tableau, int]]:
         """(tableau, depth) in the order of `sorted_masks`."""
         return [(Tableau.from_mask(self.m, self.n, mask), d) for d, mask in self.sorted_masks()]
 
     def depth_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for d in self.mask_depths.values():
-            hist[d] = hist.get(d, 0) + 1
-        return dict(sorted(hist.items()))
+        hist = {}
+        for d in range(MAX_DEPTH + 1):
+            if not (size := self.table.count(d + 1)):
+                break
+            hist[d] = size
+        return hist
 
     def saturation_depth(self) -> int:
-        return max(self.mask_depths.values(), default=0)
+        return len(self.depth_histogram()) - 1
 
     def __contains__(self, t: Tableau) -> bool:
-        return (t.m, t.n) == (self.m, self.n) and t.mask in self.mask_depths
+        return (t.m, t.n) == (self.m, self.n) and self.table[t.mask] != 0
+
+    def __repr__(self):
+        return (
+            f"ReachResult({self.m}, {self.n}, count={self.count}, "
+            f"depth_histogram={self.depth_histogram()}, complete={self.complete})"
+        )
 
 
 def _expand_mask(mask: int, m: int, n: int) -> list[list[int]]:
@@ -248,20 +300,22 @@ def _orbit_swaps(m: int, n: int) -> list[tuple[int, int, int]]:
     return [(full ^ (a | a << d), a, d) for a, d in zip(firsts, dists)]
 
 
-def _orbit(mask: int, m: int, n: int) -> set[int]:
-    """The masks of (s x t)(E) for every relabelling (s, t) that fixes row 0
-    and column 0, E the tableau of `mask`: its closure under the swaps of
-    `_orbit_swaps`, in time proportional to the orbit's size."""
+def _close_orbit(table: bytearray, mask: int, mark: int, m: int, n: int) -> int:
+    """Write `mark` into `table` at the masks of (s x t)(E) for every
+    relabelling (s, t) that fixes row 0 and column 0, E the tableau of
+    `mask`, and return how many there are: the closure of `mask` under the
+    swaps of `_orbit_swaps`, in time proportional to the orbit's size.  The
+    orbit must be unmarked: a mask already marked is taken as a member."""
     swaps = _orbit_swaps(m, n)
-    orbit = {mask}
+    table[mask] = mark
     todo = [mask]
     for x in todo:  # the list grows while it is walked
         for keep, a, d in swaps:
             y = x & keep | (x & a) << d | x >> d & a
-            if y not in orbit:
-                orbit.add(y)
+            if not table[y]:
+                table[y] = mark
                 todo.append(y)
-    return orbit
+    return len(todo)
 
 
 def reachable_tableaux(
@@ -280,8 +334,13 @@ def reachable_tableaux(
     depth.  `complete` is True when every valid tableau was reached or the
     closure ran out of new tableaux; it is False only when `depth_limit`
     levels were expanded with frontier left over and fewer than f(m, n)
-    tableaux found.  The default guard refuses grids beyond 16 cells (the
-    6 x 6 case alone has 2^36 tableaux).
+    tableaux found.  A negative `depth_limit` raises ValueError.
+
+    The depths are written into a table of one byte per mask (see
+    `ReachResult`), which costs 2^(mn) bytes, so `max_cells` also bounds a
+    table of 2^max_cells bytes: the default guard refuses grids beyond 16
+    cells, a 64 KiB table (the 6 x 6 case alone would take 64 GiB).  The
+    result lists the masks in increasing order, not in the order found.
 
     The search runs on orbits of G, the relabellings (s, t) of the rows and
     the columns that fix row 0 and column 0: permutations s of {0..m-1}
@@ -293,42 +352,49 @@ def reachable_tableaux(
     (t(j))), the images of the cell (s(i), t(j)) of (s x t)(E).
     Conjugation permutes the full alphabet, so by induction on the depth,
     depth((s x t)(E)) = depth(E).  Every level of the search is thus a
-    union of orbits: when a tableau is first found, its whole orbit
-    (`_orbit`) gets the same depth, and only that tableau is expanded at
-    the next level.  The images of one tableau per orbit, closed under G,
+    union of orbits: when a tableau is first found, its whole orbit is
+    written into the table at the same depth (`_close_orbit`), and only
+    that tableau is expanded at the next level.  The images of one tableau per orbit, closed under G,
     are the images of the whole level.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
+    if depth_limit is not None and depth_limit < 0:
+        raise ValueError("depth_limit must be at least 0")
     if m * n > max_cells:
         raise SizeGuardError(f"{m}x{n} grid exceeds the {max_cells}-cell guard", "max_cells")
     bound = f_bound(m, n)
-    depths = {1: 0}  # mask of {(0, 0)} is 1
+    table = bytearray(1 << (m * n))
+    table[1] = 1  # {(0, 0)}, mask 1, at depth 0
+    count = 1
     frontier = [1]
     depth = 0
     complete = True
-    while frontier and len(depths) < bound:
+    while frontier and count < bound:
         if depth_limit is not None and depth >= depth_limit:
             complete = False
             break
         depth += 1
+        if depth > MAX_DEPTH:
+            raise RuntimeError(f"the search passed depth {MAX_DEPTH}, the deepest a table byte holds")
+        mark = depth + 1
         nxt = []
         for mask in frontier:
             row_variants, col_variants = _expand_mask(mask, m, n)
             for rv in row_variants:
                 for cv in col_variants:
                     s = rv | cv
-                    if s not in depths:
-                        depths.update(dict.fromkeys(_orbit(s, m, n), depth))
+                    if not table[s]:
+                        count += _close_orbit(table, s, mark, m, n)
                         nxt.append(s)
-            if len(depths) == bound:
+            if count == bound:
                 break
         # expanding the next level in increasing mask order reaches the
         # bound f(m, n) after far fewer expansions than discovery order at
         # 2 x 6 and 4 x 4 (43 against 123, 275 against 1163; 79 against 68
         # at 3 x 4), so those searches end several times sooner
         frontier = sorted(nxt)
-    return ReachResult(m, n, depths, complete)
+    return ReachResult(m, n, table, complete)
 
 
 def distinguishing_letters(m: int, n: int) -> list[MonsterLetter]:
@@ -471,7 +537,7 @@ def _final_pair_classes(m, n, reach):
     q1, q2 = (1 << m) - 1, (1 << n) - 1  # the bits of Q1 and Q2
     row_supports, col_supports = set(), set()
     numbered_shifts = tuple(enumerate(mask_lines(m, n).row_shifts))
-    for mask in reach.mask_depths:
+    for mask in compress(range(len(reach.table)), reach.table):
         row_bits = col_bits = 0
         for i, t in numbered_shifts:
             if line := mask >> t & q2:

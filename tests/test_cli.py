@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from shufflesc import cli
+from shufflesc import cli, monster
 from shufflesc.cli import FORCED_CELLS, FORCED_COUNT, FORCED_WITNESS, main
 from shufflesc.errors import SizeGuardError
 from shufflesc.monster import Tableau, reachable_tableaux
@@ -405,6 +405,20 @@ class TestGuards:
         code, out, err = run_cli(capsys, "--force", *argv)
         assert code == 2 and out == ""
         assert err.endswith(f"; raise {keyword} to override\n") and "--force" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reach", "6", "6"], ["sc", "6", "6"], ["conjecture", "6", "6"], ["reach", "5", "6"]],
+        ids="-".join,
+    )
+    def test_forced_grid_bounds_the_depth_table(self, capsys, monkeypatch, argv):
+        # the search keeps one byte per mask, 64 GiB at 6x6: the forced guard
+        # refuses the grid before any table is allocated
+        monkeypatch.setattr(monster, "bytearray", lambda *a: pytest.fail("allocated"), raising=False)
+        code, out, err = run_cli(capsys, "--force", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("size guard: ") and f"the {FORCED_CELLS}-cell guard" in err
+        assert FORCED_CELLS == 25  # a 32 MiB table at 5x5
 
     def test_force_widens_the_element_guard(self, capsys):
         # at n = 1 a grade tries one map, but its vector holds 2^22 elements

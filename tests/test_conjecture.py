@@ -101,6 +101,12 @@ class TestConjecture1:
             assert rep.missing == rep.dense_unreached == ()
             assert rep.reachable_count == rep.valid_count == 400
 
+    def test_negative_depth_limit_refused(self):
+        # not an "incomplete" report holding only the root
+        for check in (check_conjecture1, check_conjecture2):
+            with pytest.raises(ValueError, match="^depth_limit must be at least 0$"):
+                check(2, 2, depth_limit=-3)
+
     def test_depth_limited_lists_the_missing(self):
         reach = reachable_tableaux(3, 3, depth_limit=2)
         rep = check_conjecture1(3, 3, depth_limit=2)

@@ -63,10 +63,11 @@ def letter_rows(masks, m, n):
     ]
 
 
-def reference_reach(m, n, depth_limit=None):
+def reference_depths(m, n, depth_limit=None):
     """The mask BFS as it was before the search ran on orbits: every new
     tableau of a level is expanded, and each gets its depth when first
-    found.  Stops at f(m, n) tableaux, as the library does."""
+    found, in a dict.  Stops at f(m, n) tableaux, as the library does.
+    Returns the dict {mask: depth} and whether the search is complete."""
     bound = f_bound(m, n)
     depths = {1: 0}
     frontier = [1]
@@ -89,7 +90,17 @@ def reference_reach(m, n, depth_limit=None):
             if len(depths) == bound:
                 break
         frontier = sorted(nxt)
-    return ReachResult(m, n, depths, complete)
+    return depths, complete
+
+
+def reference_reach(m, n, depth_limit=None):
+    """`reference_depths` as a `ReachResult`, its depth table written from
+    the dict."""
+    depths, complete = reference_depths(m, n, depth_limit)
+    table = bytearray(1 << (m * n))
+    for mask, d in depths.items():
+        table[mask] = d + 1
+    return ReachResult(m, n, table, complete)
 
 
 def relabellings(m, n):
@@ -304,6 +315,29 @@ class TestReachability:
         assert reach.count < 400
         assert max(reach.depths.values()) == 1
 
+    def test_negative_depth_limit_refused(self):
+        for depth_limit in (-1, -3):
+            with pytest.raises(ValueError, match="^depth_limit must be at least 0$"):
+                reachable_tableaux(2, 2, depth_limit=depth_limit)
+
+    def test_depth_beyond_a_byte_is_an_internal_fault(self, monkeypatch):
+        # a table byte holds depth + 1; a search going deeper than the byte
+        # holds stops with an internal error instead of wrapping around
+        monkeypatch.setattr(monster, "MAX_DEPTH", 1)
+        with pytest.raises(RuntimeError, match="passed depth 1"):
+            reachable_tableaux(2, 2)
+        assert reachable_tableaux(2, 2, depth_limit=1).count == 4
+
+    def test_table_has_a_byte_per_mask(self):
+        reach = reachable_tableaux(2, 3)
+        assert type(reach.table) is bytearray and len(reach.table) == 1 << 6
+        assert reach.table.count(0) == (1 << 6) - reach.count
+        assert [reach.table[mask] for mask in sorted(reach.mask_depths)] == [
+            d + 1 for _, d in sorted(reach.mask_depths.items())
+        ]
+        with pytest.raises(ValueError, match="2x3 depth table has 2\\^6 bytes"):
+            ReachResult(2, 3, bytearray(32), True)
+
     def test_depth_limit_complete_at_bound(self):
         # every valid tableau is reached, so no later level could add one
         reach = reachable_tableaux(2, 2, depth_limit=2)
@@ -363,6 +397,17 @@ class TestReachability:
         assert all(t in reach for t, _ in listing)
         assert T(3, 2, {(0, 0)}) not in reach  # same mask, other grid
 
+    def test_levels_in_mask_order(self):
+        # each depth's masks come from one scan, increasing; together they
+        # are the reached masks sorted by (depth, mask)
+        reach = reachable_tableaux(3, 3, depth_limit=3)
+        expected = sorted((d, mask) for mask, d in reach.mask_depths.items())
+        assert reach.sorted_masks() == expected
+        for d, size in reach.depth_histogram().items():
+            assert reach.level(d) == [mask for e, mask in expected if e == d]
+            assert len(reach.level(d)) == size
+        assert reach.level(4) == []
+
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             reachable_tableaux(5, 5)
@@ -411,13 +456,43 @@ class TestOrbitSearch:
                     assert depths[T(m, n, {(s[i], u[j]) for i, j in t.cells})] == d
 
     def test_orbit_is_every_relabelling(self):
+        # the closure writes its mark at exactly the orbit's masks, into a
+        # table holding nothing else, and counts them
         for m, n in ((2, 3), (3, 3), (3, 4), (4, 2)):
             for mask in valid_masks(m, n):
                 t = Tableau.from_mask(m, n, mask)
-                assert monster._orbit(mask, m, n) == {
+                orbit = {
                     T(m, n, {(s[i], u[j]) for i, j in t.cells}).mask
                     for s, u in relabellings(m, n)
                 }
+                table = bytearray(1 << (m * n))
+                assert monster._close_orbit(table, mask, 7, m, n) == len(orbit)
+                assert {y for y, mark in enumerate(table) if mark} == orbit
+                assert set(table) == {0, 7}
+
+    def test_closure_keeps_other_marks(self):
+        # masks already marked are left as they are: the search closes an
+        # orbit only when none of its masks is marked yet
+        table = bytearray(1 << 9)
+        table[3] = 5
+        assert monster._close_orbit(table, 1, 2, 3, 3) == 1
+        assert table[3] == 5 and table[1] == 2 and table.count(0) == len(table) - 2
+
+    @pytest.mark.parametrize("m, n", SMALL_GRIDS)
+    def test_mask_depths_view(self, m, n):
+        # the read-only view of the table is the reference dict, listed in
+        # increasing mask order
+        expected, _ = reference_depths(m, n)
+        view = reachable_tableaux(m, n).mask_depths
+        assert view == expected and dict(view) == expected
+        assert list(view) == sorted(expected) and len(view) == len(expected)
+        assert list(view.items()) == sorted(expected.items())
+        with pytest.raises(TypeError):
+            view[1] = 3
+        with pytest.raises(KeyError):
+            view[0]  # the empty tableau is never reached
+        with pytest.raises(KeyError):
+            view[1 << (m * n)]
 
 
 class TestDistinguishingLetters:

@@ -40,7 +40,7 @@ CASE_VALUES = ("full", "k=2", 2, 2, None, True)
 # by the generated constructor (the fields are exactly these arguments)
 RECORDS = {
     Tableau: (("m", "n", "cells"), (2, 3, F({(0, 0), (1, 2)}))),
-    ReachResult: (("m", "n", "mask_depths", "complete"), (1, 2, {1: 0, 3: 1}, True)),
+    ReachResult: (("m", "n", "table", "complete"), (1, 2, bytearray(b"\0\1\0\2"), True)),
     ScResult: (
         ("m", "n", "value", "maximizers", "reachable_count"),
         (2, 2, 6, ((F({1}), F({1})),), 6),
@@ -220,10 +220,14 @@ class TestHash:
         assert hash(t) == hash((t.m, t.n, t.cells))
         assert hash(Tableau.from_mask(3, 3, t.mask)) == hash(t)
 
-    @pytest.mark.parametrize("cls", [ReachResult, ConjectureReport], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", [ConjectureReport], ids=lambda c: c.__name__)
     def test_dict_field_is_unhashable(self, cls):
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(instance(cls))
+
+    def test_table_field_is_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'bytearray'"):
+            hash(instance(ReachResult))
 
     @pytest.mark.parametrize("cls", [Dfa, Nfa], ids=lambda c: c.__name__)
     def test_automata_unhashable(self, cls):
@@ -268,8 +272,13 @@ class TestRepr:
         )
 
     def test_reach_result(self):
+        # its own repr: the counts, not the 2^(mn) bytes of the table
         assert repr(instance(ReachResult)) == (
-            "ReachResult(m=1, n=2, mask_depths={1: 0, 3: 1}, complete=True)"
+            "ReachResult(1, 2, count=2, depth_histogram={0: 1, 1: 1}, complete=True)"
+        )
+        assert repr(reachable_tableaux(3, 4)) == (
+            "ReachResult(3, 4, count=3392,"
+            " depth_histogram={0: 1, 1: 11, 2: 398, 3: 2684, 4: 298}, complete=True)"
         )
 
     def test_automata(self):
