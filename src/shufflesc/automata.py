@@ -126,6 +126,8 @@ class Transformation:
         """Total map equal to `mapping` where defined and the identity elsewhere."""
         images = list(range(n))
         for k, v in mapping.items():
+            if not 0 <= k < n:
+                raise ValueError(f"key {k} not within range({n})")
             images[k] = v
         return cls(images)
 

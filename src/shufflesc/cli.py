@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from functools import partial
+from itertools import groupby
 
 from .automata import Transformation, bits
 from .conjecture import check_conjecture1, check_conjecture2
@@ -170,15 +172,24 @@ def _perm_arguments(p):
     p.add_argument("sigma", help="comma-separated images, e.g. 1,2,0")
 
 
+@contextmanager
+def _output(args):
+    """The text stream the result is written to: the --output file, or stdout."""
+    if not args.output:
+        yield sys.stdout
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output}: {exc.strerror}") from exc
+
+
 def _emit(args, text: str) -> None:
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    with _output(args) as out:
+        out.write(text)
+        if not text.endswith("\n"):
+            out.write("\n")
 
 
 def _json_dumps(obj) -> str:
@@ -245,34 +256,37 @@ def _cmd_reach(args):
     m, n = args.m, args.n
     width = (1 << n) - 1
     rows = [(t, _RowTexts(args.fmt, i, n)) for i, t in enumerate(mask_lines(m, n).row_shifts)]
-    # one block per depth, each written from the masks of that depth, in
-    # increasing mask order; a tableau is its m row texts joined, less the
-    # last separator: every reached tableau is valid, so it has a cell and
-    # the join is not empty
-    blocks = []
-    for d in reach.depth_histogram():
-        masks = reach.level(d)
-        columns = [[texts[mask >> t & width] for mask in masks] for t, texts in rows]
-        tableaux = [text[:-1] for text in map("".join, zip(*columns))]
-        if args.fmt == "json":
-            # the text _json_dumps would write, keys sorted
-            tail = f'],"depth":{d},"m":{m},"n":{n}}}'
-            blocks.append('{"cells":[' + f'{tail},{{"cells":['.join(tableaux) + tail)
-        elif args.fmt == "csv":
-            blocks.append(f"{d}," + f"\n{d},".join(tableaux))
-        else:
-            blocks.append(f"depth {d}\n" + f"\n\ndepth {d}\n".join(tableaux))
     if args.fmt == "json":
-        _emit(
-            args,
+        head = (
             f'{{"complete":{_json_dumps(reach.complete)},"count":{reach.count},'
-            f'"m":{m},"n":{n},"tableaux":[{",".join(blocks)}]}}',
+            f'"m":{m},"n":{n},"tableaux":['
         )
     elif args.fmt == "csv":
-        _emit(args, "\n".join(["depth,cells"] + blocks))
+        head = "depth,cells"
     else:
         head = f"{reach.count} reachable tableaux (complete={reach.complete})"
-        _emit(args, "\n\n".join([head] + blocks))
+    # written depth by depth in increasing mask order, one piece per run of
+    # masks sharing the last row's line (the top bits), so at most
+    # 2^((m-1)n) tableaux' text is held at once; a tableau is its row texts
+    # joined, less the last separator (a reached tableau has a cell)
+    last = rows[-1][0]
+    with _output(args) as out:
+        out.write(head)
+        for d in reach.depth_histogram():
+            if args.fmt == "json":
+                # _json_dumps's text; depth 0, the root alone, has no comma
+                close = f'],"depth":{d},"m":{m},"n":{n}}}'
+                opening, sep = ("," if d else "") + '{"cells":[', close + ',{"cells":['
+            else:
+                opening = sep = f"\n{d}," if args.fmt == "csv" else f"\n\ndepth {d}\n"
+                close = ""
+            for _, piece in groupby(reach.level(d), last.__rrshift__):
+                piece = list(piece)
+                columns = [[texts[mask >> t & width] for mask in piece] for t, texts in rows]
+                out.write(opening)
+                out.write(sep.join([text[:-1] for text in map("".join, zip(*columns))]))
+                out.write(close)
+        out.write("]}\n" if args.fmt == "json" else "\n")
     return EXIT_OK
 
 

@@ -271,20 +271,14 @@ class WitnessReport:
         }
 
 
-def verify_witnesses(
-    m: int,
-    n: int,
-    max_permutation_size: int = 6,
-    reach: Optional[ReachResult] = None,
-) -> WitnessReport:
+def verify_witnesses(m: int, n: int, max_permutation_size: int = 6) -> WitnessReport:
     """Check the explicit witness constructions at (m, n).
 
     Every permutation tableau of size n must be hit by its constructed pair
-    at the predicted grade, and that grade must be minimal (the minimal
-    grade equals the breadth-first depth; when a precomputed reach result is
-    supplied the depth is read from it as a cross-check instead, so it must
-    be a complete reach of the n x n grid).  The full m x n tableau must be
-    hit by its pair as well.
+    at the predicted grade, and that grade must be minimal: the depth is
+    the least grade of any valid pair projecting onto the tableau
+    (`permutation_min_grade`), which equals the breadth-first depth.  The
+    full m x n tableau must be hit by its pair as well.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -293,28 +287,19 @@ def verify_witnesses(
             f"verifying {n}! permutations exceeds the guard of {max_permutation_size}!",
             "max_permutation_size",
         )
-    if reach is not None:
-        if (reach.m, reach.n) != (n, n):
-            raise ValueError(f"reach is of a {reach.m}x{reach.n} grid, not {n}x{n}")
-        if not reach.complete:
-            raise ValueError("reach is incomplete, so a depth may be missing from it")
     cases = []
     for images in permutations(range(n)):
         sigma = Transformation(images)
         pair = witness_permutation(sigma)
         target = Tableau(n, n, {(i, sigma(i)) for i in range(n)})
         expected = expected_permutation_grade(sigma)
-        if reach is not None:
-            depth = reach.mask_depths[target.mask]
-        else:
-            depth = permutation_min_grade(sigma, expected + 1)
         cases.append(
             WitnessCase(
                 kind="permutation",
                 detail=",".join(map(str, images)),
                 grade=pair.grade,
                 expected_grade=expected,
-                depth=depth,
+                depth=permutation_min_grade(sigma, expected + 1),
                 projection_ok=s_projection(pair) == target,
             )
         )

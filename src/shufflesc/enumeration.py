@@ -92,13 +92,11 @@ def succ_count(n: int, l: int, d: int) -> int:
     )
 
 
-def canonical_vector(l: int, n: Optional[int] = None) -> SetVector:
+def canonical_vector(l: int, n: int) -> SetVector:
     """A specific valid vector with l nonempty parts (grade max(l-1, 0)):
     [{1}, {2}, ..., {l-1}, {l..2^(l-1)}], padded with empty parts to length n."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    if n is None:
-        n = l
     if n < l:
         raise ValueError("n must be at least l")
     singles = (1 << (l - 1)) - 1  # {1..l-1}

@@ -80,11 +80,8 @@ class Tableau:
             for i in range(self.m)
         )
 
-    def to_json(self, depth: Optional[int] = None) -> dict:
-        obj = {"m": self.m, "n": self.n, "cells": sorted(map(list, self.cells))}
-        if depth is not None:
-            obj["depth"] = depth
-        return obj
+    def to_json(self) -> dict:
+        return {"m": self.m, "n": self.n, "cells": sorted(map(list, self.cells))}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Tableau":
@@ -178,39 +175,17 @@ def all_valid_tableaux(m: int, n: int, max_cells: int = 20) -> Iterator[Tableau]
 MAX_DEPTH = 254
 
 
-class _MaskDepths(Mapping):
-    """The read-only map {mask: depth} of a depth table, in increasing mask
-    order."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table):
-        self.table = table
-
-    def __getitem__(self, mask):
-        if isinstance(mask, int) and 0 <= mask < len(self.table) and self.table[mask]:
-            return self.table[mask] - 1
-        raise KeyError(mask)
-
-    def __iter__(self):
-        return compress(range(len(self.table)), self.table)
-
-    def __len__(self):
-        return len(self.table) - self.table.count(0)
-
-
 @record
 class ReachResult:
     """Reachable tableaux of the m x n shuffle state space with the minimal
     number of steps needed to reach each of them from {(0, 0)}.
 
     `table` has one byte per mask of the grid (`Tableau.mask`): depth + 1
-    for a reached mask, 0 for the others, so it costs 2^(mn) bytes.  Every
-    view reads it in increasing mask order: `mask_depths` maps each reached
-    mask to its depth, `depths` is the same map keyed by `Tableau`, built
-    on first use, and `level(d)` lists the masks of one depth.  A breadth-
-    first search leaves no depth empty below its deepest, and the depth
-    views stop at the first empty depth.
+    for a reached mask, 0 for the others, so it costs 2^(mn) bytes.
+    `depths` maps each reached tableau to its depth, in increasing mask
+    order, built on first use, and `level(d)` lists the masks of one depth.
+    A breadth-first search leaves no depth empty below its deepest, and the
+    depth histogram stops at the first empty depth.
     """
 
     m: int
@@ -222,32 +197,26 @@ class ReachResult:
         if len(self.table) != 1 << (self.m * self.n):
             raise ValueError(f"a {self.m}x{self.n} depth table has 2^{self.m * self.n} bytes")
 
-    @property
-    def mask_depths(self) -> Mapping[int, int]:
-        return _MaskDepths(self.table)
-
     @cached_property
     def depths(self) -> Mapping[Tableau, int]:
-        m, n = self.m, self.n
-        return {Tableau.from_mask(m, n, mask): d for mask, d in self.mask_depths.items()}
+        m, n, table = self.m, self.n, self.table
+        return {
+            Tableau.from_mask(m, n, mask): table[mask] - 1
+            for mask in compress(range(len(table)), table)
+        }
 
     @cached_property
     def count(self) -> int:
-        return len(self.mask_depths)
+        return len(self.table) - self.table.count(0)
 
     def level(self, depth: int) -> list[int]:
-        """The masks at `depth`, increasing: one scan of the table."""
+        """The masks at `depth`, increasing: one scan of the table.  No
+        mask has a depth outside 0..MAX_DEPTH, so there the list is empty."""
+        if not 0 <= depth <= MAX_DEPTH:
+            return []
         select = bytearray(256)  # a translation to 1 at depth + 1 and 0 elsewhere
         select[depth + 1] = 1
         return list(compress(range(len(self.table)), self.table.translate(select)))
-
-    def sorted_masks(self) -> list[tuple[int, int]]:
-        """(depth, mask) sorted; the canonical listing order."""
-        return [(d, mask) for d in self.depth_histogram() for mask in self.level(d)]
-
-    def listing(self) -> list[tuple[Tableau, int]]:
-        """(tableau, depth) in the order of `sorted_masks`."""
-        return [(Tableau.from_mask(self.m, self.n, mask), d) for d, mask in self.sorted_masks()]
 
     def depth_histogram(self) -> dict[int, int]:
         hist = {}
@@ -259,9 +228,6 @@ class ReachResult:
 
     def saturation_depth(self) -> int:
         return len(self.depth_histogram()) - 1
-
-    def __contains__(self, t: Tableau) -> bool:
-        return (t.m, t.n) == (self.m, self.n) and self.table[t.mask] != 0
 
     def __repr__(self):
         return (

@@ -21,7 +21,7 @@ import re
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, lshift, mod, ne, or_, rshift
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import Transformation, bits, record
 from .errors import SizeGuardError
@@ -259,13 +259,11 @@ def mirror_part(part: int, k: int) -> int:
     return int(f"{part:0{width}b}"[::-1], 2)
 
 
-def mirror(v: SetVector, k: Optional[int] = None) -> SetVector:
+def mirror(v: SetVector, k: int) -> SetVector:
     """`mirror_part` of every part of a grade-k vector.
 
     An involution exchanging the left-valid and right-valid families.
     """
-    if k is None:
-        k = v.grade()
     if v._union() >> (1 << k):
         raise ValueError(f"vector is not of grade {k}")
     return SetVector.of_masks(mirror_part(p, k) for p in v.parts)
@@ -368,24 +366,13 @@ def graded_level(n: int, k: int, max_count: int = 2_000_000) -> list[int]:
     return level
 
 
-def generate_graded(
-    n: int, k: int, side: str = "right", max_count: int = 2_000_000
-) -> list[SetVector]:
-    """The full grade-k family of valid vectors of length n, sorted
+def generate_graded(n: int, k: int, max_count: int = 2_000_000) -> list[SetVector]:
+    """The full grade-k family of right-valid vectors of length n, sorted
     canonically: the rank tuples of `graded_level` (`Packing.ranks`),
-    sorted, and only then made into `SetVector`s.  The left side mirrors
-    each distinct part once and ranks the mirrored parts again.
-    `max_count` is the guard of `graded_level`."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    sorted, and only then made into `SetVector`s.  The left-valid family
+    is its `mirror`.  `max_count` is the guard of `graded_level`."""
     level = graded_level(n, k, max_count)  # first: Packing(n, k) does not check n and k
     vectors, parts = Packing(n, k).ranks(level)
-    if side == "left":
-        mirrored = [mirror_part(p, k) for p in parts]
-        parts = canonical_parts([mirrored])
-        # the new rank of each mirrored part, indexed by its old rank
-        rank = list(map(dict(zip(parts, count())).__getitem__, mirrored)).__getitem__
-        vectors = [tuple(map(rank, v)) for v in vectors]
     vectors.sort()
     return [SetVector.of_masks(map(parts.__getitem__, v)) for v in vectors]
 
@@ -535,7 +522,7 @@ def _permutation_family(n: int, k: int) -> tuple[list[frozenset], frozenset, fro
     return family, frozenset({h, top}), frozenset({1, h + 1})
 
 
-def witness_permutation(sigma: Transformation, n: Optional[int] = None) -> UPair:
+def witness_permutation(sigma: Transformation) -> UPair:
     """A pair projecting onto the permutation tableau {(i, sigma(i))}.
 
     The grade is the least possible: ceil(log2(n+1)) when sigma fixes 0 (at
@@ -546,10 +533,7 @@ def witness_permutation(sigma: Transformation, n: Optional[int] = None) -> UPair
     """
     if not sigma.is_permutation():
         raise ValueError(f"{sigma!r} is not a permutation")
-    if n is None:
-        n = sigma.size
-    if n != sigma.size:
-        raise ValueError(f"permutation size {sigma.size} != n = {n}")
+    n = sigma.size
     if n == 1:
         return UPair(SetVector.base(1), SetVector.base(1))
 

@@ -91,6 +91,14 @@ class TestTransformation:
         with pytest.raises(ValueError):
             Transformation([0, 3])
 
+    def test_from_map_keys_out_of_range(self):
+        # a negative key is not an index from the end, and a key of n or
+        # more is bad input, not an IndexError
+        for key in (-1, -3, 3, 7):
+            with pytest.raises(ValueError, match=f"^key {key} not within range\\(3\\)$"):
+                Transformation.from_map(3, {key: 0})
+        assert Transformation.from_map(3, {2: 0, 0: 1}).images == (1, 1, 0)
+
     def test_inverse(self):
         p = Transformation([2, 0, 1])
         assert p.inverse().images == (1, 2, 0)

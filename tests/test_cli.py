@@ -125,16 +125,17 @@ class TestReachCommand:
 
 def reference_reach_output(fmt, m, n, depth_limit=None):
     """The reach output written through one `Tableau` per reached state, the
-    library views the CLI writer must agree with byte for byte."""
+    library views the CLI writer must agree with byte for byte: `depths`,
+    sorted by (depth, mask), `Tableau.to_json` and `Tableau.render`."""
     reach = reachable_tableaux(m, n, depth_limit=depth_limit)
-    listing = reach.listing()
+    listing = sorted(reach.depths.items(), key=lambda item: (item[1], item[0].mask))
     if fmt == "json":
         payload = {
             "m": m,
             "n": n,
             "count": reach.count,
             "complete": reach.complete,
-            "tableaux": [t.to_json(depth=d) for t, d in listing],
+            "tableaux": [{**t.to_json(), "depth": d} for t, d in listing],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt == "csv":
@@ -162,6 +163,20 @@ class TestReachWriter:
                 code, out, err = run_cli(capsys, "--format", fmt, "reach", str(m), str(n), *extra)
                 assert (code, err) == (0, "")
                 assert out == reference_reach_output(fmt, m, n, limit), (fmt, limit)
+
+    def test_writes_one_depth_at_a_time(self, monkeypatch):
+        # the listing is written in pieces as they are built, never as one
+        # string: no write holds tableaux of two depths
+        depth_of = {"text": r"depth (\d+)", "json": r'"depth":(\d+)', "csv": r"^(\d+),"}
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
+        for fmt, pattern in depth_of.items():
+            writes.clear()
+            assert main(["--format", fmt, "reach", "3", "4"]) == 0
+            assert "".join(writes) == reference_reach_output(fmt, 3, 4)
+            depths = [set(re.findall(pattern, w, re.M)) for w in writes]
+            assert max(map(len, depths)) == 1
+            assert set().union(*depths) == {"0", "1", "2", "3", "4"}
 
     def test_builds_no_tableau(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -595,6 +610,13 @@ class TestOutputFile:
         code, out, err = run_cli(capsys, "--output", str(target), "bound", "2", "2")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_reach_to_unwritable_path(self, capsys, tmp_path):
+        # the reach listing is written in blocks through the same writer
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, "--output", str(target), "reach", "2", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write") and "Traceback" not in err
 
     def test_threads_flag_rejected(self, capsys):
         code, out, err = run_cli(capsys, "--threads", "4", "bound", "2", "2")

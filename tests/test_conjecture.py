@@ -110,8 +110,8 @@ class TestConjecture1:
     def test_depth_limited_lists_the_missing(self):
         reach = reachable_tableaux(3, 3, depth_limit=2)
         rep = check_conjecture1(3, 3, depth_limit=2)
-        valid = [t for t in all_valid_tableaux(3, 3) if t not in reach]
-        dense = [t for t in enumerate_dense(3, 3) if t not in reach]
+        valid = [t for t in all_valid_tableaux(3, 3) if t not in reach.depths]
+        dense = [t for t in enumerate_dense(3, 3) if t not in reach.depths]
         assert rep.status == "incomplete" and reach.count < 400
         assert list(rep.missing) == valid and len(valid) == 400 - reach.count
         assert list(rep.dense_unreached) == dense and dense
@@ -189,31 +189,6 @@ class TestWitnessVerification:
         for n in (1, 2, 3):
             rep = verify_witnesses(n, n)
             assert rep.ok()
-
-    def test_depths_match_bfs_for_small_sizes(self):
-        for n in (2, 3):
-            reach = reachable_tableaux(n, n)
-            rep_bfs = verify_witnesses(n, n, reach=reach)
-            rep_grade = verify_witnesses(n, n)
-            assert rep_bfs.ok() and rep_grade.ok()
-            depths_bfs = {c.detail: c.depth for c in rep_bfs.cases if c.kind == "permutation"}
-            depths_grade = {c.detail: c.depth for c in rep_grade.cases if c.kind == "permutation"}
-            assert depths_bfs == depths_grade
-
-    def test_reach_of_another_grid_refused(self):
-        # a 3x2 reach holds masks of the 2x2 permutation tableaux' cells,
-        # but those are other tableaux, so no depth may be read from it
-        with pytest.raises(ValueError, match="reach is of a 3x2 grid, not 2x2"):
-            verify_witnesses(3, 2, reach=reachable_tableaux(3, 2))
-
-    def test_depth_limited_reach_refused(self):
-        # a search cut at depth 1 misses targets, whose depths would go unchecked
-        with pytest.raises(ValueError, match="incomplete"):
-            verify_witnesses(3, 3, reach=reachable_tableaux(3, 3, depth_limit=1))
-        # cut at depth 4, the search still holds all f(3, 3) tableaux
-        reach = reachable_tableaux(3, 3, depth_limit=4)
-        assert reach.complete
-        assert verify_witnesses(3, 3, reach=reach).to_json() == verify_witnesses(3, 3).to_json()
 
     @pytest.mark.parametrize(
         "n, digest",

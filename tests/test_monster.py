@@ -178,7 +178,6 @@ class TestTableau:
     def test_json(self):
         t = T(2, 3, {(0, 0), (1, 2)})
         assert Tableau.from_json(t.to_json()) == t
-        assert t.to_json(depth=2)["depth"] == 2
 
 
 class TestTableauStep:
@@ -332,9 +331,9 @@ class TestReachability:
         reach = reachable_tableaux(2, 3)
         assert type(reach.table) is bytearray and len(reach.table) == 1 << 6
         assert reach.table.count(0) == (1 << 6) - reach.count
-        assert [reach.table[mask] for mask in sorted(reach.mask_depths)] == [
-            d + 1 for _, d in sorted(reach.mask_depths.items())
-        ]
+        assert {t.mask: reach.table[t.mask] for t in reach.depths} == {
+            t.mask: d + 1 for t, d in reach.depths.items()
+        }
         with pytest.raises(ValueError, match="2x3 depth table has 2\\^6 bytes"):
             ReachResult(2, 3, bytearray(32), True)
 
@@ -389,24 +388,36 @@ class TestReachability:
         assert list(reach.depth_histogram().values()) == [1, 15, 1079, 30989, 25772]
 
     def test_listing_and_views(self):
+        # `depths` lists the reached tableaux in increasing mask order, each
+        # with the depth its table byte holds, and no other tableau
         reach = reachable_tableaux(2, 3)
-        listing = reach.listing()
-        assert [d for _, d in listing] == sorted(d for _, d in listing)
-        assert dict(listing) == reach.depths
-        assert {t.mask: d for t, d in listing} == reach.mask_depths
-        assert all(t in reach for t, _ in listing)
-        assert T(3, 2, {(0, 0)}) not in reach  # same mask, other grid
+        masks = [t.mask for t in reach.depths]
+        assert masks == sorted(masks) and len(masks) == reach.count
+        assert all((t.m, t.n) == (2, 3) for t in reach.depths)
+        assert {t.mask: d for t, d in reach.depths.items()} == {
+            mask: byte - 1 for mask, byte in enumerate(reach.table) if byte
+        }
 
     def test_levels_in_mask_order(self):
         # each depth's masks come from one scan, increasing; together they
         # are the reached masks sorted by (depth, mask)
         reach = reachable_tableaux(3, 3, depth_limit=3)
-        expected = sorted((d, mask) for mask, d in reach.mask_depths.items())
-        assert reach.sorted_masks() == expected
+        expected = sorted((d, t.mask) for t, d in reach.depths.items())
+        assert [(d, mask) for d in reach.depth_histogram() for mask in reach.level(d)] == expected
         for d, size in reach.depth_histogram().items():
             assert reach.level(d) == [mask for e, mask in expected if e == d]
             assert len(reach.level(d)) == size
+            assert reach.level(d) == [mask for mask, byte in enumerate(reach.table) if byte == d + 1]
         assert reach.level(4) == []
+
+    def test_no_level_outside_the_depths_a_byte_holds(self):
+        # a depth below 0 or past MAX_DEPTH has no masks: not the unreached
+        # masks (byte 0), and no IndexError past the last byte value
+        reach = reachable_tableaux(2, 2)
+        for depth in (-1, -2, monster.MAX_DEPTH + 1, 255, 1000):
+            assert reach.level(depth) == []
+        assert reach.level(monster.MAX_DEPTH) == []
+        assert sum(map(len, map(reach.level, range(-3, 300)))) == reach.count == 10
 
     def test_guard(self):
         with pytest.raises(SizeGuardError):
@@ -435,7 +446,7 @@ class TestOrbitSearch:
         for depth_limit in [*range(full.saturation_depth() + 1), None]:
             expected = reference_reach(m, n, depth_limit)
             reach = reachable_tableaux(m, n, depth_limit=depth_limit)
-            assert reach.mask_depths == expected.mask_depths
+            assert reach.table == expected.table
             assert reach.complete == expected.complete
 
     def test_matches_reference_at_4x4(self):
@@ -444,7 +455,7 @@ class TestOrbitSearch:
         for depth_limit in (0, 1, 2, 3, None):
             expected = reference_reach(4, 4, depth_limit)
             reach = reachable_tableaux(4, 4, depth_limit=depth_limit)
-            assert reach.mask_depths == expected.mask_depths
+            assert reach.table == expected.table
             assert reach.complete == expected.complete
 
     @pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (3, 4)])
@@ -480,19 +491,15 @@ class TestOrbitSearch:
 
     @pytest.mark.parametrize("m, n", SMALL_GRIDS)
     def test_mask_depths_view(self, m, n):
-        # the read-only view of the table is the reference dict, listed in
-        # increasing mask order
+        # the table holds depth + 1 at each mask of the reference dict and 0
+        # elsewhere; `depths` is the reference dict keyed by `Tableau`,
+        # listed in increasing mask order
         expected, _ = reference_depths(m, n)
-        view = reachable_tableaux(m, n).mask_depths
-        assert view == expected and dict(view) == expected
-        assert list(view) == sorted(expected) and len(view) == len(expected)
-        assert list(view.items()) == sorted(expected.items())
-        with pytest.raises(TypeError):
-            view[1] = 3
-        with pytest.raises(KeyError):
-            view[0]  # the empty tableau is never reached
-        with pytest.raises(KeyError):
-            view[1 << (m * n)]
+        reach = reachable_tableaux(m, n)
+        assert {mask: byte - 1 for mask, byte in enumerate(reach.table) if byte} == expected
+        assert reach.table[0] == 0  # the empty tableau is never reached
+        assert [(t.mask, d) for t, d in reach.depths.items()] == sorted(expected.items())
+        assert reach.count == len(expected)
 
 
 class TestDistinguishingLetters:
@@ -654,7 +661,10 @@ class TestStateComplexity:
         # 2^(mn) masks, also closed under every letter) into the same
         # classes, one mask per class; a pair with a whole side gives
         # another partition
-        masks = list(range(1 << (m * n))) if closed else sorted(reachable_tableaux(m, n).mask_depths)
+        if closed:
+            masks = list(range(1 << (m * n)))
+        else:
+            masks = sorted(t.mask for t in reachable_tableaux(m, n).depths)
         index = {mask: i for i, mask in enumerate(masks)}
         rows = successor_rows(tuple(map(index.__getitem__, row)) for row in letter_rows(masks, m, n))
 

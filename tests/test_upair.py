@@ -330,7 +330,6 @@ class TestMaskCalculus:
         for n, k, parts in all_assignments():
             v = SetVector(parts)
             assert mirror(v, k) == SetVector(ref_mirror(parts, k))
-            assert mirror(v) == mirror(v, k)
             if k:
                 with pytest.raises(ValueError):
                     mirror(v, k - 1)
@@ -372,7 +371,7 @@ class TestGenerateGraded:
 
     def test_grade2_length2_explicit(self):
         assert set(generate_graded(2, 2)) == {SetVector.parse(t) for t in GRADE2_RIGHT_FAMILY}
-        assert set(generate_graded(2, 2, side="left")) == {
+        assert {mirror(v, 2) for v in generate_graded(2, 2)} == {
             SetVector.parse(t) for t in GRADE2_LEFT_FAMILY
         }
 
@@ -380,9 +379,20 @@ class TestGenerateGraded:
         assert [len(generate_graded(2, k)) for k in range(5)] == [1, 2, 6, 22, 86]
 
     def test_left_is_mirror_of_right(self):
-        right = generate_graded(3, 2)
-        left = generate_graded(3, 2, side="left")
-        assert {mirror(v, 2) for v in right} == set(left)
+        # the mirrored right family is the left-valid family, enumerated
+        # independently by assigning each element of {1..2^k} to a part
+        for n in (2, 3):
+            for k in range(4):
+                left = {mirror(v, k) for v in generate_graded(n, k)}
+                ground = range(1, (1 << k) + 1)
+                filtered = set()
+                for assign in product(range(n), repeat=1 << k):
+                    parts = [set() for _ in range(n)]
+                    for x, i in zip(ground, assign):
+                        parts[i].add(x)
+                    if is_lvalid(v := SetVector(parts), k):
+                        filtered.add(v)
+                assert left == filtered
 
     def test_closure_matches_predicate_filter(self):
         # independent enumeration: assign each element of {1..2^k} to a part
@@ -483,9 +493,10 @@ class TestGenerateGraded:
         level = sorted(map(Packing(n, k).unpack, graded_level(n, k)))
         assert hashlib.sha256(repr(level).encode()).hexdigest() == self.LEVEL_DIGESTS[n, k]
 
-    # sha256 of repr([v.parts for v in generate_graded(n, k, side)]), in the
-    # order returned, recorded before the listing was sorted by the ranks of
-    # `Packing.ranks`
+    # sha256 of repr([v.parts for v in vectors]), the right family in the
+    # order `generate_graded` returns and the left family in the same
+    # canonical order, recorded before the listing was sorted by the ranks
+    # of `Packing.ranks`
     ORDER_DIGESTS = {
         ("right", 1, 0): "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
         ("right", 1, 1): "9d1803cfcfb10fed88d8efdc2b0320705e0f329726a6587849f3fa141c265500",
@@ -545,7 +556,10 @@ class TestGenerateGraded:
 
     @pytest.mark.parametrize("side, n, k", sorted(ORDER_DIGESTS))
     def test_order_digest(self, side, n, k):
-        vectors = generate_graded(n, k, side)
+        vectors = generate_graded(n, k)
+        if side == "left":
+            # the left family is the mirror of the right one
+            vectors = sorted((mirror(v, k) for v in vectors), key=SetVector.key)
         assert vectors == sorted(set(vectors), key=SetVector.key)
         digest = hashlib.sha256(repr([v.parts for v in vectors]).encode()).hexdigest()
         assert digest == self.ORDER_DIGESTS[side, n, k]
@@ -654,7 +668,9 @@ class TestSuccessors:
     def test_rank_order_matches_key_order(self):
         rng = random.Random(3)
         for n, k, side in [(4, 2, "right"), (3, 2, "right"), (2, 3, "left")]:
-            vectors = generate_graded(n, k, side)
+            vectors = generate_graded(n, k)
+            if side == "left":
+                vectors = [mirror(v, k) for v in vectors]
             rng.shuffle(vectors)
             assert rank_order(Packing(n, k), [v.parts for v in vectors]) == [
                 v.parts for v in sorted(vectors, key=SetVector.key)
@@ -856,6 +872,6 @@ class TestInjectivity:
                         for path, _ in self.enumerate_useful_paths(m, n, k)
                     )
                 }
-                lefts = set(generate_graded(m, k, side="left"))
+                lefts = {mirror(v, k) for v in generate_graded(m, k)}
                 rights = set(generate_graded(n, k))
                 assert images == {(l, r) for l in lefts for r in rights}
