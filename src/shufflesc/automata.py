@@ -116,6 +116,13 @@ class Transformation:
         """The cycle (i0,...,il-1): each listed point maps to the next, the
         last wraps to the first, everything else is fixed."""
         points = list(points)
+        seen = set()
+        for a in points:
+            if not 0 <= a < n:
+                raise ValueError(f"point {a} not within range({n})")
+            if a in seen:
+                raise ValueError(f"point {a} given twice")
+            seen.add(a)
         images = list(range(n))
         for a, b in zip(points, points[1:] + points[:1]):
             images[a] = b

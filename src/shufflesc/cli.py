@@ -10,12 +10,12 @@ check did not come out clean (failed or incomplete).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from contextlib import contextmanager
 from functools import partial
 from itertools import groupby
+from types import SimpleNamespace
 
 from .automata import Transformation, bits
 from .conjecture import check_conjecture1, check_conjecture2
@@ -68,16 +68,11 @@ class CliError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route through CliError so
-    # bad input maps to exit code 1 and 2 stays reserved for size guards.
-    def error(self, message):
-        raise CliError(message)
-
-
 def _at_least(text: str, low: int, noun: str) -> int:
     value = int(text)
     if value < low:
+        import argparse  # a refusal is reported by the argparse fallback
+
         raise argparse.ArgumentTypeError(f"expected {noun} of at least {low}, got {value}")
     return value
 
@@ -97,35 +92,104 @@ def _positive(text: str) -> int:
     return _at_least(text, 1, "an integer")
 
 
-class _LazyParser:
-    """A subcommand's parser as `add_parser` registers it: its keywords and
-    the function that adds its arguments.  The parser is built only in
-    `parse_known_args`, the one method argparse calls on a subparser, so a
-    command line builds the parsers it dispatches to and no others."""
-
-    def __init__(self, arguments, **kwargs):
-        self.arguments, self.kwargs = arguments, kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self.kwargs)
-        self.arguments(parser)
-        return parser.parse_known_args(args, namespace)
-
-
 def _add_subcommands(parser, dest: str, table: dict) -> None:
     """One subcommand per entry `name: (help, arguments function, ...)`."""
-    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_LazyParser)
+    sub = parser.add_subparsers(dest=dest, required=True)
     for name, (text, arguments, *_) in table.items():
-        sub.add_parser(name, help=text, arguments=arguments)
+        arguments(sub.add_parser(name, help=text))
 
 
-def _build_parser() -> _Parser:
+def _top_arguments(p):
+    """The global options and the subcommands, on a parser or a `_Grammar`."""
+    p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--output", help="write the result to this path instead of stdout")
+    p.add_argument("--force", action="store_true", help="widen the size guards")
+    _add_subcommands(p, "command", _COMMANDS)
+
+
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage; route through CliError so
+        # bad input maps to exit code 1 and 2 stays reserved for size guards.
+        def error(self, message):
+            raise CliError(message)
+
     parser = _Parser(prog="shufflesc", description=__doc__)
-    parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--output", help="write the result to this path instead of stdout")
-    parser.add_argument("--force", action="store_true", help="widen the size guards")
-    _add_subcommands(parser, "command", _COMMANDS)
+    _top_arguments(parser)
     return parser
+
+
+class _Grammar:
+    """One level of the command line, recorded by running the argument
+    functions on it in place of a parser: its options, by exact name, as
+    (dest, type, choices) with type None for a flag, its positionals as
+    (dest, type), the defaults, and its subcommands by name (a level is
+    also its own subparsers action)."""
+
+    def __init__(self):
+        self.options, self.positionals, self.defaults = {}, [], {}
+        self.dest, self.commands = None, {}
+
+    def add_argument(self, name, type=str, dest=None, default=None, choices=None, action=None,
+                     help=None):
+        if not name.startswith("-"):
+            self.positionals.append((name, type))
+            return
+        dest = dest or name[2:].replace("-", "_")
+        if action == "store_true":
+            type, default = None, False
+        self.options[name] = (dest, type, choices)
+        self.defaults[dest] = default
+
+    def add_subparsers(self, dest, required):
+        self.dest = dest
+        return self
+
+    def add_parser(self, name, help):
+        grammar = self.commands[name] = _Grammar()
+        return grammar
+
+
+def _fast_read(argv):
+    """The namespace argparse would make of a plain command line: the global
+    options, a command (and a witness kind), then that command's positionals
+    and options, each option by its exact name and each value through its
+    type.  None for anything else (help, an abbreviation, `--opt=value`, a
+    value starting with "-", a misplaced option, a wrong count, a value its
+    type refuses), which the argparse parser then reads and reports."""
+    grammar, values, tokens = _Grammar(), {}, iter(argv)
+    _top_arguments(grammar)
+    try:
+        while True:
+            values.update(grammar.defaults)
+            slots = iter(grammar.positionals)
+            for token in tokens:
+                if token.startswith("-"):
+                    dest, kind, choices = grammar.options[token]
+                    if kind is None:
+                        values[dest] = True
+                        continue
+                    token = next(tokens, "-")
+                    if token.startswith("-"):
+                        return None
+                    values[dest] = kind(token)
+                    if choices and values[dest] not in choices:
+                        return None
+                elif (slot := next(slots, None)) is not None:
+                    values[slot[0]] = slot[1](token)
+                else:
+                    values[grammar.dest], grammar = token, grammar.commands[token]
+                    break
+            else:
+                if grammar.commands or next(slots, None) is not None:
+                    return None
+                return SimpleNamespace(**values)
+    except Exception:
+        # an unknown option, command or extra positional, or a value its
+        # type refuses
+        return None
 
 
 def _grid(p):
@@ -505,8 +569,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse reads only what the plain reader leaves: help, usage
+        # errors and unusual spellings
+        args = _fast_read(argv) or _build_parser().parse_args(argv)
         if args.fmt == "csv" and args.command not in _CSV_COMMANDS:
             raise CliError(f"--format csv is not supported by {args.command}")
         return _COMMANDS[args.command][2](args)

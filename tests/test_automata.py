@@ -82,6 +82,20 @@ class TestTransformation:
         swap = Transformation.cycle(2, [0, 1])
         assert swap.images == (1, 0)
 
+    def test_cycle_points_checked(self):
+        # a point outside 0..n-1 is not a list index, and a repeated point
+        # is refused, as from_map refuses its keys
+        for points, message in [
+            ([2, -1], "point -1 not within range\\(3\\)"),
+            ([0, 3], "point 3 not within range\\(3\\)"),
+            ([-1, 1], "point -1 not within range\\(3\\)"),
+            ([1, 1], "point 1 given twice"),
+            ([0, 2, 1, 2], "point 2 given twice"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Transformation.cycle(3, points)
+        assert Transformation.cycle(3, []) == Transformation.cycle(3, [1]) == Transformation.identity(3)
+
     def test_constructors(self):
         assert Transformation.identity(3).images == (0, 1, 2)
         assert Transformation.constant(3, 2).images == (2, 2, 2)

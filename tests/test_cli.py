@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -313,13 +317,6 @@ class TestExitCodes:
         assert err == f"error: --format csv is not supported by {argv[0]}\n"
 
 
-def _eager(arguments, **kwargs):
-    """What `cli._LazyParser` defers: the subcommand's parser, built at once."""
-    parser = cli._Parser(**kwargs)
-    arguments(parser)
-    return parser
-
-
 def _outcome(capsys, argv):
     """stdout, stderr and exit code of `main(argv)`, or its SystemExit code."""
     try:
@@ -330,50 +327,93 @@ def _outcome(capsys, argv):
     return out.out, out.err, code
 
 
-class TestParser:
-    """Each command line builds only the parsers it dispatches to, and its
-    help and usage errors read as with every parser built at once."""
+# sha256 of repr(_outcome(...)) with COLUMNS=80 for help texts and usage
+# errors, recorded (CPython 3.11) when argparse read every command line and
+# built a subcommand's parser only when it dispatched to it
+PARSER_PINS = {
+    (): "899fe352e0dbe1134a380f3b187889f656bdc8d76c6007d64b1e0634640388b3",
+    ("--help",): "fd981018a6f47255e1653424f259dee28df07449af82920fe3ae6cca6221109e",
+    ("bound", "-h"): "89c5b58706084fbac1a2548244b1b7bc55c491688eaddb8c1058262c9678500b",
+    ("reach", "-h"): "5db35f5203ff20144a88f02fdfd43713faa26f6da8f97c454aaa643f994e6e18",
+    ("sc", "-h"): "ce67614332ce242f299638fdb3568dc2a36f365d9c5c067ee4328d00af91f11d",
+    ("graded", "-h"): "da5d8c9457bdb08625993f9da7f5dc7d77fa2bade7af8b7e61bdcc0bad4499f7",
+    ("matrix", "-h"): "aa156504d9bfc30511588476c6b5e8cdf9e27f45d2c1611c0c5acb834eb1d657",
+    ("sequence", "-h"): "357e7328580077c69090f06d4484afb814df7cee08ee1b186737c6d5b8b85819",
+    ("coeffs", "-h"): "4694cce066e6391fe7f6faccdc4b7fbab9ca417b430e934a88a5bcf186a7b21a",
+    ("series", "-h"): "5819ac82a44df054d444c1623dc3de554c61ca4bbbf986633ab72f02df0d2d62",
+    ("succ", "-h"): "7c9fbc448296744126437dc652cabcfce9efcc7453e5f4897e7496491a04d8bb",
+    ("conjecture", "-h"): "404e1c2e09f0e7e2de5658968c7e985c97dfa5352fecc38dbbfb19e652f725e8",
+    ("witness", "-h"): "9d70d4c29c70c308786f642fc5bef260e7ff292ca28b6d6375c7082359f4059d",
+    ("lower-bound", "-h"): "fb34d7af848d070e67980efbf9ec10aac1a92836cbc7ba98f4c0c71826cfb002",
+    ("witness", "perm", "-h"): "637bfb3daca82696b82b479fb82a9437a9c898f011c8605f6b5311d2c42079ec",
+    ("witness", "full", "-h"): "4fc3a005a47104a9541d095aa9e72b6c736ed0f77f8e3ab1064c1390605f15aa",
+    ("nope",): "93ccccd0adab604cca8ef99a83d1a2dd938dd8a0d2a6e5a93143f746767c5c12",
+    ("witness", "bogus"): "f34b11f3e95751a40bf428c167c898bf86f5b9ae60642849065b0eab7e1473f5",
+    ("sc",): "c7aaf91cf8a732720b945a66c317f478eb3a323b5b07d91d74c49e962f663bc0",
+    ("sc", "2"): "09befbd3ec80d7b47b2ff819161ff8080f57711c5e19019a54dbd5966dec96a6",
+    ("sc", "0", "2"): "a48d9d3304d612dd9248fb6150a714cd722b9686bcf3415481ece8e98115cba4",
+    ("sc", "2", "2", "extra"): "bdaa69be3d615dde8bb007a02a931ae2b0ec07d073205fef2427e2ecc27a0f0f",
+    ("sc", "2", "2", "--format", "json"):
+        "8bf212bec44081700e6a02ed83ba81780c70d9320a956ee0300e24d87cb6f959",
+    ("--form", "json", "sc", "2", "2"):
+        "b23ddbe0bc75f59de67d1d8532ecc9555345a6a531525c5ca06a1acc27bd3844",
+    ("--fo", "sc", "2", "2"): "a4e58a400e8c3829b5b7a6a898a8a90679980b8b0e98df737ec7f98f3cbebd93",
+    ("--output",): "12fa016d846661568ec531a17855c9f9b65b2c8fdb7c299ad6b45aeefb8e0db8",
+    ("--format", "xml", "sc", "2", "2"):
+        "c0b8d7ebafb386eac4c0c76d31f22249e9f65e06b809e10baae02c98369f2bce",
+}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [[], ["--help"]]
-        + [[name, "-h"] for name in cli._COMMANDS]
-        + [
-            ["witness", "perm", "-h"],
-            ["witness", "full", "-h"],
-            ["nope"],
-            ["witness", "bogus"],
-            ["sc"],
-            ["sc", "2"],
-            ["sc", "0", "2"],
-            ["sc", "2", "2", "extra"],
-            ["sc", "2", "2", "--format", "json"],
-            ["--form", "json", "sc", "2", "2"],
-            ["--fo", "sc", "2", "2"],
-            ["--output"],
-            ["--format", "xml", "sc", "2", "2"],
-        ],
-    )
+# the child of test_argparse_only_for_what_the_reader_leaves: it runs the
+# CLI, then writes on stderr which of the modules argparse brings in the
+# import of the CLI and the run added
+ARGPARSE_CHILD = """
+import sys
+before = set(sys.modules)
+from shufflesc.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    added = set(sys.modules) - before
+    print(*sorted({"argparse", "gettext", "locale"} & added), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestParser:
+    """Help and usage errors come from the argparse parser alone, with the
+    text and exit codes of the parser that built every subcommand's parser
+    (pinned); the plain command lines that argparse would accept are read
+    without it."""
+
+    @pytest.mark.parametrize("argv", [list(argv) for argv in PARSER_PINS])
     def test_same_text_as_an_eager_build(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        lazy = _outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_LazyParser", _eager)
-        assert _outcome(capsys, argv) == lazy
+        outcome = _outcome(capsys, argv)
+        assert hashlib.sha256(repr(outcome).encode()).hexdigest() == PARSER_PINS[tuple(argv)]
 
     @pytest.mark.parametrize(
-        "argv, built",
-        [(["sc", "2", "2"], 2), (["witness", "full", "2", "3"], 3), (["--help"], 1), (["nope"], 1)],
+        "argv, code, fallback",
+        [
+            (["--format", "json", "sc", "3", "3"], 0, False),
+            (["witness", "full", "2", "3"], 0, False),
+            (["--help"], 0, True),
+            (["nope"], 1, True),
+        ],
     )
-    def test_builds_only_the_dispatched_parsers(self, capsys, monkeypatch, argv, built):
-        init, calls = cli._Parser.__init__, []
-
-        def counted(self, *args, **kwargs):
-            calls.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cli._Parser, "__init__", counted)
-        _outcome(capsys, argv)
-        assert len(calls) == built
+    def test_argparse_only_for_what_the_reader_leaves(self, argv, code, fallback):
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+        proc = subprocess.run(
+            [sys.executable, "-c", ARGPARSE_CHILD, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        imported = proc.stderr.splitlines()[-1]
+        assert imported == ("argparse gettext locale" if fallback else "")
+        if argv == ["--help"]:
+            # the help text of the parent, which exits through SystemExit(0)
+            outcome = (proc.stdout, "", ("SystemExit", 0))
+            assert hashlib.sha256(repr(outcome).encode()).hexdigest() == PARSER_PINS[("--help",)]
 
 
 class TestGuards:
@@ -784,3 +824,121 @@ class TestPinnedOutputs:
             hashlib.sha256(out.encode("utf-8")).hexdigest()
             == "be4e6762d46464141b88b14ad1b47f92f959198044a9ae9d50d83c4615d241b8"
         )
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+# the command lines of the README's `## CLI` block, less `shufflesc`
+README_LINES = [
+    line.split("#")[0].split()[1:]
+    for line in re.search(
+        r"^## CLI\n.*?^```\n(.*?)^```$", (REPO / "README.md").read_text(), re.S | re.M
+    ).group(1).splitlines()
+]
+PERFBENCH_LINES = [
+    job["spec"]["argv"]
+    for jobs in runpy.run_path(str(REPO / "perfbench" / "run.py"))["WORKLOADS"].values()
+    for job in jobs
+    if job["spec"]["kind"] == "cli"
+]
+BENCH_SIZES_LINES = runpy.run_path(str(REPO / "scripts" / "bench_sizes.py"))["COMMANDS"]
+
+# lines that argparse accepts and the plain reader reads as it would
+PLAIN_VARIANTS = [
+    ["reach", "--depth-limit", "1", "3", "4"],
+    ["reach", "3", "--depth-limit", "1", "4"],
+    ["reach", "3", "4", "--depth-limit", "1"],
+    ["reach", "3", "4", "--depth-limit", "1", "--depth-limit", "2"],
+    ["graded", "--count", "6", "3"],
+    ["graded", "6", "--count", "3"],
+    ["graded", "6", "3", "--count", "--count"],
+    ["succ", "7", "--oracle", "5", "2"],
+    ["conjecture", "--dense", "3", "4", "--depth-limit", "0"],
+    ["matrix", "--power", "2", "3"],
+    ["--format", "json", "--format", "text", "sc", "3", "3"],
+    ["--force", "--force", "sc", "3", "3"],
+    ["--output", "", "sc", "3", "3"],
+    ["--output", "sc", "--format", "csv", "reach", "2", "2"],
+    ["succ", "4", " -1", "1"],
+    ["sc", " 3", "3"],
+    ["witness", "perm", "3", ""],
+]
+
+# lines left to argparse, which accepts some and refuses the others
+REFUSED_VARIANTS = [
+    ["reach", "3", "4", "--depth", "1"],
+    ["--format=json", "sc", "3", "3"],
+    ["--form", "json", "sc", "3", "3"],
+    ["-h"],
+    ["sc", "-h"],
+    ["sc", "3", "3", "-h"],
+    ["witness", "perm", "-h"],
+    ["--output", "-", "sc", "3", "3"],
+    ["--output", "--force", "sc", "3", "3"],
+    ["succ", "4", "-1", "1"],
+    ["sequence", "2", "-1"],
+    ["sc", "-3", "3"],
+    ["reach", "3", "4", "--depth-limit", "-1"],
+    ["witness", "perm", "3", "-1,0,2"],
+    ["sc", "3", "3", "--format", "json"],
+    ["sc", "3", "3", "--force"],
+    ["--count", "graded", "6", "3"],
+    ["sc", "--", "3", "3"],
+    ["sc", "3", "3", "--"],
+    ["sc", "3", "3", ""],
+    ["sc", "3", "x"],
+    ["sc", "0", "3"],
+    ["SC", "3", "3"],
+    ["witness"],
+    ["witness", "full", "2"],
+    ["--format"],
+    ["--format", "xml", "sc", "3", "3"],
+    ["--format", "json"],
+]
+
+
+def _marked_argvs(*classes):
+    """The command lines of the parametrize marks of these test classes,
+    and each under --force."""
+    for cls in classes:
+        for name in dir(cls):
+            for mark in getattr(getattr(cls, name), "pytestmark", []):
+                for value in mark.args[1]:
+                    argv = value[0] if isinstance(value, tuple) else value
+                    if isinstance(argv, list):
+                        yield argv
+                        yield ["--force", *argv]
+
+
+CORPUS = (
+    PERFBENCH_LINES + BENCH_SIZES_LINES + README_LINES + PLAIN_VARIANTS + REFUSED_VARIANTS
+    + [list(argv) for argv in PARSER_PINS]
+    + list(_marked_argvs(TestExitCodes, TestGuards))
+    + [argv for argv, *_ in TestGuards.GUARDED.values()]
+    + [["bound", "two", "2"], ["frobnicate"], ["--threads", "4", "bound", "2", "2"]]
+)
+
+
+class TestFastRead:
+    """`cli._fast_read` gives the namespace the argparse parser gives, or
+    None and leaves the line to the parser."""
+
+    @pytest.mark.parametrize("argv", CORPUS)
+    def test_as_argparse_reads(self, argv):
+        read = cli._fast_read(argv)
+        if read is not None:
+            assert vars(read) == vars(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", PERFBENCH_LINES + README_LINES + PLAIN_VARIANTS)
+    def test_reads_the_plain_lines(self, argv):
+        assert cli._fast_read(argv) is not None
+
+    @pytest.mark.parametrize("argv", REFUSED_VARIANTS)
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._fast_read(argv) is None
+
+    def test_corpus_has_the_benchmark_lines(self):
+        assert ["--format", "json", "sc", "3", "3"] in PERFBENCH_LINES
+        assert ["witness", "perm", "5", "2,0,1,4,3"] in README_LINES
+        assert ["--force", "sc", "2", "8"] in BENCH_SIZES_LINES
