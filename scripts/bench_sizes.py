@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Time the heavy CLI commands at fixed sizes and write a BENCH_*.json.
 
-Each command runs three times in a fresh interpreter, with the package
-imported from `<root>/src`, and the median is kept.  Per command it records
-the wall time of the whole process (interpreter start included), the time
-of the child's `from shufflesc.cli import main` (`import_s`: the package's
-set-up, compiling its source when no bytecode is cached), the time of the
-`main(...)` call alone (`main_s`: parsing, the work and the output, without
-the interpreter's start and imports), the child's own peak RSS
-(VmHWM: `ru_maxrss` would carry the parent's resident set across exec) and
-the sha256 of stdout.  The file also records the
+Each command runs five times in a fresh interpreter, with the package
+imported from `<root>/src`, and the median is kept with its quartiles.
+Per command it records the wall time of the whole process (interpreter
+start included), the time of the child's `from shufflesc.cli import main`
+(`import_s`: the package's set-up, compiling its source when no bytecode
+is cached), the time of the `main(...)` call alone (`main_s`: parsing, the
+work and the output, without the interpreter's start and imports), the
+child's own peak RSS (VmHWM: `ru_maxrss` would carry the parent's resident
+set across exec) and the sha256 of stdout.  The file also records the
 Python version, the core count and the commit of each root.
 
 With several roots (say a checkout of the parent commit and the working
-tree) the runs alternate between them, so a drift of the host's speed
-falls on both sides alike.
+tree) the runs alternate between them, in the given order on even runs
+and reversed on odd ones, so a drift of the host's speed, and the cost of
+going first, fall on both sides alike.
 
 Example:
-    python scripts/bench_sizes.py --root ../parent --root . > BENCH_29.json
+    python scripts/bench_sizes.py --root ../parent --root . > BENCH_32.json
 """
 
 import argparse
@@ -29,7 +30,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 COMMANDS = [
     ["--format", "json", "sc", "3", "3"],
@@ -37,6 +38,8 @@ COMMANDS = [
     ["--force", "sc", "3", "5"],
     ["--force", "sc", "2", "8"],
     ["--force", "sc", "4", "4"],
+    ["--force", "sc", "3", "6"],
+    ["--force", "sc", "4", "5"],
     ["--format", "json", "reach", "3", "4"],
     ["--force", "reach", "4", "4"],
     ["--format", "json", "graded", "5", "3"],
@@ -45,7 +48,7 @@ COMMANDS = [
     ["succ", "7", "5", "2", "--oracle"],
     ["series", "64"],
 ]
-RUNS = 3
+RUNS = 5
 CHILD_TAG = "@@child "
 # run in the child: the CLI, then its own peak RSS in KiB, the seconds of
 # the main call and the seconds of the import on stderr
@@ -106,18 +109,26 @@ def main():
     roots = args.root or [Path(__file__).resolve().parent.parent]
 
     runs = {(i, j): [] for i in range(len(roots)) for j in range(len(COMMANDS))}
-    for _ in range(RUNS):
+    order = list(enumerate(roots))
+    for run in range(RUNS):
         for j, argv in enumerate(COMMANDS):
-            for i, root in enumerate(roots):
+            for i, root in order[::-1] if run % 2 else order:
                 runs[i, j].append(measure(argv, root.resolve() / "src"))
                 print(f"{' '.join(argv)} [{i}] {runs[i, j][-1]['wall_s']:.3f} s", file=sys.stderr)
+
+    def quartiles(values, digits):
+        q1, _, q3 = quantiles(values, n=4)
+        return [round(q1, digits), round(q3, digits)]
 
     def summary(records):
         return {
             "exit": sorted({r["exit"] for r in records}),
             "wall_s": round(median(r["wall_s"] for r in records), 4),
+            "wall_s_quartiles": quartiles([r["wall_s"] for r in records], 4),
             "import_s": round(median(r["import_s"] for r in records), 5),
+            "import_s_quartiles": quartiles([r["import_s"] for r in records], 5),
             "main_s": round(median(r["main_s"] for r in records), 5),
+            "main_s_quartiles": quartiles([r["main_s"] for r in records], 5),
             "peak_rss_mib": round(median(r["peak_rss_mib"] for r in records), 1),
             "stdout_sha256": sorted({r["stdout_sha256"] for r in records}),
             "wall_s_runs": [round(r["wall_s"], 4) for r in records],

@@ -162,10 +162,12 @@ class Transformation:
 def _check_table(table, state_count, alphabet, bound, name):
     """Check that `table` is state_count rows of one entry in range(bound) per
     letter position, and that the columns of a repeated letter are equal.
-    Each letter is hashed once, never once per (state, letter)."""
+    Each letter is hashed once, never once per (state, letter), and the
+    range is checked on the distinct entries alone."""
     if len(table) != state_count or any(len(row) != len(alphabet) for row in table):
         raise ValueError(f"table is not {state_count} rows of {len(alphabet)} successors")
-    if alphabet and table and not 0 <= min(map(min, table)) <= max(map(max, table)) < bound:
+    entries = set().union(*table)
+    if entries and not (min(entries) >= 0 and max(entries) < bound):
         q, i = next(
             (q, i)
             for q, row in enumerate(table)

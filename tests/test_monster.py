@@ -502,6 +502,54 @@ class TestOrbitSearch:
         assert reach.count == len(expected)
 
 
+GRIDS_TO_16 = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
+
+
+class TestReachableTable:
+    """The closure with no depths against the breadth-first search."""
+
+    @pytest.mark.parametrize("m, n", GRIDS_TO_16)
+    def test_matches_bfs_support(self, m, n):
+        table, count = monster.reachable_table(m, n)
+        reach = reachable_tableaux(m, n, max_cells=16)
+        assert table == bytes(map(bool, reach.table))
+        assert count == reach.count == len(table) - table.count(0)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [(m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9] + [(3, 4)],
+    )
+    def test_exhausts_the_heap_when_the_bound_is_not_met(self, monkeypatch, m, n):
+        stopped = monster.reachable_table(m, n)
+        # an unreachable bound: the closure runs until the heap is empty
+        monkeypatch.setattr(monster, "f_bound", lambda m, n: f_bound(m, n) + 1)
+        assert monster.reachable_table(m, n) == stopped
+        assert stopped[1] == f_bound(m, n)
+
+    def test_expansions_in_increasing_mask_order(self, monkeypatch):
+        # the smallest waiting mask is expanded first, which reaches the
+        # bound after these many expansions; the breadth-first search takes
+        # 49, 79, 132 and 275
+        expanded = []
+        expand = monster._expand_mask
+
+        def spy(mask, m, n):
+            expanded.append(mask)
+            return expand(mask, m, n)
+
+        monkeypatch.setattr(monster, "_expand_mask", spy)
+        for (m, n), count in {(3, 3): 22, (3, 4): 49, (3, 5): 115, (4, 4): 371}.items():
+            expanded.clear()
+            assert monster.reachable_table(m, n)[1] == f_bound(m, n)
+            assert len(expanded) == count
+
+    @pytest.mark.parametrize("m, n", SMALL_GRIDS)
+    def test_sc_as_with_a_given_reach(self, m, n):
+        assert state_complexity_shuffle(m, n) == state_complexity_shuffle(
+            m, n, reach=reachable_tableaux(m, n)
+        )
+
+
 class TestDistinguishingLetters:
     def test_2x2_letters(self):
         a, b, c = distinguishing_letters(2, 2)
@@ -589,7 +637,9 @@ class TestStateComplexity:
         res = state_complexity_shuffle(m, n)
         assert res.value == best and res.reachable_count == reachable
         assert res.maximizers == tuple(pair for pair, classes in naive if classes == best)
-        assert list(_final_pair_classes(m, n, reachable_tableaux(m, n))) == naive
+        reach = reachable_tableaux(m, n)
+        assert list(_final_pair_classes(m, n, reach.table, reach.count)) == naive
+        assert list(_final_pair_classes(m, n, *monster.reachable_table(m, n))) == naive
 
     def test_3x4(self):
         # every pair with both final sets proper and nonempty is a maximizer
