@@ -18,7 +18,7 @@ and reversed on odd ones, so a drift of the host's speed, and the cost of
 going first, fall on both sides alike.
 
 Example:
-    python scripts/bench_sizes.py --root ../parent --root . > BENCH_32.json
+    python scripts/bench_sizes.py --root ../parent --root . > BENCH_33.json
 """
 
 import argparse
@@ -42,6 +42,7 @@ COMMANDS = [
     ["--force", "sc", "4", "5"],
     ["--format", "json", "reach", "3", "4"],
     ["--force", "reach", "4", "4"],
+    ["--force", "conjecture", "4", "4"],
     ["--format", "json", "graded", "5", "3"],
     ["--format", "json", "graded", "6", "3"],
     ["graded", "6", "3", "--count"],

@@ -486,6 +486,14 @@ def _thaw(letter):
     return letter
 
 
+def _json_int(value):
+    """`value`, an int read from a JSON form; a float, a bool or anything
+    else is refused by name, never rounded or taken as 0 or 1."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _freeze(letter):
     if isinstance(letter, list):
         return tuple(_freeze(x) for x in letter)
@@ -509,12 +517,12 @@ def dfa_to_json(d: Dfa) -> dict:
 def dfa_from_json(obj: Mapping) -> Dfa:
     """The DFA of a JSON form, which gives every (state, letter) of
     range(states) x alphabet exactly once."""
-    state_count = obj["states"]
+    state_count = _json_int(obj["states"])
     alphabet = tuple(_freeze(a) for a in obj["alphabet"])
     delta: dict = {}
     for src, a, dst in obj["delta"]:
-        key = (src, _freeze(a))
-        if delta.setdefault(key, dst) != dst:
+        key = (_json_int(src), _freeze(a))
+        if delta.setdefault(key, _json_int(dst)) != dst:
             raise ValueError(f"delta gives {key!r} two successors, {delta[key]} and {dst}")
     table = []
     for q in range(state_count):
@@ -528,7 +536,8 @@ def dfa_from_json(obj: Mapping) -> Dfa:
         keys = {(q, a) for q in range(state_count) for a in alphabet}
         stray = next(key for key in delta if key not in keys)
         raise ValueError(f"delta key {stray!r} outside range({state_count}) x alphabet")
-    return Dfa(state_count, alphabet, obj["initial"], obj["finals"], table)
+    finals = list(map(_json_int, obj["finals"]))
+    return Dfa(state_count, alphabet, _json_int(obj["initial"]), finals, table)
 
 
 def nfa_to_json(n: Nfa) -> dict:
@@ -549,11 +558,11 @@ def nfa_to_json(n: Nfa) -> dict:
 def nfa_from_json(obj: Mapping) -> Nfa:
     """The NFA of a JSON form, whose triples lie in range(states) x
     alphabet x range(states)."""
-    state_count = obj["states"]
+    state_count = _json_int(obj["states"])
     alphabet = tuple(_freeze(a) for a in obj["alphabet"])
     delta: dict = {}
     for src, a, dst in obj["delta"]:
-        delta.setdefault((src, _freeze(a)), set()).add(dst)
+        delta.setdefault((_json_int(src), _freeze(a)), set()).add(_json_int(dst))
     letters = set(alphabet)
     for (q, a), dsts in delta.items():
         if not 0 <= q < state_count:
@@ -563,4 +572,6 @@ def nfa_from_json(obj: Mapping) -> Nfa:
         if any(not 0 <= d < state_count for d in dsts):
             raise ValueError(f"successor set {dsts} out of range")
     table = [[_mask(delta.get((q, a), ())) for a in alphabet] for q in range(state_count)]
-    return Nfa(state_count, alphabet, obj["initial"], obj["finals"], table)
+    initials = list(map(_json_int, obj["initial"]))
+    finals = list(map(_json_int, obj["finals"]))
+    return Nfa(state_count, alphabet, initials, finals, table)

@@ -140,6 +140,8 @@ def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
     """Brute-force value of succ_count, the ground truth it is checked
     against: count the distinct successors of the canonical l-part vector
     with l + d nonempty parts, over all n^l maps."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     packing, distinct = _canonical_successors(n, l, max_maps)
     return sum(map(eq, packing.nonempty_counts(distinct), repeat(l + d)))
 

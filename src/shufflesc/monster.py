@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .automata import Dfa, Transformation, bits, record
+from .automata import Dfa, Transformation, _json_int, bits, record
 from .errors import SizeGuardError
 
 
@@ -87,7 +87,8 @@ class Tableau:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Tableau":
-        return cls(obj["m"], obj["n"], {tuple(c) for c in obj["cells"]})
+        cells = {tuple(map(_json_int, c)) for c in obj["cells"]}
+        return cls(_json_int(obj["m"]), _json_int(obj["n"]), cells)
 
     def __repr__(self):
         return f"Tableau({self.m}, {self.n}, {sorted(self.cells)})"
@@ -286,21 +287,47 @@ def _close_orbit(table: bytearray, mask: int, mark: int, m: int, n: int) -> int:
     return len(todo)
 
 
-def _new_orbits(table: bytearray, mask: int, mark: int, m: int, n: int) -> tuple[list[int], int]:
-    """Expand the tableau of `mask` under every letter and close each image
-    not yet in `table` into its orbit with `mark` (`_close_orbit`).  Return
-    the images that opened a new orbit, one per orbit in the order found,
-    and the number of masks marked."""
-    found = []
-    marked = 0
-    row_variants, col_variants = _expand_mask(mask, m, n)
-    for rv in row_variants:
-        for cv in col_variants:
-            s = rv | cv
-            if not table[s]:
-                marked += _close_orbit(table, s, mark, m, n)
-                found.append(s)
-    return found, marked
+def _closure(m: int, n: int, step: int, depth_limit: Optional[int]) -> tuple[bytearray, int, bool]:
+    """The closure of {(0, 0)} under every letter, one tableau expanded per
+    orbit of G (see `reachable_tableaux`): a table of one byte per mask
+    (`Tableau.mask`), 0 for the unreached masks, the number reached, and
+    whether the closure is complete.
+
+    The orbit representatives wait on a heap as `byte * 2^(mn) + mask`, byte
+    the table's at mask, and the smallest is expanded first.  Each image not
+    yet in the table opens a new orbit (`_close_orbit`), marked `step` above
+    the byte of the tableau expanded.  With step 1 the byte is depth + 1 and
+    the heap hands out one level after another, each in increasing mask
+    order: the breadth-first search.  With step 0 every byte is 1, and the
+    order is by mask alone.  Every letter keeps a tableau valid, so the
+    closure stops as soon as it holds f(m, n) masks (`f_bound`), or else
+    when the heap is empty.  It stops, incomplete, before it would mark a
+    depth past `depth_limit`, and raises RuntimeError before it would mark
+    one past MAX_DEPTH.
+    """
+    span = 1 << (m * n)  # the number of masks
+    bound = f_bound(m, n)
+    table = bytearray(span)
+    table[1] = 1  # {(0, 0)}, mask 1, at depth 0
+    count = 1
+    heap = [span | 1]
+    while heap and count < bound:
+        byte, mask = divmod(heappop(heap), span)
+        mark = byte + step
+        if depth_limit is not None and mark > depth_limit + 1:
+            return table, count, False
+        if mark > MAX_DEPTH + 1:
+            raise RuntimeError(
+                f"the search passed depth {MAX_DEPTH}, the deepest a table byte holds"
+            )
+        row_variants, col_variants = _expand_mask(mask, m, n)
+        for rv in row_variants:
+            for cv in col_variants:
+                s = rv | cv
+                if not table[s]:
+                    count += _close_orbit(table, s, mark, m, n)
+                    heappush(heap, mark * span | s)
+    return table, count, True
 
 
 def reachable_table(m: int, n: int) -> tuple[bytearray, int]:
@@ -310,30 +337,13 @@ def reachable_table(m: int, n: int) -> tuple[bytearray, int]:
     2^(mn) bytes.
 
     The closure of {(0, 0)} under the full alphabet is the same set in any
-    order, so no level is kept: the orbit representatives wait on a heap
-    and the smallest mask is expanded first (`_new_orbits`).  Marking whole
-    orbits needs only that the reachable set is closed under G, shown in
-    the Orbits proof of `reachable_tableaux`: the images of (s x t)(E) are
-    (s x t) of the images of E under the conjugate letters, and
-    conjugation permutes the full alphabet.  Every letter keeps a tableau
-    valid, so the closure stops as soon as it holds f(m, n) masks
-    (`f_bound`), or else when the heap is empty, each orbit then expanded
-    once.  Where `reachable_tableaux` expands all of a level to prove it
-    holds nothing more, this order reaches the bound after 22 expansions
-    against 49 at 3 x 3, 200 against 1042 at 3 x 6 and 1042 against 2537
-    at 4 x 5; at 4 x 4 it takes 371 against 275.
+    order, so no level is kept: `_closure` with step 0 expands the smallest
+    waiting mask first.  Where `reachable_tableaux` expands all of a level
+    to prove it holds nothing more, this order reaches the bound f(m, n)
+    after 22 expansions against 49 at 3 x 3, 200 against 1042 at 3 x 6 and
+    1042 against 2537 at 4 x 5; at 4 x 4 it takes 371 against 275.
     """
-    bound = f_bound(m, n)
-    table = bytearray(1 << (m * n))
-    table[1] = 1  # {(0, 0)}
-    count = 1
-    heap = [1]
-    while heap and count < bound:
-        found, marked = _new_orbits(table, heappop(heap), 1, m, n)
-        count += marked
-        for s in found:
-            heappush(heap, s)
-    return table, count
+    return _closure(m, n, 0, None)[:2]
 
 
 def reachable_tableaux(
@@ -343,16 +353,17 @@ def reachable_tableaux(
     max_cells: int = 16,
 ) -> ReachResult:
     """Breadth-first closure of {(0, 0)} under all letters, one tableau
-    expanded per orbit.
+    expanded per orbit: `_closure` with step 1.  Each level is expanded in
+    increasing mask order, which reaches the bound f(m, n) after far fewer
+    expansions than discovery order at 2 x 6 and 4 x 4 (43 against 123, 275
+    against 1163; 79 against 68 at 3 x 4).
 
-    Every letter keeps a tableau valid, so the reachable tableaux are among
-    the f(m, n) valid ones (`f_bound`); the search stops as soon as it holds
-    that many, since no later step can add one.  Each tableau gets its depth
-    when first found, which BFS makes minimal, so stopping early changes no
-    depth.  `complete` is True when every valid tableau was reached or the
-    closure ran out of new tableaux; it is False only when `depth_limit`
-    levels were expanded with frontier left over and fewer than f(m, n)
-    tableaux found.  A negative `depth_limit` raises ValueError.
+    Each tableau gets its depth when first found, which BFS makes minimal,
+    so stopping at f(m, n) changes no depth.  `complete` is True when every
+    valid tableau was reached or the closure ran out of new tableaux; it is
+    False only when `depth_limit` levels were expanded with tableaux left
+    to expand and fewer than f(m, n) found.  A negative `depth_limit`
+    raises ValueError.
 
     The depths are written into a table of one byte per mask (see
     `ReachResult`), which costs 2^(mn) bytes, so `max_cells` also bounds a
@@ -372,8 +383,9 @@ def reachable_tableaux(
     depth((s x t)(E)) = depth(E).  Every level of the search is thus a
     union of orbits: when a tableau is first found, its whole orbit is
     written into the table at the same depth (`_close_orbit`), and only
-    that tableau is expanded at the next level.  The images of one tableau per orbit, closed under G,
-    are the images of the whole level.
+    that tableau is expanded at the next level.  The images of one tableau
+    per orbit, closed under G, are the images of the whole level.  The
+    same argument, with no depths, lets any other order mark whole orbits.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
@@ -381,33 +393,7 @@ def reachable_tableaux(
         raise ValueError("depth_limit must be at least 0")
     if m * n > max_cells:
         raise SizeGuardError(f"{m}x{n} grid exceeds the {max_cells}-cell guard", "max_cells")
-    bound = f_bound(m, n)
-    table = bytearray(1 << (m * n))
-    table[1] = 1  # {(0, 0)}, mask 1, at depth 0
-    count = 1
-    frontier = [1]
-    depth = 0
-    complete = True
-    while frontier and count < bound:
-        if depth_limit is not None and depth >= depth_limit:
-            complete = False
-            break
-        depth += 1
-        if depth > MAX_DEPTH:
-            raise RuntimeError(f"the search passed depth {MAX_DEPTH}, the deepest a table byte holds")
-        mark = depth + 1
-        nxt = []
-        for mask in frontier:
-            found, marked = _new_orbits(table, mask, mark, m, n)
-            nxt += found
-            count += marked
-            if count == bound:
-                break
-        # expanding the next level in increasing mask order reaches the
-        # bound f(m, n) after far fewer expansions than discovery order at
-        # 2 x 6 and 4 x 4 (43 against 123, 275 against 1163; 79 against 68
-        # at 3 x 4), so those searches end several times sooner
-        frontier = sorted(nxt)
+    table, _, complete = _closure(m, n, 1, depth_limit)
     return ReachResult(m, n, table, complete)
 
 
@@ -576,7 +562,9 @@ def _final_pair_classes(m, n, table, count):
             yield (frozenset(bits(f1_bits)), frozenset(bits(f2_bits))), classes
 
 
-def monster_dfa(size: int, finals: Iterable[int], letters: Iterable[MonsterLetter], side: str) -> Dfa:
+def monster_dfa(
+    size: int, finals: Iterable[int], letters: Iterable[MonsterLetter], side: str
+) -> Dfa:
     """One side of a pair of full-transition automata, restricted to the
     given letters.  `side` selects which component of each letter acts."""
     if side not in ("left", "right"):

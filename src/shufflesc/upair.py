@@ -23,7 +23,7 @@ from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, lshift, mod, ne, or_, rshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .automata import Transformation, bits, record
+from .automata import Transformation, _json_int, bits, record
 from .errors import SizeGuardError
 from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
 
@@ -419,13 +419,13 @@ class UPair:
         """
         sides = []
         for name in ("left", "right"):
-            parts = [[int(x) for x in p] for p in obj[name]]
+            parts = [list(map(_json_int, p)) for p in obj[name]]
             listed = sum(map(len, parts))
             if any(x > listed for p in parts for x in p):
                 raise ValueError(f"{name} side lists {listed} elements, none can exceed {listed}")
             sides.append(SetVector(parts))
         pair = cls(*sides)
-        if "k" in obj and obj["k"] != pair.grade:
+        if "k" in obj and _json_int(obj["k"]) != pair.grade:
             raise ValueError(f"\"k\" is {obj['k']!r} but the pair has grade {pair.grade}")
         return pair
 

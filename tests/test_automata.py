@@ -864,3 +864,34 @@ class TestJson:
         obj = {**dfa_json(2, ["a"], [[0, "a", 1], [2, "a", 0]]), "initial": [0]}
         with pytest.raises(ValueError, match="state 2 out of range"):
             nfa_from_json(obj)
+
+    # each JSON field that holds states, with a float or bool in its place;
+    # an integral float is refused too, as a bool is, not read as its int
+    NON_INTEGERS = [
+        ("states", 2.0),
+        ("initial", 0.0),
+        ("finals", [True]),
+        ("delta", [[0, "a", 0.5], [1, "a", 0]]),
+        ("delta", [[0, "a", 1], [1.0, "a", 0]]),
+        ("delta", [[0, "a", 1], [1, "a", False]]),
+    ]
+
+    @pytest.mark.parametrize("field, value", NON_INTEGERS)
+    def test_dfa_non_integers_refused(self, field, value):
+        obj = {**dfa_json(2, ["a"], [[0, "a", 1], [1, "a", 0]]), field: value}
+        with pytest.raises(ValueError, match="is not an integer"):
+            dfa_from_json(obj)
+
+    @pytest.mark.parametrize("field, value", NON_INTEGERS)
+    def test_nfa_non_integers_refused(self, field, value):
+        obj = {**dfa_json(2, ["a"], [[0, "a", 1], [1, "a", 0]]), "initial": [0], field: value}
+        if field == "initial":
+            obj["initial"] = [value]
+        with pytest.raises(ValueError, match="is not an integer"):
+            nfa_from_json(obj)
+
+    def test_non_integer_named(self):
+        with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+            dfa_from_json(dfa_json(2, ["a"], [[0, "a", 0.5], [1, "a", 0]]))
+        with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+            nfa_from_json({**dfa_json(2, ["a"], [[0, "a", 1.5]]), "initial": [0]})

@@ -228,6 +228,15 @@ class TestSuccCount:
                     assert oracle == len(buckets.get(l + d, ()))
                     assert oracle == (succ_count(n, l, d) if l + d <= n else 0)
 
+    def test_oracle_refuses_negative_d(self, monkeypatch):
+        # refused before any map is enumerated, as succ_count refuses it
+        monkeypatch.setattr(enumeration, "_canonical_successors", None)
+        for d in (-1, -5):
+            with pytest.raises(ValueError, match="^d must be nonnegative$"):
+                succ_count_oracle(4, 2, d)
+            with pytest.raises(ValueError, match="^d must be nonnegative$"):
+                succ_count(4, 2, d)
+
     def test_oracle_guard(self):
         with pytest.raises(SizeGuardError):
             succ_count_oracle(5, 5, 0, max_maps=100)

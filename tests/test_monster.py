@@ -179,6 +179,20 @@ class TestTableau:
         t = T(2, 3, {(0, 0), (1, 2)})
         assert Tableau.from_json(t.to_json()) == t
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"m": 2, "n": 3, "cells": [[0.9, 0]]},
+            {"m": 2, "n": 3, "cells": [[0, True]]},
+            {"m": 2.0, "n": 3, "cells": [[0, 0]]},
+            {"m": 2, "n": False, "cells": []},
+        ],
+    )
+    def test_json_non_integer_refused(self, obj):
+        # row 0.9 is not read as row 0, nor a bool as 0 or 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            Tableau.from_json(obj)
+
 
 class TestTableauStep:
     def test_first_step(self, fig1_letters):
@@ -326,6 +340,14 @@ class TestReachability:
         with pytest.raises(RuntimeError, match="passed depth 1"):
             reachable_tableaux(2, 2)
         assert reachable_tableaux(2, 2, depth_limit=1).count == 4
+
+    def test_depth_byte_check_spares_the_depth_free_closure(self, monkeypatch):
+        # the closure for sc marks every orbit with byte 1, so no depth
+        # check stops it; the breadth-first search is stopped at depth 1
+        monkeypatch.setattr(monster, "MAX_DEPTH", 0)
+        assert monster.reachable_table(3, 3)[1] == f_bound(3, 3)
+        with pytest.raises(RuntimeError, match="passed depth 0"):
+            reachable_tableaux(2, 2)
 
     def test_table_has_a_byte_per_mask(self):
         reach = reachable_tableaux(2, 3)

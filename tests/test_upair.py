@@ -736,6 +736,16 @@ class TestUPair:
             UPair.from_json({"k": 7, "left": [[1]], "right": [[1]]})
         assert UPair.from_json({"left": [[1]], "right": [[1]]}).grade == 0
 
+    @pytest.mark.parametrize("left", [[[1.9]], [[1.0]], [[True]], [["1"]]])
+    def test_json_non_integer_element_refused(self, left):
+        # 1.9 is not read as element 1, nor true as 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            UPair.from_json({"left": left, "right": [[1]]})
+
+    def test_json_non_integer_grade_refused(self):
+        with pytest.raises(ValueError, match="^True is not an integer$"):
+            UPair.from_json({"k": True, "left": [[1, 2]], "right": [[1], [2]]})
+
     def test_json_large_element_refused_before_masks(self):
         tracemalloc.start()
         try:
