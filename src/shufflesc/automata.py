@@ -89,7 +89,7 @@ class Transformation:
     __slots__ = ("images", "_hash")
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(i) for i in images)
+        images = tuple(map(_json_int, images))
         n = len(images)
         if any(not 0 <= i < n for i in images):
             raise ValueError(f"images {images} not within range({n})")
@@ -202,9 +202,9 @@ class Dfa:
 
     def __post_init__(self):
         alphabet, table = tuple(self.alphabet), tuple(map(tuple, self.table))
-        finals = frozenset(self.finals)
+        finals = frozenset(map(_json_int, self.finals))
         self.__dict__.update(alphabet=alphabet, finals=finals, table=table)
-        if not 0 <= self.initial < self.state_count:
+        if not 0 <= _json_int(self.initial) < _json_int(self.state_count):
             raise ValueError(f"initial state {self.initial} out of range")
         if any(not 0 <= q < self.state_count for q in finals):
             raise ValueError("final state out of range")
@@ -258,7 +258,8 @@ class Nfa:
 
     def __post_init__(self):
         alphabet, table = tuple(self.alphabet), tuple(map(tuple, self.table))
-        initials, finals = frozenset(self.initials), frozenset(self.finals)
+        initials = frozenset(map(_json_int, self.initials))
+        finals = frozenset(map(_json_int, self.finals))
         self.__dict__.update(alphabet=alphabet, initials=initials, finals=finals, table=table)
         for q in initials | finals:
             if not 0 <= q < self.state_count:
@@ -487,8 +488,9 @@ def _thaw(letter):
 
 
 def _json_int(value):
-    """`value`, an int read from a JSON form; a float, a bool or anything
-    else is refused by name, never rounded or taken as 0 or 1."""
+    """`value`, an int given to a record or read from a JSON form; a float,
+    a bool or anything else is refused by name, never rounded or taken as 0
+    or 1."""
     if type(value) is not int:
         raise ValueError(f"{value!r} is not an integer")
     return value
@@ -536,8 +538,7 @@ def dfa_from_json(obj: Mapping) -> Dfa:
         keys = {(q, a) for q in range(state_count) for a in alphabet}
         stray = next(key for key in delta if key not in keys)
         raise ValueError(f"delta key {stray!r} outside range({state_count}) x alphabet")
-    finals = list(map(_json_int, obj["finals"]))
-    return Dfa(state_count, alphabet, _json_int(obj["initial"]), finals, table)
+    return Dfa(state_count, alphabet, obj["initial"], obj["finals"], table)
 
 
 def nfa_to_json(n: Nfa) -> dict:
@@ -572,6 +573,4 @@ def nfa_from_json(obj: Mapping) -> Nfa:
         if any(not 0 <= d < state_count for d in dsts):
             raise ValueError(f"successor set {dsts} out of range")
     table = [[_mask(delta.get((q, a), ())) for a in alphabet] for q in range(state_count)]
-    initials = list(map(_json_int, obj["initial"]))
-    finals = list(map(_json_int, obj["finals"]))
-    return Nfa(state_count, alphabet, initials, finals, table)
+    return Nfa(state_count, alphabet, obj["initial"], obj["finals"], table)

@@ -92,21 +92,6 @@ def _positive(text: str) -> int:
     return _at_least(text, 1, "an integer")
 
 
-def _add_subcommands(parser, dest: str, table: dict) -> None:
-    """One subcommand per entry `name: (help, arguments function, ...)`."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (text, arguments, *_) in table.items():
-        arguments(sub.add_parser(name, help=text))
-
-
-def _top_arguments(p):
-    """The global options and the subcommands, on a parser or a `_Grammar`."""
-    p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", help="write the result to this path instead of stdout")
-    p.add_argument("--force", action="store_true", help="widen the size guards")
-    _add_subcommands(p, "command", _COMMANDS)
-
-
 def _build_parser():
     import argparse
 
@@ -116,40 +101,19 @@ def _build_parser():
         def error(self, message):
             raise CliError(message)
 
+    def add(parser, level):
+        for item in level:
+            if isinstance(item, dict):
+                ((dest, table),) = item.items()
+                sub = parser.add_subparsers(dest=dest, required=True)
+                for name, (text, arguments, *_) in table.items():
+                    add(sub.add_parser(name, help=text), arguments)
+            else:
+                parser.add_argument(item[0], **item[1])
+
     parser = _Parser(prog="shufflesc", description=__doc__)
-    _top_arguments(parser)
+    add(parser, _TOP)
     return parser
-
-
-class _Grammar:
-    """One level of the command line, recorded by running the argument
-    functions on it in place of a parser: its options, by exact name, as
-    (dest, type, choices) with type None for a flag, its positionals as
-    (dest, type), the defaults, and its subcommands by name (a level is
-    also its own subparsers action)."""
-
-    def __init__(self):
-        self.options, self.positionals, self.defaults = {}, [], {}
-        self.dest, self.commands = None, {}
-
-    def add_argument(self, name, type=str, dest=None, default=None, choices=None, action=None,
-                     help=None):
-        if not name.startswith("-"):
-            self.positionals.append((name, type))
-            return
-        dest = dest or name[2:].replace("-", "_")
-        if action == "store_true":
-            type, default = None, False
-        self.options[name] = (dest, type, choices)
-        self.defaults[dest] = default
-
-    def add_subparsers(self, dest, required):
-        self.dest = dest
-        return self
-
-    def add_parser(self, name, help):
-        grammar = self.commands[name] = _Grammar()
-        return grammar
 
 
 def _fast_read(argv):
@@ -159,81 +123,44 @@ def _fast_read(argv):
     type.  None for anything else (help, an abbreviation, `--opt=value`, a
     value starting with "-", a misplaced option, a wrong count, a value its
     type refuses), which the argparse parser then reads and reports."""
-    grammar, values, tokens = _Grammar(), {}, iter(argv)
-    _top_arguments(grammar)
+    level, values, tokens = _TOP, {}, iter(argv)
     try:
         while True:
-            values.update(grammar.defaults)
-            slots = iter(grammar.positionals)
+            options, positionals, commands = {}, [], None
+            for item in level:
+                if isinstance(item, dict):
+                    ((command_dest, commands),) = item.items()
+                elif item[0].startswith("-"):
+                    name, keywords = item
+                    dest = keywords.get("dest") or name[2:].replace("-", "_")
+                    options[name] = dest, keywords
+                    values[dest] = False if "action" in keywords else keywords.get("default")
+                else:
+                    positionals.append(item)
+            slots = iter(positionals)
             for token in tokens:
                 if token.startswith("-"):
-                    dest, kind, choices = grammar.options[token]
-                    if kind is None:
+                    dest, keywords = options[token]
+                    if "action" in keywords:
                         values[dest] = True
                         continue
                     token = next(tokens, "-")
-                    if token.startswith("-"):
-                        return None
-                    values[dest] = kind(token)
-                    if choices and values[dest] not in choices:
+                    value = values[dest] = keywords.get("type", str)(token)
+                    if token.startswith("-") or value not in keywords.get("choices", (value,)):
                         return None
                 elif (slot := next(slots, None)) is not None:
-                    values[slot[0]] = slot[1](token)
+                    values[slot[0]] = slot[1].get("type", str)(token)
                 else:
-                    values[grammar.dest], grammar = token, grammar.commands[token]
+                    values[command_dest], level = token, commands[token][1]
                     break
             else:
-                if grammar.commands or next(slots, None) is not None:
+                if commands or next(slots, None) is not None:
                     return None
                 return SimpleNamespace(**values)
     except Exception:
         # an unknown option, command or extra positional, or a value its
         # type refuses
         return None
-
-
-def _grid(p):
-    p.add_argument("m", type=_size)
-    p.add_argument("n", type=_size)
-
-
-def _reach_arguments(p):
-    _grid(p)
-    p.add_argument("--depth-limit", type=_count, dest="depth_limit")
-
-
-def _graded_arguments(p):
-    p.add_argument("n", type=_positive)
-    p.add_argument("k", type=_count)
-    p.add_argument("--count", action="store_true", dest="count_only", help="print only the count")
-
-
-def _matrix_arguments(p):
-    p.add_argument("n", type=_positive)
-    p.add_argument("--power", type=_count, default=1)
-
-
-def _sequence_arguments(p):
-    p.add_argument("n", type=_positive)
-    p.add_argument("kmax", type=_count)
-
-
-def _succ_arguments(p):
-    p.add_argument("n", type=_positive)
-    p.add_argument("l", type=int)
-    p.add_argument("delta", type=_count)
-    p.add_argument("--oracle", action="store_true", help="also run the brute-force check")
-
-
-def _conjecture_arguments(p):
-    _grid(p)
-    p.add_argument("--dense", action="store_true", help="check the dense restriction instead")
-    p.add_argument("--depth-limit", type=_count, dest="depth_limit")
-
-
-def _perm_arguments(p):
-    p.add_argument("n", type=_positive)
-    p.add_argument("sigma", help="comma-separated images, e.g. 1,2,0")
 
 
 @contextmanager
@@ -520,38 +447,79 @@ def _cmd_lower_bound(args):
     return EXIT_OK
 
 
+# The command line, read by `_fast_read` and built by `_build_parser`: a level
+# is its arguments in order, as (name, add_argument keywords) pairs, then at
+# most one {dest: {subcommand: (help, level, handler)}} item.
+_GRID = (("m", dict(type=_size)), ("n", dict(type=_size)))
+_N = ("n", dict(type=_positive))
+_DEPTH_LIMIT = ("--depth-limit", dict(type=_count, dest="depth_limit"))
+
 _WITNESS_KINDS = {
-    "perm": ("pair hitting the permutation tableau", _perm_arguments),
-    "full": ("pair hitting the full m x n tableau", _grid),
+    "perm": (
+        "pair hitting the permutation tableau",
+        (_N, ("sigma", dict(help="comma-separated images, e.g. 1,2,0"))),
+    ),
+    "full": ("pair hitting the full m x n tableau", _GRID),
 }
 
-# subcommand -> (help, the function adding its arguments, handler)
 _COMMANDS = {
-    "bound": ("valid-tableau count f(m, n)", _grid, _cmd_bound),
-    "reach": ("reachable tableaux with minimal depths", _reach_arguments, _cmd_reach),
-    "sc": ("exact shuffle state complexity with maximizing finals", _grid, _cmd_sc),
-    "graded": ("grade-k valid vectors of length n", _graded_arguments, _cmd_graded),
-    "matrix": ("successor-count matrix S_n (optionally a power)", _matrix_arguments, _cmd_matrix),
-    "sequence": ("totals r_total(n, k) for k = 0..kmax", _sequence_arguments, _cmd_sequence),
-    "coeffs": (
-        "closed-form rational coefficients for the totals",
-        lambda p: p.add_argument("n", type=_positive),
-        _cmd_coeffs,
+    "bound": ("valid-tableau count f(m, n)", _GRID, _cmd_bound),
+    "reach": ("reachable tableaux with minimal depths", (*_GRID, _DEPTH_LIMIT), _cmd_reach),
+    "sc": ("exact shuffle state complexity with maximizing finals", _GRID, _cmd_sc),
+    "graded": (
+        "grade-k valid vectors of length n",
+        (
+            _N,
+            ("k", dict(type=_count)),
+            ("--count", dict(action="store_true", dest="count_only", help="print only the count")),
+        ),
+        _cmd_graded,
     ),
+    "matrix": (
+        "successor-count matrix S_n (optionally a power)",
+        (_N, ("--power", dict(type=_count, default=1))),
+        _cmd_matrix,
+    ),
+    "sequence": (
+        "totals r_total(n, k) for k = 0..kmax", (_N, ("kmax", dict(type=_count))), _cmd_sequence
+    ),
+    "coeffs": ("closed-form rational coefficients for the totals", (_N,), _cmd_coeffs),
     "series": (
         "generating series blocks 0..d, both constructions",
-        lambda p: p.add_argument("d", type=_positive),
+        (("d", dict(type=_positive)),),
         _cmd_series,
     ),
-    "succ": ("successor count s(n; l -> l+delta)", _succ_arguments, _cmd_succ),
-    "conjecture": ("reachability check at (m, n)", _conjecture_arguments, _cmd_conjecture),
-    "witness": (
-        "explicit witness constructions",
-        lambda p: _add_subcommands(p, "witness_kind", _WITNESS_KINDS),
-        _cmd_witness,
+    "succ": (
+        "successor count s(n; l -> l+delta)",
+        (
+            _N,
+            ("l", dict(type=int)),
+            ("delta", dict(type=_count)),
+            ("--oracle", dict(action="store_true", help="also run the brute-force check")),
+        ),
+        _cmd_succ,
     ),
-    "lower-bound": ("inclusion-exclusion reachability lower bound", _grid, _cmd_lower_bound),
+    "conjecture": (
+        "reachability check at (m, n)",
+        (
+            *_GRID,
+            ("--dense", dict(action="store_true", help="check the dense restriction instead")),
+            _DEPTH_LIMIT,
+        ),
+        _cmd_conjecture,
+    ),
+    "witness": (
+        "explicit witness constructions", ({"witness_kind": _WITNESS_KINDS},), _cmd_witness
+    ),
+    "lower-bound": ("inclusion-exclusion reachability lower bound", _GRID, _cmd_lower_bound),
 }
+
+_TOP = (
+    ("--format", dict(dest="fmt", choices=("text", "json", "csv"), default="text")),
+    ("--output", dict(help="write the result to this path instead of stdout")),
+    ("--force", dict(action="store_true", help="widen the size guards")),
+    {"command": _COMMANDS},
+)
 
 
 def main(argv=None) -> int:

@@ -234,11 +234,13 @@ def hadamard(m: ExactMatrix, n: ExactMatrix) -> ExactMatrix:
 def matrix_S(n: int, size: Optional[int] = None) -> ExactMatrix:
     """The n x n successor-count matrix: entry (i, j), 1-indexed, is
     succ_count(n, i, j - i).  Upper triangular with diagonal 1^1 ... n^n.
-    With `size`, only its top-left size x size block."""
+    With `size`, in 1..n, only its top-left size x size block."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if size is None:
         size = n
+    elif not 1 <= size <= n:
+        raise ValueError(f"need 1 <= size <= n, got size={size}, n={n}")
     return ExactMatrix(
         [
             [succ_count(n, i, j - i) if j >= i else 0 for j in range(1, size + 1)]

@@ -39,7 +39,9 @@ class Tableau:
     cells: frozenset
 
     def __post_init__(self):
-        cells = frozenset((int(i), int(j)) for i, j in self.cells)
+        if min(_json_int(self.m), _json_int(self.n)) < 1:
+            raise ValueError("m and n must be at least 1")
+        cells = frozenset((_json_int(i), _json_int(j)) for i, j in self.cells)
         object.__setattr__(self, "cells", cells)
         if any(not (0 <= i < self.m and 0 <= j < self.n) for i, j in cells):
             raise ValueError(f"cell out of {self.m}x{self.n} range: {sorted(cells)}")
@@ -87,8 +89,7 @@ class Tableau:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Tableau":
-        cells = {tuple(map(_json_int, c)) for c in obj["cells"]}
-        return cls(_json_int(obj["m"]), _json_int(obj["n"]), cells)
+        return cls(obj["m"], obj["n"], obj["cells"])
 
     def __repr__(self):
         return f"Tableau({self.m}, {self.n}, {sorted(self.cells)})"

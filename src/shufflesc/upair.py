@@ -47,7 +47,7 @@ class SetVector:
     def __init__(self, parts: Iterable[Iterable[int]]):
         masks = []
         for p in parts:
-            elements = {int(x) for x in p}
+            elements = set(map(_json_int, p))
             if any(x < 1 for x in elements):
                 raise ValueError("set-vector elements must be positive integers")
             masks.append(sum(1 << (x - 1) for x in elements))

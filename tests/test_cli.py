@@ -920,6 +920,34 @@ CORPUS = (
 )
 
 
+def _row_lines(level, options, line=()):
+    """Per row of the CLI table under `level` (each command, and each kind
+    of a command with kinds), the command line that gives every positional
+    of the levels it walks a value and, with `options`, sets every option
+    once."""
+    line = list(line)
+    for count, item in enumerate(level, 1):
+        if isinstance(item, dict):
+            ((_, table),) = item.items()
+            for name, (_, arguments, *_) in table.items():
+                yield from _row_lines(arguments, options, [*line, name])
+            return
+        name, keywords = item
+        # the last choice, or a count distinct within the level, which every
+        # type of the table accepts
+        value = keywords["choices"][-1] if "choices" in keywords else str(count)
+        if not name.startswith("-"):
+            line.append(value)
+        elif options and "action" in keywords:
+            line.append(name)
+        elif options:
+            line += [name, value]
+    yield line
+
+
+TABLE_LINES = [*_row_lines(cli._TOP, True), *_row_lines(cli._TOP, False)]
+
+
 class TestFastRead:
     """`cli._fast_read` gives the namespace the argparse parser gives, or
     None and leaves the line to the parser."""
@@ -937,6 +965,12 @@ class TestFastRead:
     @pytest.mark.parametrize("argv", REFUSED_VARIANTS)
     def test_leaves_the_rest_to_argparse(self, argv):
         assert cli._fast_read(argv) is None
+
+    @pytest.mark.parametrize("argv", TABLE_LINES, ids=" ".join)
+    def test_reads_each_row(self, argv):
+        read = cli._fast_read(argv)
+        assert read is not None
+        assert vars(read) == vars(cli._build_parser().parse_args(argv))
 
     def test_corpus_has_the_benchmark_lines(self):
         assert ["--format", "json", "sc", "3", "3"] in PERFBENCH_LINES

@@ -330,6 +330,11 @@ class TestMatrices:
         with pytest.raises(ValueError):
             matrix_power(matrix_S(2), -1)
 
+    @pytest.mark.parametrize("size", [-1, 0, 4, 5])
+    def test_block_size_outside_one_to_n(self, size):
+        with pytest.raises(ValueError, match=rf"^need 1 <= size <= n, got size={size}, n=3$"):
+            matrix_S(3, size)
+
 
 def _a_block(n, rows, cols):
     from math import comb, factorial

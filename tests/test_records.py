@@ -10,6 +10,7 @@ class writes its own.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from shufflesc import (
     ScResult,
     SetVector,
     Tableau,
+    Transformation,
     UPair,
     WitnessReport,
     reachable_tableaux,
@@ -140,6 +142,41 @@ class TestPostInit:
     def test_upair_side_not_valid(self):
         with pytest.raises(ValueError, match="not 1-Lvalid"):
             UPair(left=SetVector([{1}, {2}]), right=SetVector([{1}, {2}]))
+
+
+class TestIntegerStates:
+    """The constructors hold the JSON loaders' rule: a state number, cell
+    index or element that is not an int is refused by name, not truncated
+    or kept."""
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: Transformation([0.5, 1]), "0.5"),
+            (lambda: Tableau(2, 3, {(0.9, 0)}), "0.9"),
+            (lambda: Tableau(2.0, 3, set()), "2.0"),
+            (lambda: SetVector([[1.5]]), "1.5"),
+            (lambda: Dfa(2, ("a",), 0, [True], [[1], [0]]), "True"),
+            (lambda: Dfa(2, ("a",), 0.0, [1], [[1], [0]]), "0.0"),
+            (lambda: Dfa(2.0, ("a",), 0, [1], [[1], [0]]), "2.0"),
+            (lambda: Nfa(2, ("a",), [False], [True], [[2], [1]]), "False"),
+            (lambda: Nfa(2, ("a",), [0], ["1"], [[2], [1]]), "'1'"),
+        ],
+        ids=[
+            "transformation-image", "tableau-cell", "tableau-side", "setvector-element",
+            "dfa-final", "dfa-initial", "dfa-states", "nfa-initial", "nfa-final",
+        ],
+    )
+    def test_non_integer_refused(self, build, bad):
+        with pytest.raises(ValueError, match=rf"^{re.escape(bad)} is not an integer$"):
+            build()
+
+    @pytest.mark.parametrize("m, n", [(-1, 2), (0, 0), (2, 0), (0, 3)])
+    def test_tableau_side_below_one(self, m, n):
+        with pytest.raises(ValueError, match="^m and n must be at least 1$"):
+            Tableau(m, n, set())
+        with pytest.raises(ValueError, match="^m and n must be at least 1$"):
+            Tableau.from_json({"m": m, "n": n, "cells": []})
 
 
 class TestFrozen:
