@@ -105,17 +105,17 @@ class Transformation:
 
     @classmethod
     def identity(cls, n: int) -> "Transformation":
-        return cls(range(n))
+        return cls(range(_size(n)))
 
     @classmethod
     def constant(cls, n: int, value: int) -> "Transformation":
-        return cls([value] * n)
+        return cls([value] * _size(n))
 
     @classmethod
     def cycle(cls, n: int, points: Iterable[int]) -> "Transformation":
         """The cycle (i0,...,il-1): each listed point maps to the next, the
         last wraps to the first, everything else is fixed."""
-        points = list(points)
+        n, points = _size(n), list(map(_json_int, points))
         seen = set()
         for a in points:
             if not 0 <= a < n:
@@ -131,9 +131,9 @@ class Transformation:
     @classmethod
     def from_map(cls, n: int, mapping: Mapping[int, int]) -> "Transformation":
         """Total map equal to `mapping` where defined and the identity elsewhere."""
-        images = list(range(n))
+        images = list(range(_size(n)))
         for k, v in mapping.items():
-            if not 0 <= k < n:
+            if not 0 <= _json_int(k) < n:
                 raise ValueError(f"key {k} not within range({n})")
             images[k] = v
         return cls(images)
@@ -157,6 +157,13 @@ class Transformation:
 
     def __repr__(self):
         return f"Transformation({list(self.images)})"
+
+
+def _size(n):
+    """`n`, the size of a transformation, refused unless an int >= 0."""
+    if _json_int(n) < 0:
+        raise ValueError(f"size {n} is negative")
+    return n
 
 
 def _check_table(table, state_count, alphabet, bound, name):
@@ -397,38 +404,29 @@ def _no_successors(codes):
     return ()
 
 
-def successor_rows(successors) -> list:
-    """Rows for `moore_refine`, one per state.
-
-    `successors` yields, for each state in turn, the tuple of its successor
-    indices, one per letter.  Row s is an `itemgetter` over that tuple, so
-    the codes of all successors come from one C-level call; in CPython the
-    getter holds the tuple itself rather than a copy.  With no letters every
-    row returns ().
-    """
-    return [itemgetter(*succ) if succ else _no_successors for succ in successors]
-
-
-def moore_refine(rows, codes) -> list:
+def moore_refine(successors, codes) -> list:
     """Moore refinement: split classes by successor classes until stable.
 
-    `codes[s]` is the initial class code of state s and `rows[s](codes)` the
-    codes of its successors (see `successor_rows`).  Each round numbers
-    every state by its code and the codes of its successors; it stops once
-    a round splits nothing.  No round runs when there is only one class or
-    every state has a class of its own, since neither can split.  Returns a
-    class code per state: equal codes mean equivalent states, the values
-    themselves carry nothing.
+    `codes[s]` is the initial class code of state s and `successors[s]` the
+    tuple of its successor indices, one per letter.  Each round numbers
+    every state by its code and the codes of its successors, read by one
+    C-level `itemgetter` call over that tuple; it stops once a round splits
+    nothing.  When there is only one class or every state has a class of
+    its own, neither can split: no round runs and no successor is read.
+    Returns a class code per state: equal codes mean equivalent states, the
+    values themselves carry nothing.
     """
     codes = list(codes)
     count = len(set(codes))
-    while 1 < count < len(codes):
+    if not 1 < count < len(codes):
+        return codes
+    rows = [itemgetter(*succ) if succ else _no_successors for succ in successors]
+    while True:
         sigs: dict = {}
         codes = [sigs.setdefault((c, row(codes)), len(sigs)) for c, row in zip(codes, rows)]
-        if len(sigs) == count:
-            break
+        if len(sigs) in (count, len(codes)):
+            return codes
         count = len(sigs)
-    return codes
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -452,7 +450,7 @@ def minimize(d: Dfa) -> Dfa:
         succ = d.table[: len(order)]
     else:
         succ = [tuple(map(pos.__getitem__, d.table[q])) for q in order]
-    codes = moore_refine(successor_rows(succ), [int(q in d.finals) for q in order])
+    codes = moore_refine(succ, [int(q in d.finals) for q in order])
     if identity and len(order) == d.state_count and len(set(codes)) == len(codes):
         # initial state 0, the same finals and `succ` is `d.table`
         return d

@@ -57,7 +57,7 @@ class SetVector:
     def of_masks(cls, masks: Iterable[int]) -> "SetVector":
         """The vector whose part i is masks[i]."""
         v = object.__new__(cls)
-        v.parts = tuple(masks)
+        v.parts = tuple(map(_json_int, masks))
         if v.parts and min(v.parts) < 0:
             raise ValueError("set-vector elements must be positive integers")
         if sum(map(int.bit_count, v.parts)) != v._union().bit_count():

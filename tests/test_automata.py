@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import deque
 from functools import reduce
 from itertools import product
@@ -23,7 +24,7 @@ from shufflesc import (
     nfa_to_json,
     shuffle_nfa,
 )
-from shufflesc.automata import bits, moore_refine, successor_rows
+from shufflesc.automata import bits, moore_refine
 from shufflesc.monster import f_bound, monster_dfa
 
 
@@ -112,6 +113,43 @@ class TestTransformation:
             with pytest.raises(ValueError, match=f"^key {key} not within range\\(3\\)$"):
                 Transformation.from_map(3, {key: 0})
         assert Transformation.from_map(3, {2: 0, 0: 1}).images == (1, 1, 0)
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (lambda: Transformation.from_map(3, {0.5: 1}), "0.5"),
+            (lambda: Transformation.from_map(3, {True: 1}), "True"),
+            (lambda: Transformation.cycle(3, [0.0, 1]), "0.0"),
+            (lambda: Transformation.cycle(3, [1, True]), "True"),
+            (lambda: Transformation.cycle(1, [True]), "True"),
+        ],
+        ids=["float-key", "bool-key", "float-point", "bool-point-twice", "bool-point-range"],
+    )
+    def test_non_integer_key_or_point_refused(self, make, value):
+        # a key or point is checked as an integer before its range: a float
+        # is no list index, and True is not the key or point 1
+        with pytest.raises(ValueError, match=f"^{re.escape(value)} is not an integer$"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Transformation.identity(-1), "size -1 is negative"),
+            (lambda: Transformation.constant(-2, 0), "size -2 is negative"),
+            (lambda: Transformation.cycle(-1, []), "size -1 is negative"),
+            (lambda: Transformation.from_map(-1, {}), "size -1 is negative"),
+            (lambda: Transformation.identity(1.5), "1.5 is not an integer"),
+            (lambda: Transformation.identity(True), "True is not an integer"),
+            (lambda: Transformation.constant(2.0, 0), "2.0 is not an integer"),
+        ],
+        ids=["identity", "constant", "cycle", "from_map", "float", "bool", "float-constant"],
+    )
+    def test_bad_size_refused(self, make, message):
+        # a size that is not an int >= 0 is named, never read as an empty
+        # or one-point map
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+        assert Transformation.identity(0) == Transformation([])
 
     def test_inverse(self):
         p = Transformation([2, 0, 1])
@@ -717,20 +755,17 @@ class TestMooreRefine:
     def test_splits_until_stable(self):
         # a path 0 -> 1 -> 2 -> 3 -> 3 with only 3 final: every state is
         # its own class, found one split per round
-        rows = successor_rows([(1,), (2,), (3,), (3,)])
-        codes = moore_refine(rows, [0, 0, 0, 1])
+        codes = moore_refine([(1,), (2,), (3,), (3,)], [0, 0, 0, 1])
         assert len(set(codes)) == 4
 
     def test_keeps_equivalent_states_together(self):
         # 0 and 1 swap into each other, 2 and 3 are final sinks
-        rows = successor_rows([(1, 2), (0, 3), (2, 2), (3, 3)])
-        codes = moore_refine(rows, [0, 0, 1, 1])
+        codes = moore_refine([(1, 2), (0, 3), (2, 2), (3, 3)], [0, 0, 1, 1])
         assert codes[0] == codes[1] != codes[2] == codes[3]
 
     def test_lone_class_and_no_letters(self):
-        assert len(set(moore_refine(successor_rows([(1,), (0,)]), [5, 5]))) == 1
-        rows = successor_rows([(), (), ()])
-        assert len(set(moore_refine(rows, [0, 1, 1]))) == 2
+        assert len(set(moore_refine([(1,), (0,)], [5, 5]))) == 1
+        assert len(set(moore_refine([(), (), ()], [0, 1, 1]))) == 2
         assert moore_refine([], []) == []
 
     @pytest.mark.parametrize("seed", range(10))
@@ -752,19 +787,19 @@ class TestMooreRefine:
                     [rng.randrange(n) for _ in range(n)],
                 ]
             )
-            got = moore_refine(successor_rows(succ), start)
+            got = moore_refine(succ, start)
             assert first_occurrence(got) == plain_refine(succ, start)
 
     def test_no_round_when_nothing_can_split(self):
         # one class, or every state alone: the result comes back with no
-        # row read
-        def unread(codes):
-            raise AssertionError("a row was read")
-
+        # successor read, though each successor n lies outside the codes
         for n in (1, 2, 5):
-            rows = [unread] * n
-            assert first_occurrence(moore_refine(rows, [4] * n)) == [0] * n
-            assert first_occurrence(moore_refine(rows, range(n, 0, -1))) == list(range(n))
+            succ = [(n,)] * n
+            assert first_occurrence(moore_refine(succ, [4] * n)) == [0] * n
+            assert first_occurrence(moore_refine(succ, range(n, 0, -1))) == list(range(n))
+        # two classes of five states must read them, and cannot
+        with pytest.raises(IndexError):
+            moore_refine([(5,)] * 5, [0, 0, 0, 1, 1])
 
 
 class TestMinimize:

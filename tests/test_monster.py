@@ -16,7 +16,7 @@ from shufflesc import (
     tableau_step,
 )
 from shufflesc import automata, monster
-from shufflesc.automata import moore_refine, successor_rows
+from shufflesc.automata import moore_refine
 from shufflesc.monster import (
     ReachResult,
     _expand_mask,
@@ -738,13 +738,13 @@ class TestStateComplexity:
         else:
             masks = sorted(t.mask for t in reachable_tableaux(m, n).depths)
         index = {mask: i for i, mask in enumerate(masks)}
-        rows = successor_rows(tuple(map(index.__getitem__, row)) for row in letter_rows(masks, m, n))
+        succ = [tuple(map(index.__getitem__, row)) for row in letter_rows(masks, m, n)]
 
         def partition(b1, b2):
             cells = [(i, j) for i in range(m) if b1 >> i & 1 for j in range(n) if b2 >> j & 1]
             fmask = sum(1 << (i * n + j) for i, j in cells)
             first: dict = {}
-            codes = moore_refine(rows, [int(bool(mask & fmask)) for mask in masks])
+            codes = moore_refine(succ, [int(bool(mask & fmask)) for mask in masks])
             return [first.setdefault(c, len(first)) for c in codes]
 
         q1, q2 = (1 << m) - 1, (1 << n) - 1
@@ -789,12 +789,12 @@ class TestStateComplexity:
         supports = sorted({sum(1 << j for j in t.occupied_cols()) for t in reach.depths})
         index = {c: i for i, c in enumerate(supports)}
         maps = list(product(range(n), repeat=n))
-        rows = successor_rows(
+        succ = [
             tuple(index[c | sum(1 << t for t in {g[j] for j in range(n) if c >> j & 1})] for g in maps)
             for c in supports
-        )
+        ]
         for final in range(1, 1 << n):
-            codes = moore_refine(rows, [int(bool(c & final)) for c in supports])
+            codes = moore_refine(succ, [int(bool(c & final)) for c in supports])
             assert monster._support_classes(supports, n)[final] == len(set(codes))
 
     @pytest.mark.parametrize(

@@ -59,6 +59,12 @@ class TestSetVector:
         with pytest.raises(ValueError, match="positive"):
             SetVector.of_masks([-1])
 
+    @pytest.mark.parametrize("mask", [1.5, True], ids=["float", "bool"])
+    def test_of_masks_non_integer_refused(self, mask):
+        # a float has no bit count, and True is not the part {1}
+        with pytest.raises(ValueError, match=f"^{re.escape(str(mask))} is not an integer$"):
+            SetVector.of_masks([0, mask])
+
     def test_parts_are_masks(self):
         v = sv({1, 4}, set(), {2, 3})
         assert v.parts == (0b1001, 0, 0b0110)
