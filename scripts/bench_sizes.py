@@ -48,6 +48,8 @@ COMMANDS = [
     ["graded", "6", "3", "--count"],
     ["succ", "7", "5", "2", "--oracle"],
     ["series", "64"],
+    ["matrix", "200"],
+    ["matrix", "12", "--power", "400"],
 ]
 RUNS = 5
 CHILD_TAG = "@@child "

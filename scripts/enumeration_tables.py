@@ -38,7 +38,7 @@ def main():
         if hadamard(matrix_B(n), matrix_A(n)) != s:
             sys.exit(f"factorization check failed: S_{n} != B (x) A_{n} entrywise")
         print(f"S_{n} (= B (x) A_{n} entrywise):")
-        print(fmt_matrix(s.rows))
+        print(fmt_matrix(s))
         totals = r_totals(n, args.kmax)
         print(f"totals k=0..{args.kmax}: {', '.join(map(str, totals))}")
         coeffs = closed_form_coeffs(n)

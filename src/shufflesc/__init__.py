@@ -28,7 +28,6 @@ from .conjecture import (
     verify_witnesses,
 )
 from .enumeration import (
-    ExactMatrix,
     closed_form_coeffs,
     graded_count,
     hadamard,

@@ -332,9 +332,9 @@ def _cmd_graded(args):
 def _cmd_matrix(args):
     mat = matrix_power(matrix_S(args.n), args.power)
     if args.fmt == "json":
-        _emit(args, _json_dumps({"n": args.n, "power": args.power, "rows": mat.to_lists()}))
+        _emit(args, _json_dumps({"n": args.n, "power": args.power, "rows": mat}))
     else:
-        _emit(args, _csv_rows(mat.rows))
+        _emit(args, _csv_rows(mat))
     return EXIT_OK
 
 

@@ -18,8 +18,9 @@ from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import eq, mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
+from .automata import _json_int
 from .errors import SizeGuardError
 from .upair import Packing, SetVector
 
@@ -147,91 +148,45 @@ def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
 
 
 # --- exact matrices ---------------------------------------------------------
+# An exact matrix is a tuple of row tuples of ints or Fractions.
 
 
-class ExactMatrix:
-    """Dense matrix over exact scalars (int or Fraction)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(r) for r in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        self.rows = rows
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def row_sum(self, i: int):
-        return sum(self.rows[i])
-
-    def to_lists(self) -> list[list]:
-        return [list(r) for r in self.rows]
-
-    def __repr__(self):
-        return f"ExactMatrix({self.to_lists()})"
+def _matmul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def matrix_power(m: ExactMatrix, k: int) -> ExactMatrix:
+def matrix_power(m: tuple, k: int) -> tuple:
     """m^k by repeated squaring; k = 0 gives the identity.  The result
     starts as the power of k's lowest set bit and no square is taken past
     its highest, so m^1 is m itself and m^3 takes two products."""
-    if k < 0:
+    if _json_int(k) < 0:
         raise ValueError("k must be nonnegative")
-    if m.nrows != m.ncols:
+    if any(len(row) != len(m) for row in m):
         raise ValueError("matrix must be square")
     if not k:
-        return ExactMatrix.identity(m.nrows)
+        return tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m)))
     base = m
     while not k & 1:
-        base = base @ base
+        base = _matmul(base, base)
         k >>= 1
     result = base
     while k := k >> 1:
-        base = base @ base
+        base = _matmul(base, base)
         if k & 1:
-            result = result @ base
+            result = _matmul(result, base)
     return result
 
 
-def hadamard(m: ExactMatrix, n: ExactMatrix) -> ExactMatrix:
+def hadamard(m: tuple, n: tuple) -> tuple:
     """Entrywise product."""
-    if (m.nrows, m.ncols) != (n.nrows, n.ncols):
+    if list(map(len, m)) != list(map(len, n)):
         raise ValueError("dimension mismatch")
-    return ExactMatrix(
-        [[a * b for a, b in zip(ra, rb)] for ra, rb in zip(m.rows, n.rows)]
-    )
+    return tuple(tuple(map(mul, ra, rb)) for ra, rb in zip(m, n))
 
 
 @lru_cache(maxsize=None)
-def matrix_S(n: int, size: Optional[int] = None) -> ExactMatrix:
+def matrix_S(n: int, size: Optional[int] = None) -> tuple:
     """The n x n successor-count matrix: entry (i, j), 1-indexed, is
     succ_count(n, i, j - i).  Upper triangular with diagonal 1^1 ... n^n.
     With `size`, in 1..n, only its top-left size x size block."""
@@ -241,11 +196,9 @@ def matrix_S(n: int, size: Optional[int] = None) -> ExactMatrix:
         size = n
     elif not 1 <= size <= n:
         raise ValueError(f"need 1 <= size <= n, got size={size}, n={n}")
-    return ExactMatrix(
-        [
-            [succ_count(n, i, j - i) if j >= i else 0 for j in range(1, size + 1)]
-            for i in range(1, size + 1)
-        ]
+    return tuple(
+        tuple(succ_count(n, i, j - i) if j >= i else 0 for j in range(1, size + 1))
+        for i in range(1, size + 1)
     )
 
 
@@ -255,18 +208,18 @@ def _b_entry(i: int, j: int) -> int:
     return sum(comb(i, t) * i ** (i - t) * stirling2(t, j - i) for t in range(j - i, i + 1))
 
 
-def matrix_B(rows: int, cols: Optional[int] = None) -> ExactMatrix:
+def matrix_B(rows: int, cols: Optional[int] = None) -> tuple:
     """Top-left block of the n-independent factor: entry (i, j), 1-indexed,
     is sum over t of C(i, t) i^(i-t) S2(t, j-i), equal to the r-Stirling
     number {2i over j} with the first i elements separated."""
     if cols is None:
         cols = rows
-    return ExactMatrix(
-        [[_b_entry(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)]
+    return tuple(
+        tuple(_b_entry(i, j) for j in range(1, cols + 1)) for i in range(1, rows + 1)
     )
 
 
-def matrix_A(n: int, size: Optional[int] = None) -> ExactMatrix:
+def matrix_A(n: int, size: Optional[int] = None) -> tuple:
     """Arrangement-count factor: entry (i, j), 1-indexed, is
     (j-i)! C(n-i, j-i), i.e. ordered (j-i)-subsets of an (n-i)-set; zero by
     convention outside 1 <= i <= j <= n."""
@@ -278,9 +231,7 @@ def matrix_A(n: int, size: Optional[int] = None) -> ExactMatrix:
             return 0
         return factorial(j - i) * comb(n - i, j - i)
 
-    return ExactMatrix(
-        [[entry(i, j) for j in range(1, size + 1)] for i in range(1, size + 1)]
-    )
+    return tuple(tuple(entry(i, j) for j in range(1, size + 1)) for i in range(1, size + 1))
 
 
 def graded_count(n: int, k: int, l: int) -> int:
@@ -293,7 +244,7 @@ def graded_count(n: int, k: int, l: int) -> int:
 
 def r_total(n: int, k: int) -> int:
     """Total number of grade-k vectors of length n: first row sum of (S_n)^k."""
-    return matrix_power(matrix_S(n), k).row_sum(0)
+    return sum(matrix_power(matrix_S(n), k)[0])
 
 
 def graded_rows(n: int, kmax: int) -> Iterator[tuple]:
@@ -306,7 +257,7 @@ def graded_rows(n: int, kmax: int) -> Iterator[tuple]:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     size = min(n, 1 << min(kmax, n.bit_length()))  # 2^kmax is not formed
-    cols = list(zip(*matrix_S(n, size).rows))
+    cols = list(zip(*matrix_S(n, size)))
     pad = (0,) * (n - size)
     row = (1,) + (0,) * (size - 1)
     yield row + pad

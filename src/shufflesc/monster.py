@@ -363,8 +363,8 @@ def reachable_tableaux(
     so stopping at f(m, n) changes no depth.  `complete` is True when every
     valid tableau was reached or the closure ran out of new tableaux; it is
     False only when `depth_limit` levels were expanded with tableaux left
-    to expand and fewer than f(m, n) found.  A negative `depth_limit`
-    raises ValueError.
+    to expand and fewer than f(m, n) found.  A `depth_limit` that is
+    negative or not an int raises ValueError.
 
     The depths are written into a table of one byte per mask (see
     `ReachResult`), which costs 2^(mn) bytes, so `max_cells` also bounds a
@@ -390,7 +390,7 @@ def reachable_tableaux(
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    if depth_limit is not None and depth_limit < 0:
+    if depth_limit is not None and _json_int(depth_limit) < 0:
         raise ValueError("depth_limit must be at least 0")
     if m * n > max_cells:
         raise SizeGuardError(f"{m}x{n} grid exceeds the {max_cells}-cell guard", "max_cells")

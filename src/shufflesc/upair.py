@@ -500,26 +500,13 @@ def _permutation_family(n: int, k: int) -> tuple[list[frozenset], frozenset, fro
     """
     h = 1 << (k - 1)
     top = 1 << k
-    if n == top:
-        family = [frozenset({x}) for x in range(1, top + 1)]
-        return family, frozenset({top}), frozenset({1})
-    if n == top - 1:
-        family = [frozenset({1, h + 1})] + [
-            frozenset({x}) for x in range(2, top + 1) if x != h + 1
-        ]
-        return family, frozenset({top}), frozenset({1, h + 1})
-    q = h - n // 2 if n % 2 == 0 else h - (n - 1) // 2
-    low_pairs = [frozenset({i, h + i}) for i in range(1, q + 1)]
-    high_count = q if n % 2 == 0 else q - 1
-    high_pairs = [frozenset({h - j, top - j}) for j in range(high_count)]
-    if n % 2 == 0:
-        singles = [frozenset({x}) for x in range(q + 1, h - q + 1)]
-        singles += [frozenset({x}) for x in range(h + q + 1, top - q + 1)]
-    else:
-        singles = [frozenset({x}) for x in range(q + 1, h - q + 2)]
-        singles += [frozenset({x}) for x in range(h + q + 1, top - q + 2)]
-    family = low_pairs + high_pairs + singles
-    return family, frozenset({h, top}), frozenset({1, h + 1})
+    q, odd = h - n // 2, n % 2
+    family = [frozenset({i, h + i}) for i in range(1, q + 1)]
+    family += [frozenset({h - j, top - j}) for j in range(q - odd)]
+    family += [frozenset({x}) for x in range(q + 1, h - q + odd + 1)]
+    family += [frozenset({x}) for x in range(h + q + 1, top - q + odd + 1)]
+    left = frozenset({h, top} if q > odd else {top})
+    return family, left, frozenset({1, h + 1} if q else {1})
 
 
 def witness_permutation(sigma: Transformation) -> UPair:

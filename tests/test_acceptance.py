@@ -135,9 +135,9 @@ def test_02_successor_formula_vs_oracle():
 
 def test_03_matrices_match_displays_and_factor():
     for n, rows in S_DISPLAYS.items():
-        assert matrix_S(n).to_lists() == rows
+        assert list(map(list, matrix_S(n))) == rows
         assert hadamard(matrix_B(n), matrix_A(n)) == matrix_S(n)
-    assert matrix_S(7).to_lists()[3] == [0, 0, 0, 256, 1107, 906, 132]
+    assert matrix_S(7)[3] == (0, 0, 0, 256, 1107, 906, 132)
     report(3, "S_2..S_7 match the displayed matrices and S_n = B (x) A_n")
 
 

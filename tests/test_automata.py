@@ -224,6 +224,27 @@ class TestShuffleNfa:
             p, q = divmod(src, 3)
             assert dsts == {letter.left(p) * 3 + q, p * 3 + letter.right(q)}
 
+    def test_run_subset_and_accepts(self):
+        # run_subset against the interleavings of the word themselves, and
+        # accepts against the subset construction, on every word to length 3
+        alphabet = ("a", "b")
+        k = Dfa(2, alphabet, 0, {1}, [(1, 0), (1, 1)])
+        l = Dfa(3, alphabet, 0, {0}, [(1, 0), (2, 0), (0, 2)])
+        nfa = shuffle_nfa(k, l)
+        d = determinize(nfa)
+        verdicts = set()
+        for length in range(4):
+            for word in product(alphabet, repeat=length):
+                splits = product((True, False), repeat=length)
+                assert nfa.run_subset(word) == {
+                    k.run(a for a, left in zip(word, s) if left) * 3
+                    + l.run(a for a, left in zip(word, s) if not left)
+                    for s in splits
+                }
+                assert nfa.accepts(word) == d.accepts(word)
+                verdicts.add(nfa.accepts(word))
+        assert verdicts == {True, False}
+
     def test_worked_example_path(self, fig1_letters):
         # product state (p, q) is numbered p * 3 + q; the path a, b, c must
         # visit the worked example's tableaux.
@@ -554,6 +575,9 @@ class TestTable:
             Dfa(2, ("a",), 0, {0}, [(0,)])
         with pytest.raises(ValueError, match="final state out of range"):
             Dfa(1, ("a",), 0, {1}, [(0,)])
+        for initial in (2, -1):
+            with pytest.raises(ValueError, match=f"^initial state {initial} out of range$"):
+                Dfa(2, ("a",), initial, {0}, [(0,), (1,)])
 
     def test_of_table_checks_repeated_letters(self):
         with pytest.raises(ValueError, match="letter 'a' is repeated in the alphabet with diff"):

@@ -27,6 +27,11 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == "1,2,6,22,86,342,1366"
 
+    def test_sequence_csv(self, capsys):
+        assert run_cli(capsys, "--format", "csv", "sequence", "3", "4") == (
+            0, "k,count\n0,1\n1,3\n2,21\n3,363\n4,9021\n", ""
+        )
+
     def test_bound(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "2", "2")
         assert code == 0 and out.strip() == "10"

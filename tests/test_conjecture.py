@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from functools import cache
 from itertools import permutations
 
@@ -106,6 +107,12 @@ class TestConjecture1:
         for check in (check_conjecture1, check_conjecture2):
             with pytest.raises(ValueError, match="^depth_limit must be at least 0$"):
                 check(2, 2, depth_limit=-3)
+
+    @pytest.mark.parametrize("check", [check_conjecture1, check_conjecture2])
+    @pytest.mark.parametrize("depth_limit", [0.5, 1.5, True])
+    def test_non_integer_depth_limit_refused(self, check, depth_limit):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(depth_limit))} is not an integer$"):
+            check(2, 2, depth_limit=depth_limit)
 
     def test_depth_limited_lists_the_missing(self):
         reach = reachable_tableaux(3, 3, depth_limit=2)
@@ -245,6 +252,10 @@ class TestMinGrade:
         assert expected_permutation_grade(Transformation([1, 0])) == 1
         assert expected_permutation_grade(Transformation([0, 1, 2, 3])) == 3
         assert expected_permutation_grade(Transformation([1, 2, 3, 0])) == 2
+
+    def test_non_permutation_refused(self):
+        with pytest.raises(ValueError, match="is not a permutation$"):
+            permutation_min_grade(Transformation([0, 0]), 3)
 
     def test_min_grade_matches_per_permutation_scan(self):
         for n in range(1, 5):

@@ -1,11 +1,11 @@
 import hashlib
+import re
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from shufflesc import (
-    ExactMatrix,
     SetVector,
     SizeGuardError,
     closed_form_coeffs,
@@ -260,7 +260,7 @@ def _factorial(n):
 class TestMatrices:
     def test_displays(self):
         for n, rows in S_DISPLAYS.items():
-            assert matrix_S(n).to_lists() == rows
+            assert list(map(list, matrix_S(n))) == rows
 
     def test_diagonal(self):
         for n in range(1, 8):
@@ -292,7 +292,7 @@ class TestMatrices:
             [0, 0, 0, 0, 3125, 0, 0],
             [0, 0, 0, 0, 0, 0, 0],
         ]
-        assert prod.to_lists() == expected
+        assert list(map(list, prod)) == expected
 
     def test_a_entries(self):
         a5 = matrix_A(5, 7)
@@ -301,34 +301,53 @@ class TestMatrices:
 
     def test_matrix_power(self):
         s3 = matrix_S(3)
-        assert matrix_power(s3, 0) == ExactMatrix.identity(3)
-        sq = matrix_power(s3, 2)
-        assert sq.to_lists() == [[1, 10, 10], [0, 16, 155], [0, 0, 729]]
+        assert matrix_power(s3, 0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert matrix_power(s3, 2) == ((1, 10, 10), (0, 16, 155), (0, 0, 729))
 
     def test_power_matches_repeated_products(self):
-        m = ExactMatrix([[1, 2, Fraction(1, 3)], [0, -1, 4], [5, 0, 2]])
-        want = ExactMatrix.identity(3)
+        m = ((1, 2, Fraction(1, 3)), (0, -1, 4), (5, 0, 2))
+        want = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         for k in range(10):
             assert matrix_power(m, k) == want
-            want = want @ m
+            want = tuple(
+                tuple(sum(row[t] * m[t][j] for t in range(3)) for j in range(3)) for row in want
+            )
 
     @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
     def test_power_product_count(self, k, products, monkeypatch):
         calls = 0
-        matmul = ExactMatrix.__matmul__
+        matmul = enumeration._matmul
 
-        def counted(self, other):
+        def counted(a, b):
             nonlocal calls
             calls += 1
-            return matmul(self, other)
+            return matmul(a, b)
 
-        monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+        monkeypatch.setattr(enumeration, "_matmul", counted)
         matrix_power(matrix_S(4), k)
         assert calls == products
 
     def test_power_negative(self):
         with pytest.raises(ValueError):
             matrix_power(matrix_S(2), -1)
+
+    @pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])
+    def test_power_non_integer_refused(self, k):
+        # True is not the power 1, nor 2.0 a TypeError from the bit test
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(k))} is not an integer$"):
+            matrix_power(matrix_S(2), k)
+
+    @pytest.mark.parametrize(
+        "m", [((1, 2),), ((1, 2), (3,)), ((1,), (2, 3))], ids=["wide", "ragged", "short-first"]
+    )
+    def test_power_refuses_a_matrix_not_square(self, m):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            matrix_power(m, 2)
+
+    @pytest.mark.parametrize("other", [((1, 2),), ((1, 2), (3, 4), (5, 6)), ((1, 2), (3,))])
+    def test_hadamard_refuses_shapes_that_differ(self, other):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            hadamard(((1, 2), (3, 4)), other)
 
     @pytest.mark.parametrize("size", [-1, 0, 4, 5])
     def test_block_size_outside_one_to_n(self, size):
@@ -344,7 +363,7 @@ def _a_block(n, rows, cols):
             return 0
         return factorial(j - i) * comb(n - i, j - i)
 
-    return ExactMatrix([[entry(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)])
+    return tuple(tuple(entry(i, j) for j in range(1, cols + 1)) for i in range(1, rows + 1))
 
 
 class TestTotals:
@@ -508,3 +527,20 @@ class TestSuccessorVectors:
         listing = [(count, [v.parts for v in bucket]) for count, bucket in buckets.items()]
         digest = hashlib.sha256(repr(listing).encode()).hexdigest()
         assert digest == self.ORDER_DIGESTS[n, l]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: canonical_vector(0, 3), "l must be at least 1"),
+        (lambda: canonical_vector(3, 2), "n must be at least l"),
+        (lambda: graded_count(3, 2, 0), "need 1 <= l <= n, got l=0"),
+        (lambda: graded_count(3, 2, 4), "need 1 <= l <= n, got l=4"),
+        (lambda: closed_form_coeffs(0), "n must be at least 1"),
+        (lambda: lower_bound_ie(0, 2), "m and n must be at least 1"),
+    ],
+    ids=["l-below-1", "n-below-l", "graded-l-0", "graded-l-past-n", "coeffs-0", "ie-0"],
+)
+def test_argument_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,4 @@
+import re
 import sys
 from itertools import permutations, product
 
@@ -26,6 +27,7 @@ from shufflesc.monster import (
     monster_dfa,
     valid_masks,
 )
+from shufflesc.upair import Packing, graded_level, mirror_part
 
 
 def T(m, n, cells):
@@ -332,6 +334,36 @@ class TestReachability:
         for depth_limit in (-1, -3):
             with pytest.raises(ValueError, match="^depth_limit must be at least 0$"):
                 reachable_tableaux(2, 2, depth_limit=depth_limit)
+
+    @pytest.mark.parametrize("depth_limit", [0.5, 1.5, True])
+    def test_non_integer_depth_limit_refused(self, depth_limit):
+        # not cut at the next level up or down, nor True taken as 1
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(depth_limit))} is not an integer$"):
+            reachable_tableaux(2, 2, depth_limit=depth_limit)
+
+    def test_nonpositive_grid_refused(self):
+        with pytest.raises(ValueError, match="^m and n must be at least 1$"):
+            reachable_tableaux(0, 2)
+
+    @pytest.mark.parametrize("m, n, kmax", [(2, 2, 2), (2, 3, 3), (3, 2, 3), (2, 4, 3), (3, 3, 3)])
+    def test_depths_match_the_pair_calculus(self, m, n, kmax):
+        # The paper's characterization, with no tableau_step: the tableaux
+        # within k letters of {(0, 0)} are the projections of the grade-k
+        # pairs, a mirrored right-valid left side against a right-valid
+        # right side, cell (i, j) set iff left[i] meets right[j].
+        reach = reachable_tableaux(m, n)
+        for k in range(kmax + 1):
+            lefts = [
+                [mirror_part(part, k) for part in Packing(m, k).unpack(x)]
+                for x in graded_level(m, k)
+            ]
+            rights = [Packing(n, k).unpack(x) for x in graded_level(n, k)]
+            projections = {
+                sum(1 << (i * n + j) for i, a in enumerate(left) for j, b in enumerate(right) if a & b)
+                for left in lefts
+                for right in rights
+            }
+            assert projections == {mask for d in range(k + 1) for mask in reach.level(d)}
 
     def test_depth_beyond_a_byte_is_an_internal_fault(self, monkeypatch):
         # a table byte holds depth + 1; a search going deeper than the byte
@@ -864,6 +896,10 @@ class TestMonsterDfa:
     def test_size_mismatch(self, fig1_letters):
         with pytest.raises(ValueError):
             monster_dfa(5, {0}, list(fig1_letters), "left")
+
+    def test_unknown_side_refused(self, fig1_letters):
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right'$"):
+            monster_dfa(4, {3}, list(fig1_letters), side="up")
 
     def test_table_and_delta_agree(self, fig1_letters):
         letters = list(fig1_letters)

@@ -65,6 +65,15 @@ class TestSetVector:
         with pytest.raises(ValueError, match=f"^{re.escape(str(mask))} is not an integer$"):
             SetVector.of_masks([0, mask])
 
+    def test_base_needs_a_part(self):
+        with pytest.raises(ValueError, match="^length must be at least 1$"):
+            SetVector.base(0)
+
+    @pytest.mark.parametrize("text", ["[{1},2]", "[{1}{2}]", "[{1},{2]"])
+    def test_parse_refuses_a_bracketed_non_literal(self, text):
+        with pytest.raises(ValueError, match="^not a set-vector literal"):
+            SetVector.parse(text)
+
     def test_parts_are_masks(self):
         v = sv({1, 4}, set(), {2, 3})
         assert v.parts == (0b1001, 0, 0b0110)
@@ -730,6 +739,8 @@ class TestUPair:
             UPair(sv({1}, {2}), sv({1}, {2}))  # left side is not Lvalid
         with pytest.raises(ValueError):
             UPair(sv({2}, {1}), sv({1, 2, 3, 4}, set()))  # grades differ
+        with pytest.raises(ValueError, match=r"^right vector is not 1-Rvalid: \[\{2\},\{1\}\]$"):
+            UPair(sv({2}, {1}), sv({2}, {1}))  # 1 is not in the right side's first part
 
     def test_json_roundtrip(self, fig1_letters):
         pair = p_of_path(4, 3, list(fig1_letters))

@@ -118,6 +118,11 @@ class TestFullWitness:
         reach = reachable_tableaux(2, 2)
         assert reach.depths[full_tableau(2, 2)] <= witness_full(2, 2).grade
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0)])
+    def test_nonpositive_sizes_refused(self, m, n):
+        with pytest.raises(ValueError, match="^m and n must be at least 1$"):
+            witness_full(m, n)
+
     def test_guard(self):
         # grade 1 + 2 = 3 stamps 8 elements on each side
         assert witness_full(2, 3, max_count=8).grade == 3
@@ -139,6 +144,17 @@ class TestEraseCell:
             erase_cell_letter(t, 0, 0, 1, 1)
         with pytest.raises(ValueError):
             erase_cell_letter(full_tableau(2, 2), 0, 0, 0, 1)  # i1 == i2
+        t = Tableau(2, 2, {(0, 0), (0, 1), (1, 0)})  # column 0 not inside column 1
+        with pytest.raises(ValueError, match="^column 0 support not contained in column 1 support$"):
+            erase_cell_letter(t, 1, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [((2, 0, 0, 1), "row 2 out of range"), ((0, 0, 1, -1), "column -1 out of range")],
+    )
+    def test_index_out_of_range(self, cells, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            erase_cell_letter(full_tableau(2, 2), *cells)
 
     def test_exhaustive_3x3(self):
         # every qualifying (tableau, i1, j1, i2, j2) removes exactly (i1, j1)
