@@ -43,6 +43,7 @@ COMMANDS = [
     ["--format", "json", "reach", "3", "4"],
     ["--force", "reach", "4", "4"],
     ["--force", "conjecture", "4", "4"],
+    ["--format", "json", "conjecture", "3", "4", "--depth-limit", "2"],
     ["--format", "json", "graded", "5", "3"],
     ["--format", "json", "graded", "6", "3"],
     ["graded", "6", "3", "--count"],

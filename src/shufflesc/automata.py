@@ -166,6 +166,12 @@ def _size(n):
     return n
 
 
+def _grid(m, n):
+    """Refuse the sides of an m x n grid unless both are ints >= 1."""
+    if min(_json_int(m), _json_int(n)) < 1:
+        raise ValueError("m and n must be at least 1")
+
+
 def _check_table(table, state_count, alphabet, bound, name):
     """Check that `table` is state_count rows of one entry in range(bound) per
     letter position, and that the columns of a repeated letter are equal.

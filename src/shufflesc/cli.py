@@ -179,8 +179,7 @@ def _output(args):
 def _emit(args, text: str) -> None:
     with _output(args) as out:
         out.write(text)
-        if not text.endswith("\n"):
-            out.write("\n")
+        out.write("\n")
 
 
 def _json_dumps(obj) -> str:
@@ -398,7 +397,7 @@ def _cmd_conjecture(args):
         args.m, args.n, depth_limit=args.depth_limit, **_forced(args, max_cells=FORCED_CELLS)
     )
     if args.fmt == "json":
-        _emit(args, report.json_dumps())
+        _emit(args, _json_dumps(report.to_json()))
     else:
         which = "dense reachability" if args.dense else "valid reachability"
         _emit(

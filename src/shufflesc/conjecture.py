@@ -13,13 +13,12 @@ against the exhaustive enumerations.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import compress, permutations, repeat
 from operator import eq
 from typing import Optional
 
-from .automata import Transformation, record
+from .automata import Transformation, _grid, record
 from .errors import SizeGuardError
 from .monster import (
     ReachResult,
@@ -78,9 +77,6 @@ class ConjectureReport:
             "saturation_depth": self.saturation_depth,
             "status": self.status,
         }
-
-    def json_dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 def _survey(m, n, conjecture, max_cells, depth_limit, reach) -> ConjectureReport:
@@ -280,8 +276,7 @@ def verify_witnesses(m: int, n: int, max_permutation_size: int = 6) -> WitnessRe
     (`permutation_min_grade`), which equals the breadth-first depth.  The
     full m x n tableau must be hit by its pair as well.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    _grid(m, n)
     if n > max_permutation_size:
         raise SizeGuardError(
             f"verifying {n}! permutations exceeds the guard of {max_permutation_size}!",

@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 from operator import eq, mul
 from typing import Iterator, Optional
 
-from .automata import _json_int
+from .automata import _grid, _json_int
 from .errors import SizeGuardError
 from .upair import Packing, SetVector
 
@@ -185,16 +185,16 @@ def hadamard(m: tuple, n: tuple) -> tuple:
     return tuple(tuple(map(mul, ra, rb)) for ra, rb in zip(m, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: (3, True) must not hit a cached (3, 1)
 def matrix_S(n: int, size: Optional[int] = None) -> tuple:
     """The n x n successor-count matrix: entry (i, j), 1-indexed, is
     succ_count(n, i, j - i).  Upper triangular with diagonal 1^1 ... n^n.
     With `size`, in 1..n, only its top-left size x size block."""
-    if n < 1:
+    if _json_int(n) < 1:
         raise ValueError("n must be at least 1")
     if size is None:
         size = n
-    elif not 1 <= size <= n:
+    elif not 1 <= _json_int(size) <= n:
         raise ValueError(f"need 1 <= size <= n, got size={size}, n={n}")
     return tuple(
         tuple(succ_count(n, i, j - i) if j >= i else 0 for j in range(1, size + 1))
@@ -237,7 +237,7 @@ def matrix_A(n: int, size: Optional[int] = None) -> tuple:
 def graded_count(n: int, k: int, l: int) -> int:
     """Number of grade-k vectors of length n with exactly l nonempty parts:
     entry (1, l) of (S_n)^k."""
-    if not 1 <= l <= n:
+    if not 1 <= _json_int(l) <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}")
     return matrix_power(matrix_S(n), k)[0][l - 1]
 
@@ -254,9 +254,9 @@ def graded_rows(n: int, kmax: int) -> Iterator[tuple]:
     A grade-k vector has at most 2^k nonempty parts (succ_count(n, l, d) is
     0 for d > l), so these rows are 0 beyond column 2^kmax and the walk
     reads only that block of S_n, padding each row with zeros to length n."""
-    if kmax < 0:
+    if _json_int(kmax) < 0:
         raise ValueError("kmax must be nonnegative")
-    size = min(n, 1 << min(kmax, n.bit_length()))  # 2^kmax is not formed
+    size = min(n, 1 << min(kmax, _json_int(n).bit_length()))  # 2^kmax is not formed
     cols = list(zip(*matrix_S(n, size)))
     pad = (0,) * (n - size)
     row = (1,) + (0,) * (size - 1)
@@ -316,8 +316,7 @@ def lower_bound_ie(m: int, n: int) -> int:
     (-1)^(k+l) C(m,k) C(n,l) 2^((m-k)(n-l)), is summed over l in closed
     form: with x = 2^(m-k) the l-sum is (x-1)^n - x^n.  The count is
     symmetric in m and n, so k runs over the shorter side."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    _grid(m, n)
     m, n = sorted((m, n))
     return sum(
         (-1) ** k * comb(m, k) * (((1 << (m - k)) - 1) ** n - (1 << ((m - k) * n)))
@@ -350,16 +349,15 @@ def series_direct(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
     ]
 
 
-def _add_product(acc: dict, scale: int, p: dict, q: dict, max_x: int) -> None:
-    """acc += scale * p * q over x-degrees up to max_x."""
+def _add_product(acc: dict, scale: int, p: dict, q: dict) -> None:
+    """acc += scale * p * q, uncut: no block n of these series passes x^(2n)."""
     for e1, c1 in p.items():
         c1 *= scale
         for e2, c2 in q.items():
-            if e1 + e2 <= max_x:
-                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
 
 
-def _recurrence_blocks(a: list[dict], coef, max_x: int) -> list[dict]:
+def _recurrence_blocks(a: list[dict], coef) -> list[dict]:
     """out_0 = 1 and out_n = sum over k = 1..n of coef(n, k) a_k out_(n-k),
     for a with a_0 = 0.  With a_k = k! A_k and out_n = n! times block n:
 
@@ -371,18 +369,18 @@ def _recurrence_blocks(a: list[dict], coef, max_x: int) -> list[dict]:
     for n in range(1, len(a)):
         acc: dict[int, int] = {}
         for k in range(1, n + 1):
-            _add_product(acc, coef(n, k), a[k], out[n - k], max_x)
+            _add_product(acc, coef(n, k), a[k], out[n - k])
         out.append(acc)
     return out
 
 
-def _product_blocks(p: list[dict], q: list[dict], max_x: int) -> list[dict]:
+def _product_blocks(p: list[dict], q: list[dict]) -> list[dict]:
     """n! (P Q)_n = sum of C(n, k) (k! P_k) ((n-k)! Q_(n-k))."""
     out = []
     for n in range(len(p)):
         acc: dict[int, int] = {}
         for k in range(n + 1):
-            _add_product(acc, comb(n, k), p[k], q[n - k], max_x)
+            _add_product(acc, comb(n, k), p[k], q[n - k])
         out.append(acc)
     return out
 
@@ -404,10 +402,10 @@ def series_closed(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
     max_x = 2 * d
     w = [{}] + [{k: -(k ** (k - 1))} for k in range(1, d + 1)]
     exponent = [{}] + [{k + 1: (k + 1) ** (k - 1)} for k in range(1, d + 1)]
-    numerator = _recurrence_blocks(exponent, lambda n, k: comb(n - 1, k - 1), max_x)
-    inverse = _recurrence_blocks(w, lambda n, k: -comb(n, k), max_x)
+    numerator = _recurrence_blocks(exponent, lambda n, k: comb(n - 1, k - 1))
+    inverse = _recurrence_blocks(w, lambda n, k: -comb(n, k))
     blocks = []
-    for n, block in enumerate(_product_blocks(numerator, inverse, max_x)):
+    for n, block in enumerate(_product_blocks(numerator, inverse)):
         scale = factorial(n)
         blocks.append([Fraction(block.get(ex, 0), scale) for ex in range(max_x + 1)])
     return blocks

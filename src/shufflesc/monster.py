@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .automata import Dfa, Transformation, _json_int, bits, record
+from .automata import Dfa, Transformation, _grid, _json_int, bits, record
 from .errors import SizeGuardError
 
 
@@ -39,8 +39,7 @@ class Tableau:
     cells: frozenset
 
     def __post_init__(self):
-        if min(_json_int(self.m), _json_int(self.n)) < 1:
-            raise ValueError("m and n must be at least 1")
+        _grid(self.m, self.n)
         cells = frozenset((_json_int(i), _json_int(j)) for i, j in self.cells)
         object.__setattr__(self, "cells", cells)
         if any(not (0 <= i < self.m and 0 <= j < self.n) for i, j in cells):
@@ -56,10 +55,11 @@ class Tableau:
 
     @classmethod
     def from_mask(cls, m: int, n: int, mask: int) -> "Tableau":
-        """Inverse of `mask`.  The cells come out valid by construction, so
-        `__post_init__` is skipped: this is how every tableau the search
-        finds is built for output."""
-        if mask < 0 or mask >> (m * n):
+        """Inverse of `mask`.  Only the grid and the mask are checked: the
+        cells of a mask in range are valid, so `__post_init__` is skipped;
+        this is how every tableau the search finds is built for output."""
+        _grid(m, n)
+        if _json_int(mask) < 0 or mask >> (m * n):
             raise ValueError(f"mask {mask} out of {m}x{n} range")
         t = object.__new__(cls)
         t.__dict__.update(m=m, n=n, cells=frozenset(divmod(b, n) for b in bits(mask)))
@@ -115,18 +115,16 @@ def is_valid_tableau(t: Tableau) -> bool:
 def f_bound(m: int, n: int) -> int:
     """Number of valid m x n tableaux, an upper bound for the shuffle state
     complexity: 2^(mn-1) + 2^((m-1)(n-1)) (2^(m-1)-1) (2^(n-1)-1)."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    _grid(m, n)
     return (1 << (m * n - 1)) + (
         (1 << ((m - 1) * (n - 1))) * ((1 << (m - 1)) - 1) * ((1 << (n - 1)) - 1)
     )
 
 
 def scan_guard(m: int, n: int, max_cells: int) -> None:
-    """Refuse a side below 1, and a scan over all 2^(mn) masks of an m x n
-    grid beyond max_cells."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    """Refuse sides that `_grid` refuses, and a scan over all 2^(mn) masks
+    of an m x n grid beyond max_cells."""
+    _grid(m, n)
     if m * n > max_cells:
         raise SizeGuardError(
             f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}", "max_cells"
@@ -344,6 +342,7 @@ def reachable_table(m: int, n: int) -> tuple[bytearray, int]:
     after 22 expansions against 49 at 3 x 3, 200 against 1042 at 3 x 6 and
     1042 against 2537 at 4 x 5; at 4 x 4 it takes 371 against 275.
     """
+    _grid(m, n)
     return _closure(m, n, 0, None)[:2]
 
 
@@ -388,8 +387,7 @@ def reachable_tableaux(
     per orbit, closed under G, are the images of the whole level.  The
     same argument, with no depths, lets any other order mark whole orbits.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    _grid(m, n)
     if depth_limit is not None and _json_int(depth_limit) < 0:
         raise ValueError("depth_limit must be at least 0")
     if m * n > max_cells:
@@ -408,6 +406,7 @@ def distinguishing_letters(m: int, n: int) -> list[MonsterLetter]:
     some choice of final sets separates every pair of reachable tableaux
     (checked exhaustively at small sizes in the test suite).
     """
+    _grid(m, n)
     if m < 2 or n < 2:
         raise ValueError("distinguishing letters need m, n >= 2")
     a = MonsterLetter(
@@ -458,6 +457,7 @@ def state_complexity_shuffle(
     closure; it must be a complete search of the m x n grid, or ValueError
     is raised.
     """
+    _grid(m, n)
     if m * n > max_cells:
         raise SizeGuardError(
             f"state-complexity search on a {m}x{n} grid exceeds the {max_cells}-cell guard",

@@ -23,7 +23,7 @@ from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, lshift, mod, ne, or_, rshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .automata import Transformation, _json_int, bits, record
+from .automata import Transformation, _grid, _json_int, bits, record
 from .errors import SizeGuardError
 from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
 
@@ -565,8 +565,7 @@ def witness_full(m: int, n: int, max_count: int = 2_000_000) -> UPair:
     side stamps 2^(k+n-1) elements; more than `max_count` are refused
     before any is built.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    _grid(m, n)
     k = (m - 1).bit_length()  # 2^(k-1) < m <= 2^k
     stamp_guard(k + n - 1, f"the full {m}x{n} witness", max_count)
     top = 1 << k

@@ -830,6 +830,19 @@ class TestPinnedOutputs:
             == "be4e6762d46464141b88b14ad1b47f92f959198044a9ae9d50d83c4615d241b8"
         )
 
+    def test_incomplete_conjecture_3x4_digest(self, capsys):
+        # 2982 missing tableaux, each built by Tableau.from_mask and written
+        # through the report's JSON, recorded before that JSON had one writer
+        code, out, err = run_cli(
+            capsys, "--format", "json", "conjecture", "3", "4", "--depth-limit", "2"
+        )
+        assert code == 3 and err == ""
+        assert len(json.loads(out)["missing"]) == 2982
+        assert (
+            hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "d32454cdac60a19b283ae4dc7623af539e67482235996cdb4eeb228c0cca58ba"
+        )
+
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -124,8 +124,8 @@ class TestConjecture1:
         assert list(rep.dense_unreached) == dense and dense
 
     def test_json_deterministic(self):
-        a = check_conjecture1(2, 2).json_dumps()
-        b = check_conjecture1(2, 2).json_dumps()
+        a = json.dumps(check_conjecture1(2, 2).to_json(), sort_keys=True, separators=(",", ":"))
+        b = json.dumps(check_conjecture1(2, 2).to_json(), sort_keys=True, separators=(",", ":"))
         assert a == b
         assert '"status":"holds"' in a
 
@@ -158,8 +158,8 @@ class TestConjecture1:
     def test_given_reach(self):
         for check in (check_conjecture1, check_conjecture2):
             for reach in (reachable_tableaux(3, 3), reachable_tableaux(3, 3, depth_limit=1)):
-                got = check(3, 3, reach=reach).json_dumps()
-                assert got == check(3, 3, depth_limit=None if reach.complete else 1).json_dumps()
+                got = check(3, 3, reach=reach).to_json()
+                assert got == check(3, 3, depth_limit=None if reach.complete else 1).to_json()
             with pytest.raises(ValueError, match="reach is of a 2x3 grid, not 3x2"):
                 check(3, 2, reach=reachable_tableaux(2, 3))
             with pytest.raises(ValueError, match="pass it or reach, not both"):

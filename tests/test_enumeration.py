@@ -349,6 +349,33 @@ class TestMatrices:
         with pytest.raises(ValueError, match="^dimension mismatch$"):
             hadamard(((1, 2), (3, 4)), other)
 
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            (lambda: r_totals(3, True), True),
+            (lambda: r_totals(3, 2.0), 2.0),
+            (lambda: r_totals(2.0, 1), 2.0),
+            (lambda: list(graded_rows(3, True)), True),
+            (lambda: graded_count(3, 2, True), True),
+            (lambda: graded_count(3, 2, 1.0), 1.0),
+            (lambda: matrix_S(True), True),
+            (lambda: matrix_S(2.0), 2.0),
+            (lambda: matrix_S(3, True), True),
+            (lambda: (matrix_S(3, 1), matrix_S(3, True)), True),
+        ],
+        ids=[
+            "totals-kmax-bool", "totals-kmax-float", "totals-n-float", "rows-kmax-bool",
+            "count-l-bool", "count-l-float", "S-n-bool", "S-n-float", "S-size-bool",
+            "S-size-bool-after-S-3-1",
+        ],
+    )
+    def test_count_non_integer_refused(self, call, bad):
+        # kmax True walked one step, l True read as l = 1 and matrix_S(True)
+        # was S_1; the floats gave a TypeError or AttributeError; a cached matrix_S(3, 1) would
+        # answer matrix_S(3, True) unless the cache keys on the type
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not an integer$"):
+            call()
+
     @pytest.mark.parametrize("size", [-1, 0, 4, 5])
     def test_block_size_outside_one_to_n(self, size):
         with pytest.raises(ValueError, match=rf"^need 1 <= size <= n, got size={size}, n=3$"):

@@ -18,6 +18,8 @@ from shufflesc import (
 )
 from shufflesc import automata, monster
 from shufflesc.automata import moore_refine
+from shufflesc.conjecture import check_conjecture1, check_conjecture2, verify_witnesses
+from shufflesc.enumeration import lower_bound_ie
 from shufflesc.monster import (
     ReachResult,
     _expand_mask,
@@ -25,9 +27,10 @@ from shufflesc.monster import (
     all_valid_tableaux,
     mask_lines,
     monster_dfa,
+    reachable_table,
     valid_masks,
 )
-from shufflesc.upair import Packing, graded_level, mirror_part
+from shufflesc.upair import Packing, enumerate_dense, graded_level, mirror_part, witness_full
 
 
 def T(m, n, cells):
@@ -172,6 +175,12 @@ class TestTableau:
         for mask in (-1, 1 << 6):
             with pytest.raises(ValueError, match="out of 2x3 range"):
                 Tableau.from_mask(2, 3, mask)
+
+    @pytest.mark.parametrize("mask", [True, 1.0])
+    def test_from_mask_non_integer_mask_refused(self, mask):
+        # a bool mask was read as 1, a float one gave a TypeError from >>
+        with pytest.raises(ValueError, match=f"^{mask!r} is not an integer$"):
+            Tableau.from_mask(2, 2, mask)
 
     def test_render(self):
         t = T(2, 2, {(0, 0), (1, 1)})
@@ -923,3 +932,46 @@ class TestMonsterDfa:
             l = monster_dfa(n, f2, letters, "right")
             minimal = minimize(determinize(shuffle_nfa(k, l)))
             assert minimal.state_count == res.value == f_bound(m, n)
+
+
+GRID_ENTRY_POINTS = {
+    "Tableau": lambda m, n: Tableau(m, n, set()),
+    "Tableau.from_mask": lambda m, n: Tableau.from_mask(m, n, 0),
+    "f_bound": f_bound,
+    "scan_guard": lambda m, n: monster.scan_guard(m, n, 20),
+    "all_valid_tableaux": lambda m, n: list(all_valid_tableaux(m, n)),
+    "enumerate_dense": enumerate_dense,
+    "reachable_tableaux": reachable_tableaux,
+    "reachable_table": reachable_table,
+    "state_complexity_shuffle": state_complexity_shuffle,
+    "check_conjecture1": check_conjecture1,
+    "check_conjecture2": check_conjecture2,
+    "distinguishing_letters": distinguishing_letters,
+    "lower_bound_ie": lower_bound_ie,
+    "witness_full": witness_full,
+    "verify_witnesses": verify_witnesses,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (0, 2, "m and n must be at least 1"),
+        (2, 0, "m and n must be at least 1"),
+        (-1, 3, "m and n must be at least 1"),
+        (-4, -4, "m and n must be at least 1"),
+        (True, 2, "True is not an integer"),
+        (2, 2.0, "2.0 is not an integer"),
+    ],
+    ids=["0x2", "2x0", "-1x3", "-4x-4", "Truex2", "2x2.0"],
+)
+def test_grid_rule(name, m, n, message):
+    """Every library function that takes the sides of a grid refuses a side
+    below 1 or not an int with the one rule's message, before any size
+    guard: (-1, 3) once gave a negative shift count, (-4, -4) a guard
+    refusal (a SizeGuardError, itself a ValueError) and (True, 2) a run
+    on a 1 x 2 grid."""
+    with pytest.raises(ValueError) as info:
+        GRID_ENTRY_POINTS[name](m, n)
+    assert type(info.value) is ValueError and str(info.value) == message
