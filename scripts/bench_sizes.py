@@ -46,9 +46,11 @@ COMMANDS = [
     ["--format", "json", "conjecture", "3", "4", "--depth-limit", "2"],
     ["--format", "json", "graded", "5", "3"],
     ["--format", "json", "graded", "6", "3"],
+    ["graded", "6", "3"],
     ["graded", "6", "3", "--count"],
     ["succ", "7", "5", "2", "--oracle"],
     ["series", "64"],
+    ["--format", "json", "series", "64"],
     ["matrix", "200"],
     ["matrix", "12", "--power", "400"],
 ]

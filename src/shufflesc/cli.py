@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from functools import partial
-from itertools import groupby
+from itertools import chain, cycle, groupby, repeat
+from math import factorial, gcd
 from types import SimpleNamespace
 
 from .automata import Transformation, bits
@@ -25,8 +25,8 @@ from .enumeration import (
     matrix_power,
     matrix_S,
     r_totals,
-    series_closed,
-    series_direct,
+    series_closed_rows,
+    series_direct_rows,
     succ_count,
     succ_count_oracle,
 )
@@ -314,17 +314,25 @@ def _cmd_graded(args):
     vectors, parts = Packing(args.n, args.k).ranks(level)
     del level  # the packed level is not held through the sort
     vectors.sort()
-    # each part is decoded once, and each vector written from its ranks;
-    # the JSON is what _json_dumps would write
-    text = part_texts(parts, "[]" if args.fmt == "json" else "{}").__getitem__
-    rows = map("[{}]".format, map(",".join, map(partial(map, text), vectors)))
-    if args.fmt == "json":
-        _emit(
-            args,
-            f'{{"count":{len(vectors)},"k":{args.k},"n":{args.n},"vectors":[{",".join(rows)}]}}',
-        )
-    else:
-        _emit(args, "\n".join(rows))
+    # each vector is written from one rank -> text table per position: the
+    # first opens the vector, the last closes it and carries the separator
+    # (at n = 1 one entry does both), so the listing is one join of table
+    # entries; the JSON is what _json_dumps would write
+    json_fmt = args.fmt == "json"
+    texts = part_texts(parts, "[]" if json_fmt else "{}")
+    last, sep = args.n - 1, "," if json_fmt else "\n"
+    tables = [
+        ["[" * (j == 0) + text + ("]" + sep if j == last else ",") for text in texts]
+        for j in range(args.n)
+    ]
+    head = f'{{"count":{len(vectors)},"k":{args.k},"n":{args.n},"vectors":[' if json_fmt else ""
+    pieces = list(map(list.__getitem__, cycle(tables), chain.from_iterable(vectors)))
+    del vectors  # the rank tuples are not held through the join
+    pieces[-1] = pieces[-1][:-1]  # the last vector has no separator
+    with _output(args) as out:
+        out.write(head)
+        out.write("".join(pieces))
+        out.write("]}\n" if json_fmt else "\n")
     return EXIT_OK
 
 
@@ -357,12 +365,19 @@ def _cmd_coeffs(args):
     return EXIT_OK
 
 
+def _fraction_text(c: int, scale: int) -> str:
+    """str(Fraction(c, scale)) for scale > 0, without the Fraction."""
+    g = gcd(c, scale)
+    return str(c // g) if g == scale else f"{c // g}/{scale // g}"
+
+
 def _cmd_series(args):
+    # both routes give block i times i!, so comparing the integer rows is
+    # comparing the Fraction blocks; each entry is written reduced
     guard = _forced(args, max_blocks_guard=FORCED_COUNT)
-    direct = series_direct(args.d, **guard)
-    closed = series_closed(args.d, **guard)
-    agree = direct == closed
-    blocks = [list(map(str, block)) for block in direct]
+    rows = series_direct_rows(args.d, **guard)
+    agree = rows == series_closed_rows(args.d, **guard)
+    blocks = [list(map(_fraction_text, row, repeat(factorial(i)))) for i, row in enumerate(rows)]
     if args.fmt == "json":
         _emit(args, _json_dumps({"d": args.d, "constructions_agree": agree, "y_blocks": blocks}))
     else:

@@ -25,7 +25,7 @@ from .errors import SizeGuardError
 from .upair import Packing, SetVector
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: (3.0, 2) must not hit a cached (3, 2)
 def stirling2(a: int, b: int) -> int:
     """Stirling number of the second kind: partitions of an a-set into b
     nonempty blocks.
@@ -33,7 +33,7 @@ def stirling2(a: int, b: int) -> int:
     By the explicit sum b! S2(a, b) = sum over j of (-1)^j C(b, j) (b-j)^a,
     not the recurrence: on a cold cache that goes up to a calls deep, past
     the interpreter's recursion limit near a = 500."""
-    if a < 0 or b < 0:
+    if min(_json_int(a), _json_int(b)) < 0:
         raise ValueError("arguments must be nonnegative")
     if a == b:
         return 1
@@ -47,7 +47,7 @@ def r_stirling2(np: int, kp: int, r: int) -> int:
     the first r elements in pairwise distinct blocks.  Read from the row
     `_r_stirling_row(np, r)`, built by a loop and not by a recursion as
     deep as np."""
-    if np < 0 or kp < 0 or r < 0:
+    if min(map(_json_int, (np, kp, r))) < 0:
         raise ValueError("arguments must be nonnegative")
     if np < r or kp > np:
         return 0
@@ -82,6 +82,7 @@ def succ_count(n: int, l: int, d: int) -> int:
     first stays in `matrix_B`, so the factorization S_n = B o A_n checks one
     against the other.
     """
+    n, l, d = map(_json_int, (n, l, d))
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     if d < 0:
@@ -114,7 +115,7 @@ def _canonical_successors(n: int, l: int, max_maps: int) -> tuple[Packing, set[i
     """The packing of grade l and the distinct packed successors of the
     canonical l-part vector (grade l - 1), over every map on its l occupied
     slots (n^l of them)."""
-    _maps_guard(n, l, max_maps)
+    _maps_guard(_json_int(n), _json_int(l), max_maps)
     packing = Packing(n, l)
     parent = packing.pack(canonical_vector(l, n))
     return packing, set(packing.successors(parent, 1 << (l - 1)))
@@ -141,7 +142,7 @@ def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
     """Brute-force value of succ_count, the ground truth it is checked
     against: count the distinct successors of the canonical l-part vector
     with l + d nonempty parts, over all n^l maps."""
-    if d < 0:
+    if _json_int(d) < 0:
         raise ValueError("d must be nonnegative")
     packing, distinct = _canonical_successors(n, l, max_maps)
     return sum(map(eq, packing.nonempty_counts(distinct), repeat(l + d)))
@@ -328,10 +329,22 @@ def lower_bound_ie(m: int, n: int) -> int:
 
 
 def _blocks_guard(d: int, max_blocks_guard: int) -> None:
-    if d < 1:
+    if _json_int(d) < 1:
         raise ValueError("d must be at least 1")
     if d > max_blocks_guard:
         raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}", "max_blocks_guard")
+
+
+def _fraction_blocks(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Block i of a series route: its integer row i over i!."""
+    return [list(map(Fraction, row, repeat(factorial(i)))) for i, row in enumerate(rows)]
+
+
+def series_direct_rows(d: int, max_blocks_guard: int = 64) -> list[list[int]]:
+    """The y-blocks of `series_direct` as integer rows, block i times i!:
+    the row `_r_stirling_row(2i, i)`, padded with zeros to x^(2d)."""
+    _blocks_guard(d, max_blocks_guard)
+    return [_r_stirling_row(2 * i, i) + [0] * (2 * (d - i)) for i in range(d + 1)]
 
 
 def series_direct(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
@@ -341,12 +354,7 @@ def series_direct(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
     dense list of the coefficients of x^0..x^(2d) y^i, nonzero only at
     x-degrees i..2i.  Block i is the row `_r_stirling_row(2i, i)` over i!,
     padded with zeros; `series_closed` uses no r-Stirling number."""
-    _blocks_guard(d, max_blocks_guard)
-    return [
-        [Fraction(c, factorial(i)) for c in _r_stirling_row(2 * i, i)]
-        + [Fraction(0)] * (2 * (d - i))
-        for i in range(d + 1)
-    ]
+    return _fraction_blocks(series_direct_rows(d, max_blocks_guard))
 
 
 def _add_product(acc: dict, scale: int, p: dict, q: dict) -> None:
@@ -385,6 +393,18 @@ def _product_blocks(p: list[dict], q: list[dict]) -> list[dict]:
     return out
 
 
+def series_closed_rows(d: int, max_blocks_guard: int = 64) -> list[list[int]]:
+    """The y-blocks of `series_closed` as integer rows, block n times n!:
+    the dense blocks of the product, before the division by n!."""
+    _blocks_guard(d, max_blocks_guard)
+    w = [{}] + [{k: -(k ** (k - 1))} for k in range(1, d + 1)]
+    exponent = [{}] + [{k + 1: (k + 1) ** (k - 1)} for k in range(1, d + 1)]
+    numerator = _recurrence_blocks(exponent, lambda n, k: comb(n - 1, k - 1))
+    inverse = _recurrence_blocks(w, lambda n, k: -comb(n, k))
+    blocks = _product_blocks(numerator, inverse)
+    return [list(map(block.get, range(2 * d + 1), repeat(0))) for block in blocks]
+
+
 def series_closed(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
     """The same y-blocks from the closed form
 
@@ -395,17 +415,7 @@ def series_closed(d: int, max_blocks_guard: int = 64) -> list[list[Fraction]]:
     has the one y-degree-0 term -x, cancelled exactly by the +x, so block k
     of the exponent, times k!, is (k+1)^(k-1) x^(k+1), and the truncated
     algebra is exact blockwise.  Each block k is carried as integers scaled
-    by k!, through the generic exp, reciprocal and product recurrences; the
-    result divides block n by n! once per coefficient.
+    by k!, through the generic exp, reciprocal and product recurrences
+    (`series_closed_rows`); only the result divides block n by n!.
     """
-    _blocks_guard(d, max_blocks_guard)
-    max_x = 2 * d
-    w = [{}] + [{k: -(k ** (k - 1))} for k in range(1, d + 1)]
-    exponent = [{}] + [{k + 1: (k + 1) ** (k - 1)} for k in range(1, d + 1)]
-    numerator = _recurrence_blocks(exponent, lambda n, k: comb(n - 1, k - 1))
-    inverse = _recurrence_blocks(w, lambda n, k: -comb(n, k))
-    blocks = []
-    for n, block in enumerate(_product_blocks(numerator, inverse)):
-        scale = factorial(n)
-        blocks.append([Fraction(block.get(ex, 0), scale) for ex in range(max_x + 1)])
-    return blocks
+    return _fraction_blocks(series_closed_rows(d, max_blocks_guard))

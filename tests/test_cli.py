@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from shufflesc import cli, monster
-from shufflesc.cli import FORCED_CELLS, FORCED_COUNT, FORCED_WITNESS, main
+from shufflesc.cli import EXIT_CHECK_FAILED, FORCED_CELLS, FORCED_COUNT, FORCED_WITNESS, main
+from shufflesc.enumeration import series_direct
 from shufflesc.errors import SizeGuardError
 from shufflesc.monster import Tableau, reachable_tableaux
+from shufflesc.upair import generate_graded
 
 
 def run_cli(capsys, *args):
@@ -196,6 +198,57 @@ class TestReachWriter:
         for fmt in ("text", "json", "csv"):
             code, out, err = run_cli(capsys, "--format", fmt, "reach", "3", "3")
             assert (code, err) == (0, "") and out
+
+
+class TestGradedWriter:
+    """The CLI writes the graded listing from rank tuples through one text
+    table per position; the reference writes each `SetVector` of
+    `generate_graded`, as `str` and through `json.dumps` of `to_lists()`."""
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(4)])
+    def test_matches_reference(self, capsys, n, k):
+        vectors = generate_graded(n, k)
+        assert run_cli(capsys, "graded", str(n), str(k)) == (
+            0, "\n".join(map(str, vectors)) + "\n", ""
+        )
+        payload = {"count": len(vectors), "k": k, "n": n,
+                   "vectors": [v.to_lists() for v in vectors]}
+        assert run_cli(capsys, "--format", "json", "graded", str(n), str(k)) == (
+            0, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", ""
+        )
+
+
+class TestSeriesWriter:
+    """The CLI compares the two routes' integer rows and writes each entry
+    as reduced text; the reference writes `str` of the `Fraction`s of
+    `series_direct`."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_reference(self, capsys, d):
+        blocks = [list(map(str, block)) for block in series_direct(d)]
+        text = ["constructions agree: True"]
+        text += [f"y^{i}: " + ",".join(b) for i, b in enumerate(blocks)]
+        assert run_cli(capsys, "series", str(d)) == (0, "\n".join(text) + "\n", "")
+        payload = {"d": d, "constructions_agree": True, "y_blocks": blocks}
+        assert run_cli(capsys, "--format", "json", "series", str(d)) == (
+            0, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", ""
+        )
+
+    @pytest.mark.parametrize("route", ["series_direct_rows", "series_closed_rows"])
+    def test_one_changed_entry_fails_the_check(self, capsys, monkeypatch, route):
+        real = getattr(cli, route)
+
+        def changed(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            rows[2][3] += 1
+            return rows
+
+        monkeypatch.setattr(cli, route, changed)
+        code, out, err = run_cli(capsys, "series", "4")
+        assert (code, err) == (EXIT_CHECK_FAILED, "") and code == 3
+        assert out.startswith("constructions agree: False\n")
+        code, out, _ = run_cli(capsys, "--format", "json", "series", "4")
+        assert code == 3 and json.loads(out)["constructions_agree"] is False
 
 
 class TestScCommand:
@@ -506,8 +559,8 @@ class TestGuards:
         "check_conjecture2": (["conjecture", "2", "2", "--dense"], "max_cells", FORCED_CELLS),
         "graded_level": (["graded", "2", "2"], "max_count", FORCED_COUNT),
         "witness_full": (["witness", "full", "2", "2"], "max_count", FORCED_WITNESS),
-        "series_direct": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
-        "series_closed": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
+        "series_direct_rows": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
+        "series_closed_rows": (["series", "2"], "max_blocks_guard", FORCED_COUNT),
         "succ_count_oracle": (["succ", "4", "2", "1", "--oracle"], "max_maps", FORCED_COUNT),
     }
 
@@ -535,8 +588,8 @@ class TestGuards:
         "check_conjecture2": ((2, 2), 3),
         "graded_level": ((2, 2), 3),
         "witness_full": ((2, 2), 3),
-        "series_direct": ((2,), 1),
-        "series_closed": ((2,), 1),
+        "series_direct_rows": ((2,), 1),
+        "series_closed_rows": ((2,), 1),
         "succ_count_oracle": ((4, 2, 1), 15),
     }
 

@@ -27,7 +27,15 @@ from shufflesc import (
     u_total,
 )
 from shufflesc import enumeration
-from shufflesc.enumeration import canonical_vector, graded_rows, successor_vectors
+from shufflesc.enumeration import (
+    canonical_vector,
+    graded_rows,
+    series_closed,
+    series_closed_rows,
+    series_direct,
+    series_direct_rows,
+    successor_vectors,
+)
 
 S_DISPLAYS = {
     2: [[1, 1], [0, 4]],
@@ -571,3 +579,46 @@ class TestSuccessorVectors:
 def test_argument_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: stirling2(3.0, 2), 3.0),
+        (lambda: (stirling2(3, 2), stirling2(3.0, 2)), 3.0),
+        (lambda: stirling2(True, True), True),
+        (lambda: stirling2(2, 1.0), 1.0),
+        (lambda: r_stirling2(True, 1, 1), True),
+        (lambda: r_stirling2(4, 2.0, 1), 2.0),
+        (lambda: r_stirling2(4, 2, 1.0), 1.0),
+        (lambda: succ_count(True, 1, 0), True),
+        (lambda: succ_count(2.0, 0, 0), 2.0),
+        (lambda: succ_count(3, True, 0), True),
+        (lambda: succ_count(3, 1, 1.0), 1.0),
+        (lambda: series_direct(True), True),
+        (lambda: series_closed(True), True),
+        (lambda: series_direct(2.0), 2.0),
+        (lambda: series_closed(2.0), 2.0),
+        (lambda: series_direct_rows(True), True),
+        (lambda: series_closed_rows(2.0), 2.0),
+        (lambda: successor_vectors(3.0, 2), 3.0),
+        (lambda: successor_vectors(3, True), True),
+        (lambda: succ_count_oracle(3, 2, True), True),
+        (lambda: succ_count_oracle(3.0, 2, 1), 3.0),
+    ],
+    ids=[
+        "S2-a-float", "S2-a-float-after-S2-3-2", "S2-bools", "S2-b-float", "rS2-np-bool",
+        "rS2-kp-float", "rS2-r-float", "succ-n-bool", "succ-n-float-l-0", "succ-l-bool",
+        "succ-d-float", "direct-bool", "closed-bool", "direct-float", "closed-float",
+        "direct-rows-bool", "closed-rows-float", "vectors-n-float", "vectors-l-bool",
+        "oracle-d-bool", "oracle-n-float",
+    ],
+)
+def test_series_and_successor_non_integer_refused(call, bad):
+    # before: stirling2(3.0, 2) returned 3.0, or a cached 3; the bools ran
+    # as 1 (series as d = 1); the floats raised TypeError or AttributeError
+    # or passed; succ_count(2.0, 0, 0) named l before n was checked
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{bad!r} is not an integer"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -30,6 +31,19 @@ class TestGeneratingFunction:
         for d in [*range(1, 13), 40, 64]:
             assert series_direct(d) == series_closed(d)
 
+    @pytest.mark.parametrize(
+        "rows, route",
+        [(enumeration.series_direct_rows, series_direct),
+         (enumeration.series_closed_rows, series_closed)],
+        ids=["direct", "closed"],
+    )
+    def test_rows_over_factorials_are_the_blocks(self, rows, route):
+        # each route's integer kernel, block i over i!, is its public result
+        for d in (1, 2, 7, 20):
+            blocks = rows(d)
+            assert all(type(c) is int for row in blocks for c in row)
+            assert [[F(c, factorial(i)) for c in row] for i, row in enumerate(blocks)] == route(d)
+
     def test_closed_route_is_independent(self, monkeypatch):
         expected = series_direct(7)
 
@@ -39,6 +53,7 @@ class TestGeneratingFunction:
         monkeypatch.setattr(enumeration, "r_stirling2", forbidden)
         monkeypatch.setattr(enumeration, "_r_stirling_row", forbidden)
         monkeypatch.setattr(enumeration, "series_direct", forbidden)
+        monkeypatch.setattr(enumeration, "series_direct_rows", forbidden)
         assert series_closed(7) == expected
 
     def test_y4_block(self):
