@@ -105,17 +105,17 @@ class Transformation:
 
     @classmethod
     def identity(cls, n: int) -> "Transformation":
-        return cls(range(_size(n)))
+        return cls(range(_int_at_least(n, 0, "size")))
 
     @classmethod
     def constant(cls, n: int, value: int) -> "Transformation":
-        return cls([value] * _size(n))
+        return cls([value] * _int_at_least(n, 0, "size"))
 
     @classmethod
     def cycle(cls, n: int, points: Iterable[int]) -> "Transformation":
         """The cycle (i0,...,il-1): each listed point maps to the next, the
         last wraps to the first, everything else is fixed."""
-        n, points = _size(n), list(map(_json_int, points))
+        n, points = _int_at_least(n, 0, "size"), list(map(_json_int, points))
         seen = set()
         for a in points:
             if not 0 <= a < n:
@@ -131,7 +131,7 @@ class Transformation:
     @classmethod
     def from_map(cls, n: int, mapping: Mapping[int, int]) -> "Transformation":
         """Total map equal to `mapping` where defined and the identity elsewhere."""
-        images = list(range(_size(n)))
+        images = list(range(_int_at_least(n, 0, "size")))
         for k, v in mapping.items():
             if not 0 <= _json_int(k) < n:
                 raise ValueError(f"key {k} not within range({n})")
@@ -159,11 +159,11 @@ class Transformation:
         return f"Transformation({list(self.images)})"
 
 
-def _size(n):
-    """`n`, the size of a transformation, refused unless an int >= 0."""
-    if _json_int(n) < 0:
-        raise ValueError(f"size {n} is negative")
-    return n
+def _int_at_least(value, low, name):
+    """`value`, a count named `name`, refused unless an int >= `low`."""
+    if _json_int(value) < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return value
 
 
 def _grid(m, n):

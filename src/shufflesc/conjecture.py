@@ -18,7 +18,7 @@ from itertools import compress, permutations, repeat
 from operator import eq
 from typing import Optional
 
-from .automata import Transformation, _grid, record
+from .automata import Transformation, _grid, _json_int, record
 from .errors import SizeGuardError
 from .monster import (
     ReachResult,
@@ -95,7 +95,7 @@ def _survey(m, n, conjecture, max_cells, depth_limit, reach) -> ConjectureReport
         raise ValueError("depth_limit applies to a new search; pass it or reach, not both")
     else:
         scan_guard(m, n, max_cells)
-    table = reach.table
+    table, histogram = reach.table, reach.depth_histogram()
     missing = dense_unreached = ()
     if reach.count < f_bound(m, n):
         masks = [mask for mask in valid_masks(m, n) if not table[mask]]
@@ -115,8 +115,8 @@ def _survey(m, n, conjecture, max_cells, depth_limit, reach) -> ConjectureReport
         valid_count=f_bound(m, n),
         missing=missing,
         dense_unreached=dense_unreached,
-        depth_histogram=reach.depth_histogram(),
-        saturation_depth=reach.saturation_depth(),
+        depth_histogram=histogram,
+        saturation_depth=len(histogram) - 1,
         status=status,
     )
 
@@ -205,7 +205,7 @@ def permutation_min_grade(sigma: Transformation, k_max: int) -> Optional[int]:
     n = sigma.size
     if not sigma.is_permutation():
         raise ValueError(f"{sigma!r} is not a permutation")
-    for k in range(k_max + 1):
+    for k in range(_json_int(k_max) + 1):
         if (1 << k) < n:
             continue  # fewer stamps than nonempty parts needed
         if sigma(0) in _left_first_parts(n, k):

@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 from operator import eq, mul
 from typing import Iterator, Optional
 
-from .automata import _grid, _json_int
+from .automata import _grid, _int_at_least, _json_int
 from .errors import SizeGuardError
 from .upair import Packing, SetVector
 
@@ -33,8 +33,8 @@ def stirling2(a: int, b: int) -> int:
     By the explicit sum b! S2(a, b) = sum over j of (-1)^j C(b, j) (b-j)^a,
     not the recurrence: on a cold cache that goes up to a calls deep, past
     the interpreter's recursion limit near a = 500."""
-    if min(_json_int(a), _json_int(b)) < 0:
-        raise ValueError("arguments must be nonnegative")
+    _int_at_least(a, 0, "a")
+    _int_at_least(b, 0, "b")
     if a == b:
         return 1
     if b == 0 or b > a:
@@ -47,8 +47,9 @@ def r_stirling2(np: int, kp: int, r: int) -> int:
     the first r elements in pairwise distinct blocks.  Read from the row
     `_r_stirling_row(np, r)`, built by a loop and not by a recursion as
     deep as np."""
-    if min(map(_json_int, (np, kp, r))) < 0:
-        raise ValueError("arguments must be nonnegative")
+    _int_at_least(np, 0, "np")
+    _int_at_least(kp, 0, "kp")
+    _int_at_least(r, 0, "r")
     if np < r or kp > np:
         return 0
     return _r_stirling_row(np, r)[kp]
@@ -85,8 +86,7 @@ def succ_count(n: int, l: int, d: int) -> int:
     n, l, d = map(_json_int, (n, l, d))
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    _int_at_least(d, 0, "d")
     if d > min(l, n - l):  # l slots map onto at most l of the n - l empty ones
         return 0
     return comb(n - l, d) * sum(
@@ -97,10 +97,8 @@ def succ_count(n: int, l: int, d: int) -> int:
 def canonical_vector(l: int, n: int) -> SetVector:
     """A specific valid vector with l nonempty parts (grade max(l-1, 0)):
     [{1}, {2}, ..., {l-1}, {l..2^(l-1)}], padded with empty parts to length n."""
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    if n < l:
-        raise ValueError("n must be at least l")
+    _int_at_least(l, 1, "l")
+    _int_at_least(n, l, "n")
     singles = (1 << (l - 1)) - 1  # {1..l-1}
     rest = ((1 << (1 << (l - 1))) - 1) & ~singles
     return SetVector.of_masks([1 << i for i in range(l - 1)] + [rest] + [0] * (n - l))
@@ -142,8 +140,7 @@ def succ_count_oracle(n: int, l: int, d: int, max_maps: int = 2_000_000) -> int:
     """Brute-force value of succ_count, the ground truth it is checked
     against: count the distinct successors of the canonical l-part vector
     with l + d nonempty parts, over all n^l maps."""
-    if _json_int(d) < 0:
-        raise ValueError("d must be nonnegative")
+    _int_at_least(d, 0, "d")
     packing, distinct = _canonical_successors(n, l, max_maps)
     return sum(map(eq, packing.nonempty_counts(distinct), repeat(l + d)))
 
@@ -161,8 +158,7 @@ def matrix_power(m: tuple, k: int) -> tuple:
     """m^k by repeated squaring; k = 0 gives the identity.  The result
     starts as the power of k's lowest set bit and no square is taken past
     its highest, so m^1 is m itself and m^3 takes two products."""
-    if _json_int(k) < 0:
-        raise ValueError("k must be nonnegative")
+    _int_at_least(k, 0, "k")
     if any(len(row) != len(m) for row in m):
         raise ValueError("matrix must be square")
     if not k:
@@ -191,8 +187,7 @@ def matrix_S(n: int, size: Optional[int] = None) -> tuple:
     """The n x n successor-count matrix: entry (i, j), 1-indexed, is
     succ_count(n, i, j - i).  Upper triangular with diagonal 1^1 ... n^n.
     With `size`, in 1..n, only its top-left size x size block."""
-    if _json_int(n) < 1:
-        raise ValueError("n must be at least 1")
+    _int_at_least(n, 1, "n")
     if size is None:
         size = n
     elif not 1 <= _json_int(size) <= n:
@@ -213,8 +208,8 @@ def matrix_B(rows: int, cols: Optional[int] = None) -> tuple:
     """Top-left block of the n-independent factor: entry (i, j), 1-indexed,
     is sum over t of C(i, t) i^(i-t) S2(t, j-i), equal to the r-Stirling
     number {2i over j} with the first i elements separated."""
-    if cols is None:
-        cols = rows
+    _int_at_least(rows, 1, "rows")
+    cols = rows if cols is None else _int_at_least(cols, 1, "cols")
     return tuple(
         tuple(_b_entry(i, j) for j in range(1, cols + 1)) for i in range(1, rows + 1)
     )
@@ -224,8 +219,8 @@ def matrix_A(n: int, size: Optional[int] = None) -> tuple:
     """Arrangement-count factor: entry (i, j), 1-indexed, is
     (j-i)! C(n-i, j-i), i.e. ordered (j-i)-subsets of an (n-i)-set; zero by
     convention outside 1 <= i <= j <= n."""
-    if size is None:
-        size = n
+    _int_at_least(n, 1, "n")
+    size = n if size is None else _int_at_least(size, 1, "size")
 
     def entry(i, j):
         if j < i or j > n or i > n:
@@ -255,8 +250,7 @@ def graded_rows(n: int, kmax: int) -> Iterator[tuple]:
     A grade-k vector has at most 2^k nonempty parts (succ_count(n, l, d) is
     0 for d > l), so these rows are 0 beyond column 2^kmax and the walk
     reads only that block of S_n, padding each row with zeros to length n."""
-    if _json_int(kmax) < 0:
-        raise ValueError("kmax must be nonnegative")
+    _int_at_least(kmax, 0, "kmax")
     size = min(n, 1 << min(kmax, _json_int(n).bit_length()))  # 2^kmax is not formed
     cols = list(zip(*matrix_S(n, size)))
     pad = (0,) * (n - size)
@@ -293,8 +287,7 @@ def closed_form_coeffs(n: int) -> list[Fraction]:
     a_i = (sum over k of [t^k] L_i * r_total(n, k)) / L_i(x_i).  Everything
     stays in integers up to that one division per coefficient.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _int_at_least(n, 1, "n")
     roots = [i**i for i in range(1, n + 1)]
     totals = r_totals(n, n - 1)
     coeffs = []
@@ -329,9 +322,7 @@ def lower_bound_ie(m: int, n: int) -> int:
 
 
 def _blocks_guard(d: int, max_blocks_guard: int) -> None:
-    if _json_int(d) < 1:
-        raise ValueError("d must be at least 1")
-    if d > max_blocks_guard:
+    if _int_at_least(d, 1, "d") > max_blocks_guard:
         raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}", "max_blocks_guard")
 
 

@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .automata import Dfa, Transformation, _grid, _json_int, bits, record
+from .automata import Dfa, Transformation, _grid, _int_at_least, _json_int, bits, record
 from .errors import SizeGuardError
 
 
@@ -212,9 +212,9 @@ class ReachResult:
         return len(self.table) - self.table.count(0)
 
     def level(self, depth: int) -> list[int]:
-        """The masks at `depth`, increasing: one scan of the table.  No
-        mask has a depth outside 0..MAX_DEPTH, so there the list is empty."""
-        if not 0 <= depth <= MAX_DEPTH:
+        """The masks at `depth`, an int, increasing: one scan of the table.
+        No mask has a depth outside 0..MAX_DEPTH, so there the list is empty."""
+        if not 0 <= _json_int(depth) <= MAX_DEPTH:
             return []
         select = bytearray(256)  # a translation to 1 at depth + 1 and 0 elsewhere
         select[depth + 1] = 1
@@ -388,8 +388,8 @@ def reachable_tableaux(
     same argument, with no depths, lets any other order mark whole orbits.
     """
     _grid(m, n)
-    if depth_limit is not None and _json_int(depth_limit) < 0:
-        raise ValueError("depth_limit must be at least 0")
+    if depth_limit is not None:
+        _int_at_least(depth_limit, 0, "depth_limit")
     if m * n > max_cells:
         raise SizeGuardError(f"{m}x{n} grid exceeds the {max_cells}-cell guard", "max_cells")
     table, _, complete = _closure(m, n, 1, depth_limit)

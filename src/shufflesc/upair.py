@@ -23,7 +23,7 @@ from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, lshift, mod, ne, or_, rshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .automata import Transformation, _grid, _json_int, bits, record
+from .automata import Transformation, _grid, _int_at_least, _json_int, bits, record
 from .errors import SizeGuardError
 from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
 
@@ -70,9 +70,7 @@ class SetVector:
     @classmethod
     def base(cls, length: int) -> "SetVector":
         """[{1}, {}, ..., {}], the grade-0 vector every path starts from."""
-        if length < 1:
-            raise ValueError("length must be at least 1")
-        return cls.of_masks([1] + [0] * (length - 1))
+        return cls.of_masks([1] + [0] * (_int_at_least(length, 1, "length") - 1))
 
     @property
     def support(self) -> frozenset:
@@ -264,7 +262,7 @@ def mirror(v: SetVector, k: int) -> SetVector:
 
     An involution exchanging the left-valid and right-valid families.
     """
-    if v._union() >> (1 << k):
+    if v._union() >> (1 << _int_at_least(k, 0, "k")):
         raise ValueError(f"vector is not of grade {k}")
     return SetVector.of_masks(mirror_part(p, k) for p in v.parts)
 
@@ -293,7 +291,7 @@ def is_rvalid(v: SetVector, k: int) -> bool:
     appends a shifted copy of the moved previous vector on the right.
     """
     return (
-        v._union() == (1 << (1 << k)) - 1
+        v._union() == (1 << (1 << _int_at_least(k, 0, "k"))) - 1
         and bool(v.parts[0] & 1)
         and half_blocks_closed(v.parts, k)
     )
@@ -301,7 +299,7 @@ def is_rvalid(v: SetVector, k: int) -> bool:
 
 def is_lvalid(v: SetVector, k: int) -> bool:
     """Left validity at grade k: the mirror image must be right-valid."""
-    return not v._union() >> (1 << k) and is_rvalid(mirror(v, k), k)
+    return not v._union() >> (1 << _int_at_least(k, 0, "k")) and is_rvalid(mirror(v, k), k)
 
 
 def canonical_parts(vectors: Iterable[Sequence[int]]) -> list[int]:
@@ -341,8 +339,8 @@ def graded_level(n: int, k: int, max_count: int = 2_000_000) -> list[int]:
     """
     from .enumeration import r_totals  # enumeration imports this module
 
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    _int_at_least(n, 1, "n")
+    _int_at_least(k, 0, "k")
     stamp_guard(k, f"a graded vector of length {n}", max_count)
     # The maps tried into a grade are exactly its vectors, r_total(n, grade):
     # distinct maps on a parent's occupied parts give distinct successors,
@@ -467,7 +465,9 @@ def pair_of_settableau(
 ) -> UPair:
     """Pair of vectors of a tableau whose cells carry disjoint sets covering
     {1..2^k}: row i unions to left[i], column j unions to right[j].  The
-    cell contents, read as one vector, must be pairwise disjoint."""
+    cell contents, read as one vector, must be pairwise disjoint, and the
+    cells those of a `Tableau` of the grid, which checks them first."""
+    Tableau(m, n, cells)
     lam, rho = [0] * m, [0] * n
     for (i, j), content in zip(cells, SetVector(cells.values())):
         lam[i] |= content

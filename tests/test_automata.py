@@ -134,10 +134,10 @@ class TestTransformation:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: Transformation.identity(-1), "size -1 is negative"),
-            (lambda: Transformation.constant(-2, 0), "size -2 is negative"),
-            (lambda: Transformation.cycle(-1, []), "size -1 is negative"),
-            (lambda: Transformation.from_map(-1, {}), "size -1 is negative"),
+            (lambda: Transformation.identity(-1), "size must be at least 0"),
+            (lambda: Transformation.constant(-2, 0), "size must be at least 0"),
+            (lambda: Transformation.cycle(-1, []), "size must be at least 0"),
+            (lambda: Transformation.from_map(-1, {}), "size must be at least 0"),
             (lambda: Transformation.identity(1.5), "1.5 is not an integer"),
             (lambda: Transformation.identity(True), "True is not an integer"),
             (lambda: Transformation.constant(2.0, 0), "2.0 is not an integer"),

@@ -240,9 +240,9 @@ class TestSuccCount:
         # refused before any map is enumerated, as succ_count refuses it
         monkeypatch.setattr(enumeration, "_canonical_successors", None)
         for d in (-1, -5):
-            with pytest.raises(ValueError, match="^d must be nonnegative$"):
+            with pytest.raises(ValueError, match="^d must be at least 0$"):
                 succ_count_oracle(4, 2, d)
-            with pytest.raises(ValueError, match="^d must be nonnegative$"):
+            with pytest.raises(ValueError, match="^d must be at least 0$"):
                 succ_count(4, 2, d)
 
     def test_oracle_guard(self):
@@ -568,7 +568,7 @@ class TestSuccessorVectors:
     "call, message",
     [
         (lambda: canonical_vector(0, 3), "l must be at least 1"),
-        (lambda: canonical_vector(3, 2), "n must be at least l"),
+        (lambda: canonical_vector(3, 2), "n must be at least 3"),
         (lambda: graded_count(3, 2, 0), "need 1 <= l <= n, got l=0"),
         (lambda: graded_count(3, 2, 4), "need 1 <= l <= n, got l=4"),
         (lambda: closed_form_coeffs(0), "n must be at least 1"),

@@ -18,7 +18,13 @@ from shufflesc import (
 )
 from shufflesc import automata, monster
 from shufflesc.automata import moore_refine
-from shufflesc.conjecture import check_conjecture1, check_conjecture2, verify_witnesses
+from shufflesc import enumeration as en
+from shufflesc.conjecture import (
+    check_conjecture1,
+    check_conjecture2,
+    permutation_min_grade,
+    verify_witnesses,
+)
 from shufflesc.enumeration import lower_bound_ie
 from shufflesc.monster import (
     ReachResult,
@@ -30,7 +36,19 @@ from shufflesc.monster import (
     reachable_table,
     valid_masks,
 )
-from shufflesc.upair import Packing, enumerate_dense, graded_level, mirror_part, witness_full
+from shufflesc.upair import (
+    Packing,
+    SetVector,
+    enumerate_dense,
+    graded_level,
+    is_lvalid,
+    is_rvalid,
+    mirror,
+    mirror_part,
+    p_of_path,
+    pair_of_settableau,
+    witness_full,
+)
 
 
 def T(m, n, cells):
@@ -950,6 +968,7 @@ GRID_ENTRY_POINTS = {
     "lower_bound_ie": lower_bound_ie,
     "witness_full": witness_full,
     "verify_witnesses": verify_witnesses,
+    "pair_of_settableau": lambda m, n: pair_of_settableau({(0, 0): [1]}, m, n),
 }
 
 
@@ -975,3 +994,81 @@ def test_grid_rule(name, m, n, message):
     with pytest.raises(ValueError) as info:
         GRID_ENTRY_POINTS[name](m, n)
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+# name -> (a call taking one count, the count's name, its least value)
+COUNT_ENTRY_POINTS = {
+    "Transformation.identity": (Transformation.identity, "size", 0),
+    "Transformation.constant": (lambda x: Transformation.constant(x, 0), "size", 0),
+    "Transformation.cycle": (lambda x: Transformation.cycle(x, []), "size", 0),
+    "Transformation.from_map": (lambda x: Transformation.from_map(x, {}), "size", 0),
+    "stirling2.a": (lambda x: en.stirling2(x, 1), "a", 0),
+    "stirling2.b": (lambda x: en.stirling2(3, x), "b", 0),
+    "r_stirling2.np": (lambda x: en.r_stirling2(x, 1, 1), "np", 0),
+    "r_stirling2.kp": (lambda x: en.r_stirling2(3, x, 1), "kp", 0),
+    "r_stirling2.r": (lambda x: en.r_stirling2(3, 1, x), "r", 0),
+    "succ_count.d": (lambda x: en.succ_count(4, 2, x), "d", 0),
+    "succ_count_oracle.d": (lambda x: en.succ_count_oracle(4, 2, x), "d", 0),
+    "canonical_vector.l": (lambda x: en.canonical_vector(x, 3), "l", 1),
+    "canonical_vector.n": (lambda x: en.canonical_vector(2, x), "n", 2),
+    "matrix_power.k": (lambda x: en.matrix_power(((1,),), x), "k", 0),
+    "matrix_S.n": (en.matrix_S, "n", 1),
+    "matrix_A.n": (en.matrix_A, "n", 1),
+    "matrix_A.size": (lambda x: en.matrix_A(2, x), "size", 1),
+    "matrix_B.rows": (en.matrix_B, "rows", 1),
+    "matrix_B.cols": (lambda x: en.matrix_B(2, x), "cols", 1),
+    "graded_rows.kmax": (lambda x: list(en.graded_rows(3, x)), "kmax", 0),
+    "closed_form_coeffs.n": (en.closed_form_coeffs, "n", 1),
+    "series_direct.d": (en.series_direct, "d", 1),
+    "series_closed.d": (en.series_closed, "d", 1),
+    "series_direct_rows.d": (en.series_direct_rows, "d", 1),
+    "series_closed_rows.d": (en.series_closed_rows, "d", 1),
+    "reachable_tableaux.depth_limit": (
+        lambda x: reachable_tableaux(2, 2, depth_limit=x), "depth_limit", 0
+    ),
+    "SetVector.base": (SetVector.base, "length", 1),
+    "p_of_path.m": (lambda x: p_of_path(x, 1, []), "length", 1),
+    "p_of_path.n": (lambda x: p_of_path(1, x, []), "length", 1),
+    "graded_level.n": (lambda x: graded_level(x, 1), "n", 1),
+    "graded_level.k": (lambda x: graded_level(2, x), "k", 0),
+    "mirror.k": (lambda x: mirror(SetVector.base(1), x), "k", 0),
+    "is_rvalid.k": (lambda x: is_rvalid(SetVector.base(1), x), "k", 0),
+    "is_lvalid.k": (lambda x: is_lvalid(SetVector.base(1), x), "k", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["float", "bool", "below"])
+def test_count_rule(name, kind):
+    """Every count argument is refused unless an int at least its least
+    value, with the one rule's message (`automata._int_at_least`):
+    matrix_A(2, True) once gave ((1,),), matrix_B(2, 0) two empty rows,
+    is_lvalid(v, -1) a negative shift count, closed_form_coeffs(2.0) a
+    TypeError and canonical_vector(True, 2) a vector of one part."""
+    call, count, low = COUNT_ENTRY_POINTS[name]
+    value, message = {
+        "float": (float(low + 1), f"{float(low + 1)} is not an integer"),
+        "bool": (True, "True is not an integer"),
+        "below": (low - 1, f"{count} must be at least {low}"),
+    }[kind]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, outside",
+    [
+        (lambda x: reachable_tableaux(2, 2).level(x), []),
+        (lambda x: permutation_min_grade(Transformation([1, 0]), x), None),
+    ],
+    ids=["ReachResult.level", "permutation_min_grade"],
+)
+def test_depth_and_grade_bound_are_ints(call, outside):
+    """A depth or a grade bound is an int: a float or a bool is refused by
+    name, and one below 0 still finds nothing."""
+    for value in (1.0, True):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert type(info.value) is ValueError and str(info.value) == f"{value} is not an integer"
+    assert call(-1) == outside

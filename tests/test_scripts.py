@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import runpy
 import subprocess
 import sys
@@ -17,6 +18,17 @@ def run_script(name, *args, flags=()):
         text=True,
         timeout=240,
     )
+
+
+def test_perfbench_traced_functions_resolve():
+    """Every (module, function) that `perfbench/worker.py` wraps in a timing
+    span is a callable of the package: a function renamed or deleted fails
+    here, and not only in a traced benchmark run."""
+    layers = runpy.run_path(str(SCRIPTS.parent / "perfbench" / "worker.py"))["LAYERS"]
+    assert layers
+    for module, function, *_ in layers:
+        value = getattr(importlib.import_module("shufflesc." + module), function, None)
+        assert callable(value), f"shufflesc.{module}.{function}"
 
 
 def test_conjecture_sweep_smoke():

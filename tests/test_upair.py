@@ -32,7 +32,7 @@ from shufflesc import (
 )
 from shufflesc.automata import bits
 from shufflesc import upair
-from shufflesc.upair import Packing, _elements, graded_level
+from shufflesc.upair import Packing, _elements, graded_level, witness_full
 
 
 def sv(*parts):
@@ -429,9 +429,13 @@ class TestGenerateGraded:
         with pytest.raises(SizeGuardError):
             generate_graded(3, 3, max_count=100)
 
-    @pytest.mark.parametrize("n, k", [(0, 1), (2, -1), (-2, 1)])
-    def test_bad_sizes_refused(self, n, k):
-        with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [(0, 1, "n must be at least 1"), (2, -1, "k must be at least 0"), (-2, 1, "n must be at least 1")],
+        ids=["0-1", "2--1", "-2-1"],
+    )
+    def test_bad_sizes_refused(self, n, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             generate_graded(n, k)
 
     def test_guard_bounds_the_maps_tried(self):
@@ -832,6 +836,33 @@ class TestSetTableau:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             pair_of_settableau({(0, 0): {1, 2}, (0, 1): {2}}, 1, 2)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({(0, 0): {1}, (0, 2): {2}}, "cell out of 2x2 range: [(0, 0), (0, 2)]"),
+            ({(0, 0): {1}, (2, 1): {2}}, "cell out of 2x2 range: [(0, 0), (2, 1)]"),
+            ({(0, 0): {1}, (-1, 0): {2}}, "cell out of 2x2 range: [(-1, 0), (0, 0)]"),
+            ({(0, 0): {1}, (1.0, 0): {2}}, "1.0 is not an integer"),
+            ({(0, 0): {1}, (0, True): {2}}, "True is not an integer"),
+            # checked before the contents: these overlap as well
+            ({(0, 0): {1}, (5, 0): {1}}, "cell out of 2x2 range: [(0, 0), (5, 0)]"),
+        ],
+        ids=["column-2", "row-2", "row--1", "float-row", "bool-column", "before-contents"],
+    )
+    def test_cell_outside_the_grid_refused(self, cells, message):
+        # an index of m or n once raised IndexError, a float TypeError, and
+        # -1 read the last row or column
+        with pytest.raises(ValueError) as info:
+            pair_of_settableau(cells, 2, 2)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_negative_cells_are_not_read_from_the_end(self):
+        cells = settableau_of_pair(witness_full(2, 2))
+        wrapped = {(-i, -j): c for (i, j), c in cells.items()}  # -1 for row and column 1
+        assert pair_of_settableau(cells, 2, 2) == witness_full(2, 2)
+        with pytest.raises(ValueError, match=r"^cell out of 2x2 range: "):
+            pair_of_settableau(wrapped, 2, 2)
 
     def test_roundtrip_random_pairs(self):
         rng = random.Random(17)
