@@ -16,6 +16,8 @@ from functools import cached_property, reduce
 from operator import attrgetter, itemgetter, or_
 from typing import Hashable, Iterable, Iterator, Mapping
 
+from .errors import SizeGuardError
+
 Letter = Hashable
 
 
@@ -170,6 +172,13 @@ def _grid(m, n):
     """Refuse the sides of an m x n grid unless both are ints >= 1."""
     if min(_json_int(m), _json_int(n)) < 1:
         raise ValueError("m and n must be at least 1")
+
+
+def _guard(size, limit, keyword, refusal):
+    """Refuse `size` beyond `limit`, the guard named `keyword`, with
+    SizeGuardError(refusal, keyword); the limit is held to the count rule."""
+    if size > _int_at_least(limit, 0, keyword):
+        raise SizeGuardError(refusal, keyword)
 
 
 def _check_table(table, state_count, alphabet, bound, name):

@@ -17,7 +17,7 @@ from itertools import chain, cycle, groupby, repeat
 from math import factorial, gcd
 from types import SimpleNamespace
 
-from .automata import Transformation, bits
+from .automata import Transformation, _guard, bits
 from .conjecture import check_conjecture1, check_conjecture2
 from .enumeration import (
     closed_form_coeffs,
@@ -198,12 +198,9 @@ def _forced(args, **limits) -> dict:
 def _value_guard(args) -> None:
     """Refuse an exact value over more than MAX_VALUE_CELLS cells, or more
     than FORCED_COUNT under --force, before it is built."""
-    cells, limit = args.m * args.n, FORCED_COUNT if args.force else MAX_VALUE_CELLS
-    if cells > limit:
-        raise SizeGuardError(
-            f"the exact value at {args.m}x{args.n} has about {cells} bits, "
-            f"beyond the guard of {limit} bits"
-        )
+    m, n, limit = args.m, args.n, FORCED_COUNT if args.force else MAX_VALUE_CELLS
+    refusal = f"the exact value at {m}x{n} has about {m * n} bits, beyond the guard of {limit} bits"
+    _guard(m * n, limit, None, refusal)
 
 
 def _cmd_bound(args):

@@ -18,8 +18,7 @@ from itertools import compress, permutations, repeat
 from operator import eq
 from typing import Optional
 
-from .automata import Transformation, _grid, _json_int, record
-from .errors import SizeGuardError
+from .automata import Transformation, _grid, _guard, _json_int, record
 from .monster import (
     ReachResult,
     Tableau,
@@ -277,11 +276,8 @@ def verify_witnesses(m: int, n: int, max_permutation_size: int = 6) -> WitnessRe
     full m x n tableau must be hit by its pair as well.
     """
     _grid(m, n)
-    if n > max_permutation_size:
-        raise SizeGuardError(
-            f"verifying {n}! permutations exceeds the guard of {max_permutation_size}!",
-            "max_permutation_size",
-        )
+    refusal = f"verifying {n}! permutations exceeds the guard of {max_permutation_size}!"
+    _guard(n, max_permutation_size, "max_permutation_size", refusal)
     cases = []
     for images in permutations(range(n)):
         sigma = Transformation(images)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
-from operator import eq, mul
+from operator import add, eq, mul
 from typing import Iterator, Optional
 
-from .automata import _grid, _int_at_least, _json_int
-from .errors import SizeGuardError
+from .automata import _grid, _guard, _int_at_least, _json_int
 from .upair import Packing, SetVector
 
 
@@ -104,16 +103,12 @@ def canonical_vector(l: int, n: int) -> SetVector:
     return SetVector.of_masks([1 << i for i in range(l - 1)] + [rest] + [0] * (n - l))
 
 
-def _maps_guard(n: int, l: int, max_maps: int) -> None:
-    if n ** l > max_maps:
-        raise SizeGuardError(f"{n}^{l} maps exceed the guard of {max_maps}", "max_maps")
-
-
 def _canonical_successors(n: int, l: int, max_maps: int) -> tuple[Packing, set[int]]:
     """The packing of grade l and the distinct packed successors of the
     canonical l-part vector (grade l - 1), over every map on its l occupied
     slots (n^l of them)."""
-    _maps_guard(_json_int(n), _json_int(l), max_maps)
+    refusal = f"{n}^{l} maps exceed the guard of {max_maps}"
+    _guard(_json_int(n) ** _json_int(l), max_maps, "max_maps", refusal)
     packing = Packing(n, l)
     parent = packing.pack(canonical_vector(l, n))
     return packing, set(packing.successors(parent, 1 << (l - 1)))
@@ -249,16 +244,17 @@ def graded_rows(n: int, kmax: int) -> Iterator[tuple]:
 
     A grade-k vector has at most 2^k nonempty parts (succ_count(n, l, d) is
     0 for d > l), so these rows are 0 beyond column 2^kmax and the walk
-    reads only that block of S_n, padding each row with zeros to length n."""
+    reads only that block of S_n, padding each row with zeros to length n.
+    The arguments are checked at the call; the rows come one at a time."""
     _int_at_least(kmax, 0, "kmax")
     size = min(n, 1 << min(kmax, _json_int(n).bit_length()))  # 2^kmax is not formed
     cols = list(zip(*matrix_S(n, size)))
-    pad = (0,) * (n - size)
-    row = (1,) + (0,) * (size - 1)
-    yield row + pad
-    for _ in range(kmax):
-        row = tuple(sum(map(mul, row, col)) for col in cols)
-        yield row + pad
+
+    def step(row, _):
+        return tuple(sum(map(mul, row, col)) for col in cols)
+
+    rows = accumulate(repeat(None, kmax), step, initial=(1,) + (0,) * (size - 1))
+    return map(add, rows, repeat((0,) * (n - size)))
 
 
 def r_totals(n: int, kmax: int) -> list[int]:
@@ -322,8 +318,8 @@ def lower_bound_ie(m: int, n: int) -> int:
 
 
 def _blocks_guard(d: int, max_blocks_guard: int) -> None:
-    if _int_at_least(d, 1, "d") > max_blocks_guard:
-        raise SizeGuardError(f"d = {d} exceeds the guard of {max_blocks_guard}", "max_blocks_guard")
+    refusal = f"d = {d} exceeds the guard of {max_blocks_guard}"
+    _guard(_int_at_least(d, 1, "d"), max_blocks_guard, "max_blocks_guard", refusal)
 
 
 def _fraction_blocks(rows: list[list[int]]) -> list[list[Fraction]]:

@@ -19,8 +19,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .automata import Dfa, Transformation, _grid, _int_at_least, _json_int, bits, record
-from .errors import SizeGuardError
+from .automata import Dfa, Transformation, _grid, _guard, _int_at_least, _json_int, bits, record
 
 
 class MonsterLetter(NamedTuple):
@@ -125,10 +124,8 @@ def scan_guard(m: int, n: int, max_cells: int) -> None:
     """Refuse sides that `_grid` refuses, and a scan over all 2^(mn) masks
     of an m x n grid beyond max_cells."""
     _grid(m, n)
-    if m * n > max_cells:
-        raise SizeGuardError(
-            f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}", "max_cells"
-        )
+    refusal = f"enumerating 2^{m * n} tableaux exceeds the guard of 2^{max_cells}"
+    _guard(m * n, max_cells, "max_cells", refusal)
 
 
 MaskLines = namedtuple("MaskLines", "row_shifts col0 rows cols")
@@ -390,8 +387,7 @@ def reachable_tableaux(
     _grid(m, n)
     if depth_limit is not None:
         _int_at_least(depth_limit, 0, "depth_limit")
-    if m * n > max_cells:
-        raise SizeGuardError(f"{m}x{n} grid exceeds the {max_cells}-cell guard", "max_cells")
+    _guard(m * n, max_cells, "max_cells", f"{m}x{n} grid exceeds the {max_cells}-cell guard")
     table, _, complete = _closure(m, n, 1, depth_limit)
     return ReachResult(m, n, table, complete)
 
@@ -458,11 +454,8 @@ def state_complexity_shuffle(
     is raised.
     """
     _grid(m, n)
-    if m * n > max_cells:
-        raise SizeGuardError(
-            f"state-complexity search on a {m}x{n} grid exceeds the {max_cells}-cell guard",
-            "max_cells",
-        )
+    refusal = f"state-complexity search on a {m}x{n} grid exceeds the {max_cells}-cell guard"
+    _guard(m * n, max_cells, "max_cells", refusal)
     if reach is None:
         table, count = reachable_table(m, n)
     elif (reach.m, reach.n) != (m, n):

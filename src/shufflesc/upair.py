@@ -23,7 +23,7 @@ from itertools import chain, compress, count, permutations, product, repeat
 from operator import add, and_, lshift, mod, ne, or_, rshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .automata import Transformation, _grid, _int_at_least, _json_int, bits, record
+from .automata import Transformation, _grid, _guard, _int_at_least, _json_int, bits, record
 from .errors import SizeGuardError
 from .monster import MonsterLetter, Tableau, mask_lines, scan_guard
 
@@ -122,7 +122,7 @@ class SetVector:
         return hash(self.parts)
 
     def __repr__(self):
-        return "[" + ",".join("{" + ",".join(map(str, p)) + "}" for p in self.key()) + "]"
+        return "[" + ",".join(part_texts(self.parts, "{}")) + "]"
 
 
 def act(v: SetVector, h: Transformation) -> SetVector:
@@ -317,7 +317,7 @@ def part_texts(parts: Iterable[int], brackets: str) -> list[str]:
 def stamp_guard(grade: int, what: str, max_count: int) -> None:
     """Refuse a vector of `grade`, whose 2^grade stamped elements exceed
     `max_count`, before anything is built; 2^grade itself is never formed."""
-    if grade >= max(max_count, 0).bit_length():
+    if grade >= _int_at_least(max_count, 0, "max_count").bit_length():
         raise SizeGuardError(
             f"{what} has grade {grade}, so 2^{grade} elements, "
             f"beyond the guard of {max_count}",
@@ -347,12 +347,11 @@ def graded_level(n: int, k: int, max_count: int = 2_000_000) -> list[int]:
     # and a successor's low half is its parent, so no two tries coincide
     # and the level needs no set.
     for grade, tries in enumerate(r_totals(n, k)[1:], 1):
-        if tries > max_count:
-            raise SizeGuardError(
-                f"grade {grade} of length-{n} vectors tries {tries} maps, "
-                f"beyond the guard of {max_count}",
-                "max_count",
-            )
+        refusal = (
+            f"grade {grade} of length-{n} vectors tries {tries} maps, "
+            f"beyond the guard of {max_count}"
+        )
+        _guard(tries, max_count, "max_count", refusal)
     packing = Packing(n, k)
     level = [1]
     for grade in range(k):
@@ -441,6 +440,7 @@ def p_of_path(
     the occupied parts matters, so a path and its useful restriction give
     the same pair.
     """
+    _grid(m, n)
     lam, rho = SetVector.base(m), SetVector.base(n)
     for f, g in path:
         lam = succ_left(lam, f)

@@ -1,6 +1,8 @@
+import ast
 import re
 import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,7 @@ from shufflesc.upair import (
     Packing,
     SetVector,
     enumerate_dense,
+    generate_graded,
     graded_level,
     is_lvalid,
     is_rvalid,
@@ -969,6 +972,7 @@ GRID_ENTRY_POINTS = {
     "witness_full": witness_full,
     "verify_witnesses": verify_witnesses,
     "pair_of_settableau": lambda m, n: pair_of_settableau({(0, 0): [1]}, m, n),
+    "p_of_path": lambda m, n: p_of_path(m, n, []),
 }
 
 
@@ -1017,7 +1021,7 @@ COUNT_ENTRY_POINTS = {
     "matrix_A.size": (lambda x: en.matrix_A(2, x), "size", 1),
     "matrix_B.rows": (en.matrix_B, "rows", 1),
     "matrix_B.cols": (lambda x: en.matrix_B(2, x), "cols", 1),
-    "graded_rows.kmax": (lambda x: list(en.graded_rows(3, x)), "kmax", 0),
+    "graded_rows.kmax": (lambda x: en.graded_rows(3, x), "kmax", 0),
     "closed_form_coeffs.n": (en.closed_form_coeffs, "n", 1),
     "series_direct.d": (en.series_direct, "d", 1),
     "series_closed.d": (en.series_closed, "d", 1),
@@ -1027,8 +1031,9 @@ COUNT_ENTRY_POINTS = {
         lambda x: reachable_tableaux(2, 2, depth_limit=x), "depth_limit", 0
     ),
     "SetVector.base": (SetVector.base, "length", 1),
-    "p_of_path.m": (lambda x: p_of_path(x, 1, []), "length", 1),
-    "p_of_path.n": (lambda x: p_of_path(1, x, []), "length", 1),
+    # the grid rule comes first, so its message names "m and n"
+    "p_of_path.m": (lambda x: p_of_path(x, 1, []), "m and n", 1),
+    "p_of_path.n": (lambda x: p_of_path(1, x, []), "m and n", 1),
     "graded_level.n": (lambda x: graded_level(x, 1), "n", 1),
     "graded_level.k": (lambda x: graded_level(2, x), "k", 0),
     "mirror.k": (lambda x: mirror(SetVector.base(1), x), "k", 0),
@@ -1054,6 +1059,82 @@ def test_count_rule(name, kind):
     with pytest.raises(ValueError) as info:
         call(value)
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+# name -> (a call taking one guard value, the guard's keyword)
+GUARD_ENTRY_POINTS = {
+    "reachable_tableaux": (lambda x: reachable_tableaux(2, 2, max_cells=x), "max_cells"),
+    "state_complexity_shuffle": (
+        lambda x: state_complexity_shuffle(2, 2, max_cells=x), "max_cells"
+    ),
+    "check_conjecture1": (lambda x: check_conjecture1(2, 2, max_cells=x), "max_cells"),
+    "check_conjecture2": (lambda x: check_conjecture2(2, 2, max_cells=x), "max_cells"),
+    "all_valid_tableaux": (lambda x: list(all_valid_tableaux(2, 2, max_cells=x)), "max_cells"),
+    "enumerate_dense": (lambda x: enumerate_dense(2, 2, max_cells=x), "max_cells"),
+    "graded_level": (lambda x: graded_level(2, 2, max_count=x), "max_count"),
+    "generate_graded": (lambda x: generate_graded(2, 2, max_count=x), "max_count"),
+    "witness_full": (lambda x: witness_full(2, 2, max_count=x), "max_count"),
+    "successor_vectors": (lambda x: en.successor_vectors(2, 1, max_maps=x), "max_maps"),
+    "succ_count_oracle": (lambda x: en.succ_count_oracle(2, 1, 0, max_maps=x), "max_maps"),
+    "series_direct": (lambda x: en.series_direct(1, max_blocks_guard=x), "max_blocks_guard"),
+    "series_closed": (lambda x: en.series_closed(1, max_blocks_guard=x), "max_blocks_guard"),
+    "series_direct_rows": (
+        lambda x: en.series_direct_rows(1, max_blocks_guard=x), "max_blocks_guard"
+    ),
+    "series_closed_rows": (
+        lambda x: en.series_closed_rows(1, max_blocks_guard=x), "max_blocks_guard"
+    ),
+    "verify_witnesses": (
+        lambda x: verify_witnesses(1, 1, max_permutation_size=x), "max_permutation_size"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["float", "bool", "None", "below"])
+def test_guard_rule(name, kind):
+    """Every size guard holds its limit to the count rule (`automata._guard`):
+    a bad limit is a plain ValueError with the rule's message, never a
+    SizeGuardError.  max_cells=4.0 once ran, max_cells=True refused as a
+    "True-cell guard", None gave a TypeError and max_count=1e9 an
+    AttributeError."""
+    call, keyword = GUARD_ENTRY_POINTS[name]
+    value, message = {
+        "float": (1.0, "1.0 is not an integer"),
+        "bool": (True, "True is not an integer"),
+        "None": (None, "None is not an integer"),
+        "below": (-1, f"{keyword} must be at least 0"),
+    }[kind]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def _raises_size_guard_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "SizeGuardError"
+
+
+def test_size_guard_error_raised_only_by_the_guard_rule():
+    """`raise SizeGuardError` appears only in `automata._guard` and in
+    `upair.stamp_guard`, which must not form 2^grade: a new guard calls
+    `_guard`, and so holds its limit to the count rule."""
+    allowed = {("automata", "_guard"), ("upair", "stamp_guard")}
+    inside, outside = set(), []
+    for path in sorted(Path(automata.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        owner = {}  # id of a node within an allowed function -> that function's name
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and (path.stem, function.name) in allowed:
+                owner.update(dict.fromkeys(map(id, ast.walk(function)), function.name))
+        for node in filter(_raises_size_guard_error, ast.walk(tree)):
+            if id(node) in owner:
+                inside.add((path.stem, owner[id(node)]))
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [] and inside == allowed
 
 
 @pytest.mark.parametrize(
